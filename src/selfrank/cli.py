@@ -2,8 +2,8 @@
 
 Every artifact is a JSON document embedding the resolved configuration that
 produced it, written with sorted keys so identical (command, config, seed)
-runs are byte-identical. Exit codes: 0 success, 2 bad configuration,
-3 divergence, 4 verification failure.
+runs are byte-identical. Exit codes: 0 success, 2 bad configuration or
+input data, 3 divergence, 4 verification failure.
 """
 
 from __future__ import annotations
@@ -25,13 +25,21 @@ from .data_io import (
     top_items,
     user_feature_map,
 )
-from .decoding import Tournament, fas_greedy
-from .errors import ConfigError, DivergenceError, InvalidInputError
+# Tournament stays a cli attribute: perfbench's tracer patches cli.Tournament.
+from .decoding import Tournament, fas_greedy  # noqa: F401
+from .errors import (
+    ConfigError,
+    DivergenceError,
+    DuplicateRatingError,
+    InvalidInputError,
+    RatingsParseError,
+)
 from .evaluation import (
     DEFAULT_ITERS,
     DEFAULT_LAMBDAS,
     DEFAULT_RANKS,
     GridSpec,
+    decode_queries,
     evaluate_ranking,
     grid_search,
     resolve_grid,
@@ -313,18 +321,13 @@ def cmd_decode(cfg: dict) -> int:
     split, items, tasks, features, kernel = _load_ranking_problem(cfg)
     data = build_pair_task_data(tasks, features, kernel)
     model = _model_from_checkpoint(cfg, data)
-    a_idx = np.array([t.a for t in tasks.tasks], dtype=int)
-    b_idx = np.array([t.b for t in tasks.tasks], dtype=int)
     users = [u for u in split.test.users if u in features]
     X = np.vstack([np.asarray(features[u], dtype=float) for u in users])
-    W = model.tournament_weights(X)
-    orderings = {}
-    n_docs = len(items)
-    for qi, user in enumerate(users):
-        weights = np.zeros((n_docs, n_docs))
-        weights[a_idx, b_idx] = W[:, qi]
-        ordering = fas_greedy(Tournament(weights))
-        orderings[str(user)] = [items[j] for j in ordering.docs_by_rank().tolist()]
+    decoded = decode_queries(tasks, model.tournament_weights(X), decode=fas_greedy)
+    orderings = {
+        str(user): [items[j] for j in ordering.docs_by_rank().tolist()]
+        for user, ordering in zip(users, decoded)
+    }
     path = _write_json(cfg, "orderings.json", {"config": cfg, "items": items, "orderings": orderings})
     print(f"wrote {path} ({len(orderings)} queries)")
     return 0
@@ -387,6 +390,9 @@ def run(command: str, config_path: str | None = None, overrides: list[str] | Non
         return handler(cfg)
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except (RatingsParseError, DuplicateRatingError) as exc:
+        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -64,6 +65,8 @@ def parse_movielens(path) -> RatingsTable:
                 value = float(parts[2])
             except ValueError:
                 raise RatingsParseError(line_no, f"non-numeric field in {parts[:3]!r}") from None
+            if not math.isfinite(value):
+                raise RatingsParseError(line_no, f"non-finite rating {parts[2]!r}")
             if (user, item) in ratings:
                 raise DuplicateRatingError(f"duplicate rating for user {user}, item {item}")
             ratings[(user, item)] = value
@@ -91,6 +94,8 @@ def parse_ratings_csv(path) -> RatingsTable:
                 value = float(row[2])
             except ValueError:
                 raise RatingsParseError(line_no, f"non-numeric rating {row[2]!r}") from None
+            if not math.isfinite(value):
+                raise RatingsParseError(line_no, f"non-finite rating {row[2]!r}")
             if (user, item) in ratings:
                 raise DuplicateRatingError(f"duplicate rating for user {user}, item {item}")
             ratings[(user, item)] = value
@@ -115,9 +120,12 @@ def parse_user_features_csv(path) -> dict:
                 raise RatingsParseError(line_no, f"expected {dim + 1} fields, got {len(row)}")
             user = row[0].strip()
             try:
-                feats[user] = np.array([float(v) for v in row[1:]])
+                values = [float(v) for v in row[1:]]
             except ValueError:
                 raise RatingsParseError(line_no, "non-numeric feature value") from None
+            if not all(math.isfinite(v) for v in values):
+                raise RatingsParseError(line_no, "non-finite feature value")
+            feats[user] = np.array(values)
     return feats
 
 

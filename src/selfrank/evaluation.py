@@ -103,8 +103,6 @@ def evaluate_ranking(
     table = getattr(split, on)
     items = pair_tasks.items
     n_docs = len(items)
-    a_idx = np.array([t.a for t in pair_tasks.tasks], dtype=int)
-    b_idx = np.array([t.b for t in pair_tasks.tasks], dtype=int)
     queries = []
     rating_vectors = []
     skipped = 0
@@ -121,14 +119,28 @@ def evaluate_ranking(
     X = np.vstack([np.asarray(features[u], dtype=float) for u in queries])
     W = model.tournament_weights(X)  # n_tasks x n_queries
     per_query = []
-    for qi in range(len(queries)):
-        weights = np.zeros((n_docs, n_docs))
-        weights[a_idx, b_idx] = W[:, qi]
-        ordering: Ordering = decode(Tournament(weights))
+    for ordering, ratings in zip(decode_queries(pair_tasks, W, decode=decode), rating_vectors):
         scores = (n_docs - ordering.positions).astype(float)
-        _, normalized = pairwise_rank_loss(scores, rating_vectors[qi])
+        _, normalized = pairwise_rank_loss(scores, ratings)
         per_query.append(normalized)
     return _summarize(per_query, skipped, config or {})
+
+
+def decode_queries(pair_tasks: PairTaskSet, W: np.ndarray, *, decode) -> list[Ordering]:
+    """Decode one ordering of pair_tasks.items per column of W (n_tasks x n_queries).
+
+    Column qi holds the query's net preference of a over b for every task
+    (a, b); the tournament is zero on pairs without a task.
+    """
+    n_docs = len(pair_tasks.items)
+    a_idx = np.array([t.a for t in pair_tasks.tasks], dtype=int)
+    b_idx = np.array([t.b for t in pair_tasks.tasks], dtype=int)
+    orderings = []
+    for qi in range(W.shape[1]):
+        weights = np.zeros((n_docs, n_docs))
+        weights[a_idx, b_idx] = W[:, qi]
+        orderings.append(decode(Tournament(weights)))
+    return orderings
 
 
 def resolve_grid(

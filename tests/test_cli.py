@@ -71,6 +71,16 @@ class TestCommands:
         )
         assert rc == 2
 
+    def test_non_finite_rating_exits_2(self, tmp_path, ratings_file, capsys):
+        bad = tmp_path / "u.data"
+        lines = open(ratings_file, encoding="utf-8").read().splitlines()
+        user, item, _, stamp = lines[3].split("\t")
+        lines[3] = "\t".join([user, item, "nan", stamp])
+        bad.write_text("\n".join(lines) + "\n")
+        rc = run("train", overrides=base_overrides(str(bad)), out=str(tmp_path / "out"))
+        assert rc == 2
+        assert "line 4: non-finite rating" in capsys.readouterr().err
+
     def test_divergent_step_exits_3(self, tmp_path, ratings_file):
         rc = run(
             "train",

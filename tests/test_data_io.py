@@ -45,6 +45,13 @@ class TestParseMovielens:
             parse_movielens(path)
         assert err.value.line_no == 2
 
+    def test_non_finite_rating_reports_line(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("1\t5\t3\t0\n2\t6\tnan\t0\n")
+        with pytest.raises(RatingsParseError) as err:
+            parse_movielens(path)
+        assert err.value.line_no == 2
+
     def test_duplicate_rejected(self, tmp_path):
         path = tmp_path / "u.data"
         path.write_text("1\t5\t3\t0\n1\t5\t4\t0\n")
@@ -77,12 +84,26 @@ class TestParseCsv:
         with pytest.raises(RatingsParseError):
             parse_ratings_csv(path)
 
+    def test_non_finite_rating_reports_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("user,item,rating\n1,10,4.5\nu2,i7,inf\n")
+        with pytest.raises(RatingsParseError) as err:
+            parse_ratings_csv(path)
+        assert err.value.line_no == 3
+
     def test_features_csv(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("user,f1,f2\n1,0.5,-1\n2,2,3\n")
         feats = parse_user_features_csv(path)
         np.testing.assert_array_equal(feats["1"], [0.5, -1.0])
         np.testing.assert_array_equal(feats["2"], [2.0, 3.0])
+
+    def test_features_csv_non_finite_reports_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("user,f1,f2\n1,0.5,-1\n2,-inf,3\n")
+        with pytest.raises(RatingsParseError) as err:
+            parse_user_features_csv(path)
+        assert err.value.line_no == 3
 
     def test_features_csv_resolves_integer_table_ids(self):
         table = _table({(1, "a"): 4.0, (1, "b"): 2.0})

@@ -102,6 +102,70 @@ class TestBuildTournament:
         np.testing.assert_allclose(t2.weights, 2 * t1.weights)
 
 
+def fas_greedy_reference(t: Tournament) -> Ordering:
+    """The loop form of fas_greedy's insertion scan, kept as its bitwise reference."""
+    borda = t.weights.sum(axis=1)
+    docs = sorted(range(t.size), key=lambda j: (-borda[j], j))
+    w = t.weights
+    n = t.size
+    while True:
+        improved = True
+        while improved:
+            improved = False
+            for p in range(n - 1):
+                u, v = docs[p], docs[p + 1]
+                if w[u, v] < 0:
+                    docs[p], docs[p + 1] = v, u
+                    improved = True
+        order = np.asarray(docs)
+        sub = w[order[:, None], order[None, :]]
+        best = (0.0, None)
+        for p in range(n):
+            gain = 0.0
+            for q in range(p - 1, -1, -1):  # move up past position q
+                gain += sub[p, q]
+                if gain > best[0] + 1e-15:
+                    best = (gain, (p, q))
+            gain = 0.0
+            for q in range(p + 1, n):  # move down past position q
+                gain -= sub[p, q]
+                if gain > best[0] + 1e-15:
+                    best = (gain, (p, q))
+        if best[1] is None:
+            break
+        p, q = best[1]
+        doc = docs.pop(p)
+        docs.insert(q, doc)
+    return Ordering.from_docs(docs)
+
+
+def _gaussian(rng, n):
+    return rng.standard_normal((n, n))
+
+
+def _integer_ties(rng, n):
+    return rng.integers(-2, 3, size=(n, n)).astype(float)
+
+
+def _tiny(rng, n):
+    return rng.standard_normal((n, n)) * 1e-17  # no insertion gain passes the 1e-15 margin
+
+
+def _near_margin(rng, n):
+    # gains of about 1e-15: the margin decides between near-tied moves
+    return rng.standard_normal((n, n)) * 1e-17 * n
+
+
+@pytest.mark.parametrize("weights", [_gaussian, _integer_ties, _tiny, _near_margin])
+def test_fas_greedy_matches_loop_reference(weights):
+    rng = np.random.default_rng(8)
+    for n in range(1, 65):
+        t = Tournament(weights(rng, n))
+        np.testing.assert_array_equal(
+            fas_greedy(t).positions, fas_greedy_reference(t).positions, err_msg=f"n={n}"
+        )
+
+
 class TestFasGreedy:
     def test_transitive_tournament_identity(self):
         w = np.triu(np.ones((4, 4)), k=1)
