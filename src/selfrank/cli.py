@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -57,6 +58,7 @@ from .ranking import (
 from .verify import run_verification
 
 COMMANDS = ("train", "eval", "grid", "decode", "synth", "verify")
+CHECKPOINT_SCHEMA = 2
 
 # key -> (default, is_path). Unknown keys are rejected outright.
 KNOWN_KEYS = {
@@ -190,10 +192,7 @@ def _train_model(cfg: dict, data, seed: int):
     step = cfg["train.step"]
     if step == "auto":
         step = halving_step_search_rank(data, base)
-    train_cfg = TrainConfig(
-        lam=base.lam, rank=base.rank, step=float(step), max_iters=base.max_iters,
-        seed=seed, tol=base.tol, init_scale=base.init_scale,
-    )
+    train_cfg = replace(base, step=float(step))
     return fit_rank_lowrank(data, train_cfg), train_cfg
 
 
@@ -203,30 +202,22 @@ def cmd_train(cfg: dict) -> int:
     seed = int(cfg["seed"])
     model, train_cfg = _train_model(cfg, data, seed)
     checkpoint = {
-        "schema_version": 1,
+        "schema_version": CHECKPOINT_SCHEMA,
         "config": cfg,
         "learner": cfg["learner"],
         "kernel": kernel.to_config(),
         "lambda": float(cfg["train.lambda"]),
         "seed": seed,
-        "items": items,
-        "pairs": [list(t.pair) for t in tasks.tasks],
-        "task_sizes": data.task_sizes.tolist(),
-        "row_users": [data.users[k] for k in data.row_user.tolist()],
+        **_data_fields(tasks, data),
     }
     if cfg["learner"] == "lowrank":
-        n_blocks = []
-        offset = 0
-        for n_t in data.task_sizes.tolist():
-            n_blocks.append(model.N[offset : offset + n_t].ravel().tolist())
-            offset += n_t
         checkpoint.update(
             {
                 "rank": train_cfg.rank,
                 "step": train_cfg.step,
                 "iters_run": model.iters_run,
-                "M": model.M.ravel().tolist(),
-                "N_blocks": n_blocks,
+                "A": model.A.ravel().tolist(),
+                "W": model.W.ravel().tolist(),
             }
         )
         _write_json(
@@ -239,34 +230,42 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _model_from_checkpoint(cfg: dict, data):
+def _data_fields(tasks, data) -> dict:
+    """The data a checkpoint is bound to, in the checkpoint's JSON form."""
+    return {
+        "items": tasks.items,
+        "pairs": [list(t.pair) for t in tasks.tasks],
+        "users": data.users,
+        "task_sizes": data.task_sizes.tolist(),
+    }
+
+
+def _model_from_checkpoint(cfg: dict, tasks, data):
     with open(cfg["checkpoint"], "r", encoding="utf-8") as fh:
         ck = json.load(fh)
-    if ck.get("schema_version") != 1:
-        raise ConfigError(f"unsupported checkpoint schema {ck.get('schema_version')!r}")
-    expected_rows = sum(ck["task_sizes"])
-    if data.n_rows != expected_rows:
+    schema = ck.get("schema_version")
+    if schema == 1:
         raise ConfigError(
-            f"checkpoint was trained on {expected_rows} stacked samples but the "
-            f"configured data yields {data.n_rows}; config/seed mismatch"
+            "checkpoint schema 1 (stacked-row factors) is no longer supported; "
+            "retrain to write a schema 2 checkpoint"
         )
+    if schema != CHECKPOINT_SCHEMA:
+        raise ConfigError(f"unsupported checkpoint schema {schema!r}")
+    for field, value in _data_fields(tasks, data).items():
+        if ck.get(field) != value:
+            raise ConfigError(
+                f"checkpoint field {field!r} differs from the configured data; "
+                "config/seed mismatch"
+            )
     if ck["learner"] == "hs":
         return fit_rank_hs(data, float(ck["lambda"]))
     r = int(ck["rank"])
-    M = np.asarray(ck["M"], dtype=float).reshape(data.n_rows, r)
-    N = np.vstack(
-        [
-            np.asarray(block, dtype=float).reshape(n_t, r)
-            for block, n_t in zip(ck["N_blocks"], ck["task_sizes"])
-        ]
-    )
-    train_cfg = TrainConfig(
-        lam=float(ck["lambda"]), rank=r, step=float(ck["step"]),
-        max_iters=max(int(ck["iters_run"]), 1), seed=int(ck["seed"]),
-    )
     return LowRankRankModel(
-        data=data, M=M, N=N, cfg=train_cfg,
-        iters_run=int(ck["iters_run"]), objective_trace=[],
+        data=data,
+        A=np.asarray(ck["A"], dtype=float).reshape(len(data.users), r),
+        W=np.asarray(ck["W"], dtype=float).reshape(data.n_tasks, r),
+        iters_run=int(ck["iters_run"]),
+        objective_trace=[],
     )
 
 
@@ -275,7 +274,7 @@ def cmd_eval(cfg: dict) -> int:
         raise ConfigError("eval requires a checkpoint path")
     split, items, tasks, features, kernel = _load_ranking_problem(cfg)
     data = build_pair_task_data(tasks, features, kernel)
-    model = _model_from_checkpoint(cfg, data)
+    model = _model_from_checkpoint(cfg, tasks, data)
     report = evaluate_ranking(model, split, tasks, features, on="test", config=cfg)
     path = _write_json(cfg, "eval_report.json", report.to_dict())
     print(f"wrote {path} (mean={report.mean:.4f}, n={report.n_queries}, skipped={report.skipped})")
@@ -320,7 +319,7 @@ def cmd_decode(cfg: dict) -> int:
         raise ConfigError("decode requires a checkpoint path")
     split, items, tasks, features, kernel = _load_ranking_problem(cfg)
     data = build_pair_task_data(tasks, features, kernel)
-    model = _model_from_checkpoint(cfg, data)
+    model = _model_from_checkpoint(cfg, tasks, data)
     users = [u for u in split.test.users if u in features]
     X = np.vstack([np.asarray(features[u], dtype=float) for u in users])
     decoded = decode_queries(tasks, model.tournament_weights(X), decode=fas_greedy)

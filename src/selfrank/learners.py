@@ -19,7 +19,7 @@ Two regularization routes for the least-squares surrogate problem:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -82,6 +82,20 @@ class MtlFactorSet:
         return len(self.N_per_task)
 
 
+def ridge_cho_factor(K: np.ndarray, lam: float):
+    """Cholesky factor of K + n lam I, retried once with a 1e-12 trace-scaled jitter."""
+    n = K.shape[0]
+    system = K + n * lam * np.eye(n)
+    try:
+        return cho_factor(system)
+    except np.linalg.LinAlgError:
+        jitter = 1e-12 * float(np.trace(K)) / n
+        try:
+            return cho_factor(system + jitter * np.eye(n))
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(f"Cholesky factorization failed despite jitter {jitter:.3e}") from exc
+
+
 class HsModel:
     """Closed-form ridge weights through a cached Cholesky factorization."""
 
@@ -93,17 +107,7 @@ class HsModel:
             raise InvalidInputError(f"lam must be > 0, got {lam}")
         self.n = K_X.shape[0]
         self.lam = float(lam)
-        system = K_X + self.n * self.lam * np.eye(self.n)
-        try:
-            self._cho = cho_factor(system)
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * float(np.trace(K_X)) / self.n
-            try:
-                self._cho = cho_factor(system + jitter * np.eye(self.n))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(
-                    f"Cholesky factorization failed despite jitter {jitter:.3e}"
-                ) from exc
+        self._cho = ridge_cho_factor(K_X, self.lam)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
         return cho_solve(self._cho, v)
@@ -223,6 +227,27 @@ def lowrank_weights(fp: FactorPair, v_x: np.ndarray) -> np.ndarray:
     return fp.N @ (fp.M.T @ v_x)
 
 
+def halving_search(
+    fit, cfg: TrainConfig, start: float, probe_iters: int | None, max_halvings: int
+) -> float:
+    """Halve the step from `start` until fit(probe) descends monotonically; a probe
+    is cfg with the step, tol 0 and probe_iters iterations (None: cfg.max_iters)."""
+    step = start
+    for _ in range(max_halvings):
+        probe = replace(
+            cfg, step=step, tol=0.0,
+            max_iters=probe_iters if probe_iters is not None else cfg.max_iters,
+        )
+        try:
+            descends = bool(np.all(np.diff(fit(probe).objective_trace) <= 0))
+        except DivergenceError:
+            descends = False
+        if descends:
+            return step
+        step *= 0.5
+    raise NumericalError(f"no descending step found after {max_halvings} halvings")
+
+
 def halving_step_search(
     K_X: np.ndarray,
     K_Y: np.ndarray,
@@ -240,27 +265,9 @@ def halving_step_search(
     for the whole run must probe the whole run. When the eventual fit starts
     from explicit factors, pass the same `init` here.
     """
-    step = start
-    for _ in range(max_halvings):
-        probe = TrainConfig(
-            lam=cfg.lam,
-            rank=cfg.rank,
-            step=step,
-            max_iters=probe_iters if probe_iters is not None else cfg.max_iters,
-            seed=cfg.seed,
-            tol=0.0,
-            init_scale=cfg.init_scale,
-        )
-        try:
-            fp = fit_lowrank(K_X, K_Y, probe, init=init)
-        except DivergenceError:
-            step *= 0.5
-            continue
-        t = np.asarray(fp.objective_trace)
-        if np.all(np.diff(t) <= 0):
-            return step
-        step *= 0.5
-    raise NumericalError(f"no descending step found after {max_halvings} halvings")
+    return halving_search(
+        lambda probe: fit_lowrank(K_X, K_Y, probe, init=init), cfg, start, probe_iters, max_halvings
+    )
 
 
 def _row_slices(task_sizes) -> list[slice]:
@@ -306,10 +313,8 @@ def fit_lowrank_mtl(
         M = np.asarray(init[0], dtype=float).copy()
         N_blocks = [np.asarray(N_t, dtype=float).copy() for N_t in init[1]]
     else:
-        scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(n * cfg.rank)
-        rng = np.random.default_rng(cfg.seed)
-        M = scale * rng.standard_normal((n, cfg.rank))
-        N_blocks = [scale * rng.standard_normal((n_t, cfg.rank)) for n_t in task_sizes]
+        M, N = init_factors(n, cfg)
+        N_blocks = [N[s] for s in slices]
 
     def objective(M, N_blocks):
         P_blocks = [K_t @ M for K_t in cross_blocks]

@@ -2,10 +2,16 @@
 
 Pair tasks share query inputs heavily (each user appears in many tasks), and
 their output Grams are rank-one (z z^T under the linear kernel on signed
-rating differences). The low-rank trainer here runs the exact multitask
-updates of learners.fit_lowrank_mtl while exploiting both structures, so the
-stacked n x n Gram is never materialized: everything reduces to the distinct
-user Gram K_u plus segment reductions over the stacked task rows.
+rating differences). The low-rank trainer runs the exact multitask updates of
+learners.fit_lowrank_mtl on the state they close over: A = S^T M (users x r,
+S the stacked-row-to-user indicator) and W with rows w_t = N_t^T z_t. With
+P = S K_u A and the per-row error e_i = P_i . w_t(i) - z_i:
+
+    A   <- (1 - lam nu) A - nu S^T [ e_i w_t(i) / (T n_t(i)) ]
+    w_t <- (1 - lam nu) w_t - (nu / n_t) sum_{i in t} e_i P_i
+
+and the penalty is <A, K_u A> + ||W||^2. An iteration costs O(u^2 r + n r)
+for u users and n stacked rows; the stacked n x n Gram is never built.
 """
 
 from __future__ import annotations
@@ -13,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_solve
+from scipy.sparse import csc_array
 
 from .data_io import PairTaskSet
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .kernels import KernelSpec, cross_vector, gram
-from .learners import TrainConfig, _stop
+from .learners import TrainConfig, _stop, halving_search, init_factors, ridge_cho_factor
 
 
 @dataclass
@@ -85,77 +92,63 @@ def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return np.add.reduceat(values, starts, axis=0)
 
 
-def _group_by_user(rows: np.ndarray, row_user: np.ndarray, n_users: int) -> np.ndarray:
-    """Sum stacked rows per user; column-wise bincount beats unbuffered add.at."""
-    return np.stack(
-        [np.bincount(row_user, weights=rows[:, j], minlength=n_users) for j in range(rows.shape[1])],
-        axis=1,
-    )
-
-
 @dataclass
 class LowRankRankModel:
-    """Shared-input low-rank multitask model over pair tasks."""
+    """Shared-input low-rank multitask model over pair tasks, in reduced state."""
 
     data: PairTaskData
-    M: np.ndarray  # n x r over stacked rows
-    N: np.ndarray  # n x r, rows grouped by task
-    cfg: TrainConfig
+    A: np.ndarray  # users x r: S^T M, the per-user sums of the stacked factor M
+    W: np.ndarray  # tasks x r: w_t = N_t^T z_t
     iters_run: int
     objective_trace: list[float]
-
-    def query_cross(self, x: np.ndarray) -> np.ndarray:
-        return cross_vector(self.data.U, x, self.data.kernel)
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
         """Edge weight per task for each query row; shape (n_tasks, n_queries).
 
-        alpha_t(x) = N_t M^T v_x with v_x the stacked cross vector; the edge
-        weight is z_t^T alpha_t(x). M^T v_x collapses to agg(M)^T V_u through
-        the duplicated-user structure.
+        The edge weight z_t^T N_t M^T v_x, with v_x = S V_u[:, x] the stacked
+        cross vector, is w_t^T A^T V_u[:, x].
         """
         queries = np.atleast_2d(np.asarray(queries, dtype=float))
         d = self.data
         Vu = np.stack([cross_vector(d.U, q, d.kernel) for q in queries], axis=1)
-        agg = _group_by_user(self.M, d.row_user, len(d.users))
-        core = agg.T @ Vu  # r x q
-        alpha = self.N @ core  # stacked rows x q
-        return _segment_sum(alpha * d.z[:, None], d.starts)
+        return self.W @ (self.A.T @ Vu)
 
 
 def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
-    """Multitask factorized descent specialized to pair tasks.
+    """Multitask factorized descent specialized to pair tasks, on the state (A, W).
 
-    Identical iterates to learners.fit_lowrank_mtl on the materialized kernel
-    blocks (cross block K_t = rows of S K_u S^T, output gram z_t z_t^T); cost
-    per iteration is O(n r^2 + u^2 r) instead of O(n^2 r).
+    The iterates are the projections A = S^T M and w_t = N_t^T z_t of those of
+    learners.fit_lowrank_mtl on the materialized blocks (K_t = rows of S K_u S^T,
+    output Gram z_t z_t^T); M and N are drawn as there and projected. With
+    P = S K_u A and e_i = P_i . w_t(i) - z_i for stacked row i of task t(i):
+
+        A   <- (1 - lam nu) A - nu S^T [ e_i w_t(i) / (T n_t(i)) ]
+        w_t <- (1 - lam nu) w_t - (nu / n_t) sum_{i in t} e_i P_i
+
+    Both corrections are products of one sparse users x tasks matrix holding e,
+    so an iteration costs one u x u x r GEMM plus O(n r) gathers, sparse
+    products and segment sums.
     """
-    n, T = data.n_rows, data.n_tasks
-    r = cfg.rank
-    scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(n * r)
-    rng = np.random.default_rng(cfg.seed)
-    M = scale * rng.standard_normal((n, r))
-    N = np.empty((n, r))
-    for s, n_t in zip(data.starts, data.task_sizes):
-        N[s : s + n_t] = scale * rng.standard_normal((n_t, r))
-
-    row_task = np.repeat(np.arange(T), data.task_sizes)
-    inv_nt = 1.0 / data.task_sizes.astype(float)
-    inv_Tnt_rows = (inv_nt / T)[row_task]
-    inv_nt_rows = inv_nt[row_task]
+    n, T, u = data.n_rows, data.n_tasks, len(data.users)
+    M, N = init_factors(n, cfg)
     z = data.z
+    row_task = np.repeat(np.arange(T), data.task_sizes)
+    # Column-compressed, so the stored values are the stacked rows in order.
+    E = csc_array((np.empty(n), data.row_user, np.append(data.starts, n)), shape=(u, T))
+    A = csc_array((np.ones(n), data.row_user, np.arange(n + 1)), shape=(u, n)) @ M  # S^T M
+    W = _segment_sum(z[:, None] * N, data.starts)
+    inv_nt = 1.0 / data.task_sizes.astype(float)
+    inv_Tnt = (inv_nt / T)[:, None]
     z2_per_task = _segment_sum(z * z, data.starts)
     shrink = 1.0 - cfg.lam * cfg.step
 
-    def forward(M, N):
-        """P rows, per-task w = N_t^T z_t broadcast to rows, and pw = P w."""
-        agg = _group_by_user(M, data.row_user, len(data.users))
-        P = (data.K_u @ agg)[data.row_user]
-        w_rows = _segment_sum(z[:, None] * N, data.starts)[row_task]
-        pw = np.einsum("ij,ij->i", P, w_rows)
-        return P, w_rows, pw
+    def forward(A, W):
+        """K_u A, and pw_i = P_i . w_t(i) from row gathers."""
+        KA = data.K_u @ A
+        P = np.take(KA, data.row_user, axis=0)  # np.take gathers faster than fancy indexing
+        return KA, np.einsum("ij,ij->i", P, np.take(W, row_task, axis=0))
 
-    def objective(M, N, P, w_rows, pw):
+    def objective(A, W, KA, pw):
         # residual_t = ||z_t||^2 - 2 z_t.(P_t w_t) + ||P_t w_t||^2, all segment sums
         res = (
             z2_per_task
@@ -163,36 +156,28 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
             + _segment_sum(pw * pw, data.starts)
         )
         data_term = float(np.sum(np.maximum(res, 0.0) * inv_nt) / T)
-        pen = float(np.sum(M * P)) + float(np.sum(w_rows[data.starts] ** 2))
+        pen = float(np.sum(A * KA)) + float(np.sum(W * W))
         return data_term + cfg.lam * pen
 
-    P, w_rows, pw = forward(M, N)
-    trace = [objective(M, N, P, w_rows, pw)]
+    KA, pw = forward(A, W)
+    trace = [objective(A, W, KA, pw)]
     if not np.isfinite(trace[0]):
         raise DivergenceError(0)
     iters = 0
-    bounds = list(zip(data.starts.tolist(), (data.starts + data.task_sizes).tolist()))
-    NG = np.empty((n, r))
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, cfg.max_iters + 1):
-            # M correction rows: ((P_t w_t - z_t) w_t^T) / (T n_t)
-            M_corr = ((pw - z) * inv_Tnt_rows)[:, None] * w_rows
-            # N correction rows: (N_t (P_t^T P_t) - P_t) / n_t, per-task GEMMs
-            for s, e in bounds:
-                np.dot(N[s:e], np.dot(P[s:e].T, P[s:e]), out=NG[s:e])
-            M = shrink * M - cfg.step * M_corr
-            N = shrink * N - cfg.step * (inv_nt_rows[:, None] * (NG - P))
-            P, w_rows, pw = forward(M, N)
-            obj = objective(M, N, P, w_rows, pw)
+            np.subtract(pw, z, out=E.data)
+            A = shrink * A - cfg.step * (E @ (W * inv_Tnt))  # W is still the old W here
+            W = shrink * W - cfg.step * (inv_nt[:, None] * (E.T @ KA))
+            KA, pw = forward(A, W)
+            obj = objective(A, W, KA, pw)
             if not np.isfinite(obj):
                 raise DivergenceError(k)
             trace.append(obj)
             iters = k
             if _stop(trace[-2], obj, cfg.tol):
                 break
-    return LowRankRankModel(
-        data=data, M=M, N=N, cfg=cfg, iters_run=iters, objective_trace=trace
-    )
+    return LowRankRankModel(data=data, A=A, W=W, iters_run=iters, objective_trace=trace)
 
 
 def halving_step_search_rank(
@@ -203,22 +188,9 @@ def halving_step_search_rank(
     max_halvings: int = 60,
 ) -> float:
     """Halve from `start` until a probe of fit_rank_lowrank descends."""
-    step = start
-    for _ in range(max_halvings):
-        probe = TrainConfig(
-            lam=cfg.lam, rank=cfg.rank, step=step,
-            max_iters=probe_iters if probe_iters is not None else cfg.max_iters,
-            seed=cfg.seed, tol=0.0, init_scale=cfg.init_scale,
-        )
-        try:
-            model = fit_rank_lowrank(data, probe)
-        except DivergenceError:
-            step *= 0.5
-            continue
-        if np.all(np.diff(model.objective_trace) <= 0):
-            return step
-        step *= 0.5
-    raise NumericalError(f"no descending step found after {max_halvings} halvings")
+    return halving_search(
+        lambda probe: fit_rank_lowrank(data, probe), cfg, start, probe_iters, max_halvings
+    )
 
 
 @dataclass
@@ -250,15 +222,8 @@ def fit_rank_hs(data: PairTaskData, lam: float) -> HsRankModel:
     for t in range(data.n_tasks):
         s = data.starts[t]
         rows = data.row_user[s : s + data.task_sizes[t]]
-        K_t = data.K_u[np.ix_(rows, rows)]
-        n_t = rows.shape[0]
-        system = K_t + n_t * lam * np.eye(n_t)
         try:
-            factors.append(cho_factor(system))
-        except np.linalg.LinAlgError:
-            jitter = 1e-12 * float(np.trace(K_t)) / max(n_t, 1)
-            try:
-                factors.append(cho_factor(system + jitter * np.eye(n_t)))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(f"task {t}: ridge factorization failed") from exc
+            factors.append(ridge_cho_factor(data.K_u[np.ix_(rows, rows)], lam))
+        except NumericalError as exc:
+            raise NumericalError(f"task {t}: {exc}") from exc
     return HsRankModel(data=data, lam=lam, _factors=factors)

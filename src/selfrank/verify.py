@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data_io import RatingsTable, build_pair_tasks
 from .decoding import Tournament, backward_weight, decode_finite, fas_exact, fas_greedy
+from .kernels import KernelSpec
 from .learners import (
     TrainConfig,
+    _row_slices,
     fit_hs,
     fit_lowrank,
     fit_lowrank_mtl,
@@ -29,6 +32,7 @@ from .oracles import (
     prox_nuclear,
     svt,
 )
+from .ranking import build_pair_task_data, fit_rank_lowrank
 
 
 def _check(name: str, value: float, threshold: float) -> dict:
@@ -239,6 +243,30 @@ def check_mtl_reduction(rng) -> dict:
     return _check("mtl_t1_reduction", dev, 1e-8)
 
 
+def check_pairtask_reduced_state(rng) -> dict:
+    """fit_rank_lowrank's (A, W) and trace must match the projections S^T M and
+    N_t^T z_t of the generic fit_lowrank_mtl iterates on materialized blocks."""
+    ratings = {(u, i): float(rng.integers(1, 6)) for u in range(10) for i in range(6) if rng.random() < 0.7}
+    table = RatingsTable(users=list(range(10)), items=list(range(6)), ratings=ratings)
+    feats = {u: rng.standard_normal(4) for u in table.users}
+    data = build_pair_task_data(build_pair_tasks(table, table.items), feats, KernelSpec("linear"))
+    cfg = TrainConfig(lam=0.3, rank=2, step=0.02, max_iters=40, seed=4, tol=0.0)
+    model = fit_rank_lowrank(data, cfg)
+    K_rows = data.K_u[data.row_user][:, data.row_user]
+    blocks = _row_slices(data.task_sizes)
+    ms = fit_lowrank_mtl([K_rows[b] for b in blocks], [np.outer(data.z[b], data.z[b]) for b in blocks], cfg)
+    A = np.zeros_like(model.A)
+    np.add.at(A, data.row_user, ms.M)
+    W = np.array([data.z[b] @ N_t for b, N_t in zip(blocks, ms.N_per_task)])
+    t = np.asarray(ms.objective_trace)
+    dev = max(
+        np.linalg.norm(model.A - A) / np.linalg.norm(A),
+        np.linalg.norm(model.W - W) / np.linalg.norm(W),
+        float(np.max(np.abs(model.objective_trace - t) / t)),
+    )
+    return _check("pairtask_reduced_state_equivalence", dev, 1e-10)
+
+
 def check_trace_norm_domination(rng, problems=10) -> dict:
     """Half the penalty always dominates the nuclear norm of the induced G."""
     worst = -np.inf
@@ -268,4 +296,5 @@ def run_verification(seed: int = 0) -> dict:
     checks.append(check_decode_finite(rng))
     checks.append(check_mtl_reduction(rng))
     checks.append(check_trace_norm_domination(rng))
+    checks.append(check_pairtask_reduced_state(rng))
     return {"checks": checks, "passed": all(c["pass"] for c in checks)}

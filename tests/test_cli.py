@@ -95,11 +95,10 @@ class TestCommands:
             warnings.simplefilter("ignore")
             assert run("train", overrides=base_overrides(ratings_file), out=out, seed=1) == 0
         ck = json.load(open(f"{out}/checkpoint.json"))
-        assert ck["schema_version"] == 1
+        assert ck["schema_version"] == 2
         assert ck["config"]["seed"] == 1
-        assert len(ck["M"]) == sum(ck["task_sizes"]) * ck["rank"]
-        assert [len(b) for b in ck["N_blocks"]] == [n * ck["rank"] for n in ck["task_sizes"]]
-        assert len(ck["row_users"]) == sum(ck["task_sizes"])
+        assert len(ck["A"]) == len(ck["users"]) * ck["rank"]
+        assert len(ck["W"]) == len(ck["pairs"]) * ck["rank"]
         trace = json.load(open(f"{out}/objective_trace.json"))
         assert len(trace["objective_trace"]) >= 2
 
@@ -129,6 +128,37 @@ class TestCommands:
         items = orderings["items"]
         for docs in orderings["orderings"].values():
             assert sorted(docs) == sorted(items)
+
+    def test_mismatched_checkpoint_exits_2(self, tmp_path, ratings_file, capsys):
+        out = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file), out=out, seed=1) == 0
+        ck = json.load(open(f"{out}/checkpoint.json"))
+        swapped = dict(ck, items=[ck["items"][1], ck["items"][0]] + ck["items"][2:])
+        renamed = dict(ck, users=ck["users"][:-1] + [ck["users"][-1] + 1000])
+        for field, edited in (("items", swapped), ("users", renamed)):
+            path = tmp_path / f"{field}.json"
+            path.write_text(json.dumps(edited))
+            for command in ("eval", "decode"):
+                rc = run(
+                    command,
+                    overrides=base_overrides(ratings_file, [f"checkpoint={path}"]),
+                    out=out,
+                    seed=1,
+                )
+                assert rc == 2
+                assert f"checkpoint field {field!r}" in capsys.readouterr().err
+
+    def test_schema_1_checkpoint_exits_2(self, tmp_path, ratings_file, capsys):
+        path = tmp_path / "v1.json"
+        path.write_text(json.dumps({"schema_version": 1, "learner": "lowrank"}))
+        rc = run(
+            "eval", overrides=base_overrides(ratings_file, [f"checkpoint={path}"]), out=str(tmp_path)
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "schema 1" in err and "retrain" in err
 
     def test_hs_train_and_eval(self, tmp_path, ratings_file):
         out = str(tmp_path / "hs")
@@ -184,6 +214,7 @@ class TestCommands:
         assert report["passed"] is True
         names = {c["name"] for c in report["checks"]}
         assert "loss_trick_factor_equivalence" in names
+        assert "pairtask_reduced_state_equivalence" in names
         assert all(c["pass"] for c in report["checks"])
 
     def test_determinism_byte_identical(self, tmp_path, ratings_file):

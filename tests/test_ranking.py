@@ -50,9 +50,17 @@ class TestStructuredTrainerEquivalence:
         model = fit_rank_lowrank(data, cfg)
         blocks, grams = materialized_blocks(data)
         ms = fit_lowrank_mtl(blocks, grams, cfg)
-        N_stack = np.vstack(ms.N_per_task)
-        assert np.linalg.norm(ms.M - model.M) <= 1e-10 * np.linalg.norm(ms.M)
-        assert np.linalg.norm(N_stack - model.N) <= 1e-10 * np.linalg.norm(N_stack)
+        # the structured trainer carries A = S^T M and w_t = N_t^T z_t
+        A = np.zeros_like(model.A)
+        np.add.at(A, data.row_user, ms.M)
+        W = np.array(
+            [
+                data.z[data.starts[t] : data.starts[t] + data.task_sizes[t]] @ N_t
+                for t, N_t in enumerate(ms.N_per_task)
+            ]
+        )
+        assert np.linalg.norm(A - model.A) <= 1e-10 * np.linalg.norm(A)
+        assert np.linalg.norm(W - model.W) <= 1e-10 * np.linalg.norm(W)
         np.testing.assert_allclose(
             model.objective_trace, ms.objective_trace, rtol=1e-10, atol=1e-12
         )
