@@ -3,7 +3,8 @@
 Every artifact is a JSON document embedding the resolved configuration that
 produced it, written with sorted keys so identical (command, config, seed)
 runs are byte-identical. Exit codes: 0 success, 2 bad configuration or
-input data, 3 divergence, 4 verification failure.
+input data, 3 divergence or another numerical failure (every grid cell
+failed, no descending step found), 4 verification failure.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .errors import (
     DivergenceError,
     DuplicateRatingError,
     InvalidInputError,
+    NumericalError,
     RatingsParseError,
 )
 from .evaluation import (
@@ -395,6 +397,9 @@ def run(command: str, config_path: str | None = None, overrides: list[str] | Non
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)
+        return 3
+    except NumericalError as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
 
 

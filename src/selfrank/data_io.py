@@ -219,6 +219,28 @@ class PairTaskSet:
         return sum(len(t.z) for t in self.tasks)
 
 
+def _rating_block(table: RatingsTable, items: list) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (users x items) ratings and presence mask, rows in table.users order.
+
+    One scan of table.ratings. Presence is its own mask, so a stored rating
+    counts as present whatever its value; absent entries hold 0.0.
+    """
+    user_pos = {u: k for k, u in enumerate(table.users)}
+    item_pos = {i: k for k, i in enumerate(items)}
+    rows, cols, values = [], [], []
+    for (user, item), value in table.ratings.items():
+        col = item_pos.get(item)
+        if col is not None:
+            rows.append(user_pos[user])
+            cols.append(col)
+            values.append(value)
+    R = np.zeros((len(table.users), len(items)))
+    rated = np.zeros(R.shape, dtype=bool)
+    R[rows, cols] = values
+    rated[rows, cols] = True
+    return R, rated
+
+
 def build_pair_tasks(table: RatingsTable, item_subset) -> PairTaskSet:
     """One task per unordered item pair with at least one co-rating.
 
@@ -229,27 +251,31 @@ def build_pair_tasks(table: RatingsTable, item_subset) -> PairTaskSet:
     items = list(item_subset)
     if len(items) < 2:
         raise InvalidInputError(f"item subset needs >= 2 items, got {len(items)}")
-    unknown = [i for i in items if i not in set(table.items)]
+    declared = set(table.items)
+    unknown = [i for i in items if i not in declared]
     if unknown:
         raise InvalidInputError(f"item subset contains undeclared items {unknown[:5]!r}")
     if len(set(items)) != len(items):
         raise InvalidInputError("item subset contains duplicates")
+    R, rated = _rating_block(table, items)
+    users = table.users
     tasks = []
-    for a in range(len(items)):
-        for b in range(a + 1, len(items)):
-            ia, ib = items[a], items[b]
-            queries = []
-            zs = []
-            for user in table.users:
-                ra = table.ratings.get((user, ia))
-                rb = table.ratings.get((user, ib))
-                if ra is not None and rb is not None:
-                    queries.append(user)
-                    zs.append(ra - rb)
-            if queries:
+    for a in range(len(items) - 1):
+        co = rated[:, a, None] & rated[:, a + 1:]
+        # Co-rating (b, user) indices sorted by b, then by user.
+        bs, us = np.nonzero(co.T)
+        z = R[us, a] - R[us, a + 1 + bs]
+        queries = [users[k] for k in us.tolist()]
+        lo = 0
+        for b, hi in enumerate(np.cumsum(co.sum(axis=0)).tolist(), start=a + 1):
+            if hi > lo:
                 tasks.append(
-                    PairTask(a=a, b=b, pair=(ia, ib), query_ids=tuple(queries), z=np.array(zs))
+                    PairTask(
+                        a=a, b=b, pair=(items[a], items[b]),
+                        query_ids=tuple(queries[lo:hi]), z=z[lo:hi],
+                    )
                 )
+            lo = hi
     return PairTaskSet(items=items, tasks=tasks)
 
 

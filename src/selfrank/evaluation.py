@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data_io import PairTaskSet, SplitTable
+from .data_io import PairTaskSet, SplitTable, _rating_block
 from .decoding import Ordering, Tournament, fas_greedy
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .kernels import KernelSpec, gram
@@ -101,19 +101,15 @@ def evaluate_ranking(
     without features) are skipped and counted.
     """
     table = getattr(split, on)
-    items = pair_tasks.items
-    n_docs = len(items)
-    queries = []
-    rating_vectors = []
-    skipped = 0
-    for user in table.users:
-        values = np.array([table.ratings.get((user, i), np.nan) for i in items])
-        present = ~np.isnan(values)
-        if present.sum() < 2 or user not in features:
-            skipped += 1
-            continue
-        queries.append(user)
-        rating_vectors.append(RatingVector(np.where(present, values, 0.0), present))
+    n_docs = len(pair_tasks.items)
+    R, rated = _rating_block(table, pair_tasks.items)
+    present = rated & ~np.isnan(R)  # a stored NaN counts as unrated here
+    values = np.where(present, R, 0.0)
+    enough = present.sum(axis=1) >= 2
+    rows = [k for k, u in enumerate(table.users) if enough[k] and u in features]
+    queries = [table.users[k] for k in rows]
+    rating_vectors = [RatingVector(values[k], present[k]) for k in rows]
+    skipped = len(table.users) - len(rows)
     if not queries:
         return _summarize([], skipped, config or {})
     X = np.vstack([np.asarray(features[u], dtype=float) for u in queries])
@@ -325,6 +321,8 @@ def synthetic_comparison(
             val = surrogate_risk(G_hat, X_val, Y_val)
             if best_hs is None or val < best_hs[0]:
                 best_hs = (val, G_hat, {"lambda": lam})
+        if best_tn is None:
+            raise NumericalError(f"every low-rank cell failed for seed {seed}")
         tn_risk = surrogate_risk(best_tn[1], X_te, Y_te)
         hs_risk = surrogate_risk(best_hs[1], X_te, Y_te)
         rows.append(

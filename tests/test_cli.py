@@ -5,7 +5,7 @@ import pytest
 
 from selfrank.cli import load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
-from selfrank.errors import ConfigError
+from selfrank.errors import ConfigError, NumericalError
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +188,18 @@ class TestCommands:
         ok_means = [row["mean"] for row in table["cells"] if row["status"] == "ok"]
         assert best["validation"]["mean"] == min(ok_means)
 
+    def test_grid_with_every_cell_failing_exits_3(self, tmp_path, ratings_file, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = run(
+                "grid",
+                overrides=base_overrides(ratings_file, ["grid.steps=[1e6]"]),
+                out=str(tmp_path / "grid"),
+                seed=0,
+            )
+        assert rc == 3
+        assert "numerical failure: every grid cell failed" in capsys.readouterr().err
+
     def test_synth_report(self, tmp_path):
         out = str(tmp_path / "synth")
         rc = run(
@@ -206,6 +218,15 @@ class TestCommands:
         assert rc == 0
         report = json.load(open(f"{out}/synth_report.json"))
         assert report["n_seeds"] == 2
+
+    def test_synth_with_every_lowrank_cell_failing_exits_3(self, tmp_path, monkeypatch, capsys):
+        def no_step(*args, **kwargs):
+            raise NumericalError("no descending step found after 40 halvings")
+
+        monkeypatch.setattr("selfrank.evaluation.halving_step_search", no_step)
+        rc = run("synth", overrides=["synth.seeds=1", "synth.n=20"], out=str(tmp_path / "synth"))
+        assert rc == 3
+        assert "numerical failure: every low-rank cell failed for seed 0" in capsys.readouterr().err
 
     def test_verify_writes_report(self, tmp_path):
         out = str(tmp_path / "verify")

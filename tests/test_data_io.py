@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from selfrank.data_io import (
+    PairTask,
+    PairTaskSet,
     RatingsTable,
     build_pair_tasks,
     parse_movielens,
@@ -207,6 +209,81 @@ class TestBuildPairTasks:
         for a, b in zip(t1.tasks, t2.tasks):
             assert a.query_ids == b.query_ids
             np.testing.assert_array_equal(a.z, b.z)
+
+
+def build_pair_tasks_reference(table, item_subset):
+    """The per-pair, per-user dict-lookup loop that build_pair_tasks replaced."""
+    items = list(item_subset)
+    tasks = []
+    for a in range(len(items)):
+        for b in range(a + 1, len(items)):
+            ia, ib = items[a], items[b]
+            queries = []
+            zs = []
+            for user in table.users:
+                ra = table.ratings.get((user, ia))
+                rb = table.ratings.get((user, ib))
+                if ra is not None and rb is not None:
+                    queries.append(user)
+                    zs.append(ra - rb)
+            if queries:
+                tasks.append(
+                    PairTask(a=a, b=b, pair=(ia, ib), query_ids=tuple(queries), z=np.array(zs))
+                )
+    return PairTaskSet(items=items, tasks=tasks)
+
+
+def _assert_same_tasks(got, want):
+    assert got.items == want.items
+    assert len(got.tasks) == len(want.tasks)
+    for g, w in zip(got.tasks, want.tasks):
+        assert (g.a, g.b, g.pair) == (w.a, w.b, w.pair)
+        assert [type(v) for v in (g.a, g.b, *g.pair)] == [type(v) for v in (w.a, w.b, *w.pair)]
+        assert g.query_ids == w.query_ids
+        assert [type(q) for q in g.query_ids] == [type(q) for q in w.query_ids]
+        assert g.z.dtype == w.z.dtype
+        assert g.z.tobytes() == w.z.tobytes()
+
+
+def _reference_cases(tmp_path):
+    """(table, subset) pairs covering id types, subset order and sparse corners."""
+    cases = []
+    for seed in (0, 1, 2):
+        table = simulate_movielens_table(n_users=150, n_items=200, seed=seed)
+        for m in (2, 6, 30, 60):
+            cases.append((table, top_items(table, m)))
+    full = simulate_movielens_table(seed=0)  # the paper's 943 users
+    cases.append((full, top_items(full, 60)))
+    # string ids, as the CSV parser produces them (sorted as strings)
+    path = tmp_path / "ratings.csv"
+    small = simulate_movielens_table(n_users=60, n_items=40, seed=5)
+    path.write_text(
+        "user,item,rating\n"
+        + "".join(f"{u},{i},{r}\n" for (u, i), r in small.ratings.items())
+    )
+    csv_table = parse_ratings_csv(path)
+    cases.append((csv_table, top_items(csv_table, 12)))
+    # a subset in non-sorted order
+    subset = top_items(small, 15)
+    np.random.default_rng(3).shuffle(subset)
+    cases.append((small, subset))
+    # subset items nobody rated, users with no subset ratings
+    ratings = {(1, "a"): 4.0, (1, "b"): 2.0, (3, "b"): 5.0, (3, "d"): 1.0, (4, "x"): 2.0}
+    sparse = RatingsTable(users=[1, 2, 3, 4, 5], items=["a", "b", "c", "d", "x"], ratings=ratings)
+    cases.append((sparse, ["d", "c", "b", "a"]))
+    cases.append((sparse, ["c", "a"]))
+    # a stored NaN still counts as a rating
+    nan_table = _table({(1, "a"): float("nan"), (1, "b"): 2.0, (2, "a"): 3.0, (2, "b"): 1.0})
+    cases.append((nan_table, ["a", "b"]))
+    # reversed insertion order
+    reversed_table = _table(dict(reversed(list(small.ratings.items()))))
+    cases.append((reversed_table, top_items(reversed_table, 20)))
+    return cases
+
+
+def test_build_pair_tasks_matches_loop_reference(tmp_path):
+    for table, subset in _reference_cases(tmp_path):
+        _assert_same_tasks(build_pair_tasks(table, subset), build_pair_tasks_reference(table, subset))
 
 
 class TestHelpers:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from selfrank.data_io import RatingsTable, SplitTable, build_pair_tasks, user_feature_map
-from selfrank.errors import InvalidInputError
+from selfrank.errors import InvalidInputError, NumericalError
 from selfrank.evaluation import (
     EvalReport,
     GridSpec,
@@ -263,6 +263,14 @@ class TestSyntheticComparison:
         assert report["n_seeds"] == 2
         for row in report["per_seed"]:
             assert row["lowrank_test_risk"] < row["hs_test_risk"]
+
+    def test_every_lowrank_cell_failing_names_the_seed(self, monkeypatch):
+        def no_step(*args, **kwargs):
+            raise NumericalError("no descending step found after 40 halvings")
+
+        monkeypatch.setattr("selfrank.evaluation.halving_step_search", no_step)
+        with pytest.raises(NumericalError, match="seed 3"):
+            synthetic_comparison(n=20, d=4, T=4, seeds=(3,), lambdas=(1e-2, 1e-1), ranks=(2,))
 
 
 class TestEvalReport:
