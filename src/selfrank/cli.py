@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -32,7 +33,6 @@ from .decoding import Tournament, fas_greedy  # noqa: F401
 from .errors import (
     ConfigError,
     DivergenceError,
-    DuplicateRatingError,
     InvalidInputError,
     NumericalError,
     RatingsParseError,
@@ -98,8 +98,56 @@ KNOWN_KEYS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
+def _list_of(check):
+    return lambda v: isinstance(v, list) and len(v) > 0 and all(check(x) for x in v)
+
+
+_INTEGER = (_is_int, "an integer")
+_NUMBER = (_is_number, "a finite number")
+_OPTIONAL_NUMBER = (lambda v: v is None or _is_number(v), "null or a finite number")
+
+# key -> (check, what the value must be). Every key the commands convert with
+# int() or float() is checked, so a malformed value exits 2 naming its key.
+VALUE_CHECKS = {
+    "kernel.bandwidth": _OPTIONAL_NUMBER,
+    "train.lambda": _NUMBER,
+    "train.rank": _INTEGER,
+    "train.step": (lambda v: v == "auto" or (_is_number(v) and v > 0), '"auto" or a positive number'),
+    "train.iters": _INTEGER,
+    "train.tol": _NUMBER,
+    "train.init_scale": _OPTIONAL_NUMBER,
+    "grid.lambdas": (_list_of(_is_number), "a non-empty list of finite numbers"),
+    "grid.ranks": (_list_of(_is_int), "a non-empty list of integers"),
+    "grid.steps": (
+        lambda v: v == "auto" or _list_of(lambda x: _is_number(x) and x > 0)(v),
+        '"auto" or a non-empty list of positive numbers',
+    ),
+    "grid.iters": (_list_of(_is_int), "a non-empty list of integers"),
+    "items.top": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
+    "users.max": (lambda v: v is None or (_is_int(v) and v >= 1), "null or an integer >= 1"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "synth.n": _INTEGER,
+    "synth.d": _INTEGER,
+    "synth.tasks": _INTEGER,
+    "synth.rank": _INTEGER,
+    "synth.noise": _NUMBER,
+    "synth.seeds": _INTEGER,
+    "synth.lambdas": (_list_of(_is_number), "a non-empty list of finite numbers"),
+    "synth.ranks": (_list_of(_is_int), "a non-empty list of integers"),
+    "synth.iters": _INTEGER,
+}
+
+
 def load_config(config_path: str | None, overrides: list[str], out: str | None, seed: int | None) -> dict:
-    """Merge file config, --set overrides, and flag shortcuts; validate keys and paths."""
+    """Merge file config, --set overrides, and flag shortcuts; validate keys, values and paths."""
     cfg = {k: v for k, (v, _) in KNOWN_KEYS.items()}
     if config_path is not None:
         if not os.path.exists(config_path):
@@ -129,6 +177,9 @@ def load_config(config_path: str | None, overrides: list[str], out: str | None, 
         cfg["out"] = out
     if seed is not None:
         cfg["seed"] = int(seed)
+    for key, (check, what) in VALUE_CHECKS.items():
+        if not check(cfg[key]):
+            raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
     for key, (_, is_path) in KNOWN_KEYS.items():
         if is_path and cfg[key] is not None and not os.path.exists(str(cfg[key])):
             raise ConfigError(f"path for {key!r} does not exist: {cfg[key]}")
@@ -392,7 +443,7 @@ def run(command: str, config_path: str | None = None, overrides: list[str] | Non
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RatingsParseError, DuplicateRatingError) as exc:
+    except RatingsParseError as exc:  # DuplicateRatingError included
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

@@ -1,4 +1,14 @@
-"""Ratings ingestion, per-user splits, and pair-task construction."""
+"""Ratings ingestion, per-user splits, and pair-task construction.
+
+A RatingsTable holds its ratings as three columns over sorted id lists: a
+user code and an item code per rating (positions in `users` and `items`)
+and a float64 value, with rows sorted by (user, item). Parsing, splitting,
+top items, subsampling, the dense rating block and the derived user
+features all work on those arrays; `table.ratings` is a read-only mapping
+built from them on demand. parse_movielens reads and checks a file as whole
+columns and rescans it line by line only to name the first bad line of a
+file it rejects.
+"""
 
 from __future__ import annotations
 
@@ -6,78 +16,180 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from .errors import DuplicateRatingError, InvalidInputError, RatingsParseError
 
 
-@dataclass
 class RatingsTable:
-    """Sparse (user, item) -> rating map with declared id lists.
+    """Ratings as columns: rating k is (users[user[k]], items[item[k]]) -> value[k].
 
-    users and items are kept sorted so every derived structure is independent
-    of source iteration order.
+    users and items are sorted, and the rows are distinct (user, item) pairs
+    sorted by user, then item, so every derived structure is independent of
+    source order. The columns are read-only. The constructor validates and
+    converts a (user, item) -> rating mapping over declared ids.
     """
 
-    users: list
-    items: list
-    ratings: dict
-    user_features: dict | None = None
-
-    def __post_init__(self):
-        self.users = sorted(set(self.users))
-        self.items = sorted(set(self.items))
-        user_set, item_set = set(self.users), set(self.items)
-        for u, i in self.ratings:
-            if u not in user_set or i not in item_set:
+    def __init__(self, users, items, ratings, user_features=None):
+        users, items = sorted(set(users)), sorted(set(items))
+        user_pos = {u: k for k, u in enumerate(users)}
+        item_pos = {i: k for k, i in enumerate(items)}
+        codes = []
+        for u, i in ratings:
+            if u not in user_pos or i not in item_pos:
                 raise InvalidInputError(f"rating references undeclared pair ({u!r}, {i!r})")
+            codes.append((user_pos[u], item_pos[i]))
+        code = np.array(codes, dtype=np.intp).reshape(len(codes), 2)
+        value = np.fromiter(ratings.values(), dtype=float, count=len(codes))
+        columns = _by_pair(code[:, 0], code[:, 1], value, len(items))
+        self._assign(users, items, *columns, user_features)
+
+    def _assign(self, users, items, user, item, value, user_features) -> None:
+        self.users, self.items, self.user_features = users, items, user_features
+        self.user, self.item, self.value = user, item, value
+        for column in (user, item, value):
+            column.flags.writeable = False
+
+    @classmethod
+    def _from_columns(cls, users, items, user, item, value, user_features=None) -> RatingsTable:
+        """A table over columns whose rows are already distinct and sorted by (user, item)."""
+        table = cls.__new__(cls)
+        table._assign(users, items, user, item, value, user_features)
+        return table
+
+    def _rows(self, keep: np.ndarray) -> RatingsTable:
+        """The rows where `keep` holds, over the same users and items."""
+        return RatingsTable._from_columns(
+            list(self.users), list(self.items), self.user[keep], self.item[keep], self.value[keep],
+            self.user_features,
+        )
+
+    @property
+    def ratings(self) -> MappingProxyType:
+        """A read-only (user, item) -> rating mapping in row order, built on each access."""
+        users = map(self.users.__getitem__, self.user.tolist())
+        items = map(self.items.__getitem__, self.item.tolist())
+        return MappingProxyType(dict(zip(zip(users, items), self.value.tolist())))
 
     def __len__(self) -> int:
-        return len(self.ratings)
+        return len(self.value)
 
     def rating(self, user, item, default=None):
         return self.ratings.get((user, item), default)
 
-    def by_user(self) -> dict:
-        out: dict = {u: [] for u in self.users}
-        for (u, i), r in self.ratings.items():
-            out[u].append((i, r))
-        for u in out:
-            out[u].sort()
-        return out
+
+def _by_pair(user: np.ndarray, item: np.ndarray, value: np.ndarray, n_items: int) -> tuple:
+    """The three columns with their rows sorted by (user, item)."""
+    order = np.argsort(user * n_items + item)
+    return user[order], item[order], value[order]
+
+
+def _encode(ids) -> tuple[list, np.ndarray]:
+    """The sorted distinct ids, as Python objects, and each id's position among them.
+
+    An integer array is encoded by numpy; any other sequence holds Python ids.
+    """
+    if isinstance(ids, np.ndarray):
+        distinct, position = np.unique(ids, return_inverse=True)
+        return distinct.tolist(), position
+    distinct = sorted(set(ids))
+    position = {v: k for k, v in enumerate(distinct)}
+    return distinct, np.fromiter(map(position.__getitem__, ids), dtype=np.intp, count=len(ids))
+
+
+def _from_ids(user_ids, item_ids, value: np.ndarray) -> RatingsTable:
+    """A table over the ids the ratings name, one rating per (user_ids[k], item_ids[k])."""
+    users, user = _encode(user_ids)
+    items, item = _encode(item_ids)
+    return RatingsTable._from_columns(users, items, *_by_pair(user, item, value, len(items)))
 
 
 def parse_movielens(path) -> RatingsTable:
-    """Parse the tab-separated `user item rating timestamp` format; timestamps dropped."""
-    ratings: dict = {}
+    """Parse the tab-separated `user item rating timestamp` format; timestamps dropped.
+
+    The file is read and checked whole, on its bytes: every non-blank line
+    must hold three tabs, the fields convert a column at a time, and
+    finiteness and duplicates are checked on the columns. Blank lines are
+    skipped but counted. A rejected file is rescanned line by line for the
+    error of its first bad line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise RatingsParseError(line_no, f"expected 4 tab-separated fields, got {len(parts)}")
-            try:
-                user = int(parts[0])
-                item = int(parts[1])
-                value = float(parts[2])
-            except ValueError:
-                raise RatingsParseError(line_no, f"non-numeric field in {parts[:3]!r}") from None
-            if not math.isfinite(value):
-                raise RatingsParseError(line_no, f"non-finite rating {parts[2]!r}")
-            if (user, item) in ratings:
-                raise DuplicateRatingError(f"duplicate rating for user {user}, item {item}")
-            ratings[(user, item)] = value
-    users = sorted({u for u, _ in ratings})
-    items = sorted({i for _, i in ratings})
-    return RatingsTable(users=users, items=items, ratings=ratings)
+        text = fh.read()  # newlines translated as in line-by-line reading
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    ends = np.flatnonzero(data == ord("\n"))
+    if data.size and data[-1] != ord("\n"):
+        ends = np.append(ends, data.size)  # a last line without a newline
+    starts = np.append(0, ends[:-1] + 1)
+    tabs = np.flatnonzero(data == ord("\t"))
+    first_tab = np.searchsorted(tabs, starts)
+    filled = ends > starts
+    if np.any(filled & (np.searchsorted(tabs, ends) - first_tab != 3)):
+        raise _first_bad_line(text)
+    rows = np.flatnonzero(filled)
+    t = tabs[first_tab[rows, None] + np.arange(3)]  # the three tabs of each rating line
+    try:
+        user = _column(data, starts[rows], t[:, 0], int)
+        item = _column(data, t[:, 0] + 1, t[:, 1], int)
+        value = _column(data, t[:, 1] + 1, t[:, 2], float)
+    except (ValueError, OverflowError):
+        raise _first_bad_line(text) from None
+    table = _from_ids(user, item, value)
+    repeated = (np.diff(table.user) == 0) & (np.diff(table.item) == 0)
+    if not np.isfinite(value).all() or repeated.any():
+        raise _first_bad_line(text)
+    return table
+
+
+def _column(data: np.ndarray, lo: np.ndarray, hi: np.ndarray, convert) -> np.ndarray:
+    """The fields data[lo:hi], one per rating, as int64 (convert=int) or float64 (float).
+
+    Fields of 1 to 15 ASCII digits are read on the arrays, which gives the
+    value int and float give them; any other field is converted from its
+    text by `convert`, so the syntax accepted is exactly theirs.
+    """
+    width = hi - lo
+    plain = (width >= 1) & (width <= 15)
+    number = np.zeros(len(lo), dtype=np.int64)
+    for j in range(min(int(width.max(initial=0)), 15)):
+        inside = plain & (j < width)
+        digit = data[np.where(inside, lo + j, 0)] - ord("0")  # non-digits wrap above 9
+        plain &= ~inside | (digit <= 9)
+        number = np.where(inside, number * 10 + digit, number)
+    out = number.astype(np.int64 if convert is int else float)
+    for k in np.flatnonzero(~plain).tolist():
+        out[k] = convert(data[lo[k]:hi[k]].tobytes().decode("utf-8"))
+    return out
+
+
+def _first_bad_line(text: str) -> RatingsParseError:
+    """The error of the first line a line-by-line reading of a rejected file stops at."""
+    seen = set()
+    for line_no, line in enumerate(text.split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 4:
+            return RatingsParseError(line_no, f"expected 4 tab-separated fields, got {len(parts)}")
+        try:
+            user, item, value = int(parts[0]), int(parts[1]), float(parts[2])
+        except ValueError:
+            return RatingsParseError(line_no, f"non-numeric field in {parts[:3]!r}")
+        if not (-2**63 <= user < 2**63 and -2**63 <= item < 2**63):
+            return RatingsParseError(line_no, f"id outside the 64-bit integer range in {parts[:2]!r}")
+        if not math.isfinite(value):
+            return RatingsParseError(line_no, f"non-finite rating {parts[2]!r}")
+        if (user, item) in seen:
+            return DuplicateRatingError(line_no, f"duplicate rating for user {user}, item {item}")
+        seen.add((user, item))
+    raise AssertionError("the column checks rejected a file with no bad line")
 
 
 def parse_ratings_csv(path) -> RatingsTable:
     """Parse a generic ratings CSV with header `user,item,rating`."""
-    ratings: dict = {}
+    user_ids, item_ids, values = [], [], []
+    seen = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -96,12 +208,13 @@ def parse_ratings_csv(path) -> RatingsTable:
                 raise RatingsParseError(line_no, f"non-numeric rating {row[2]!r}") from None
             if not math.isfinite(value):
                 raise RatingsParseError(line_no, f"non-finite rating {row[2]!r}")
-            if (user, item) in ratings:
-                raise DuplicateRatingError(f"duplicate rating for user {user}, item {item}")
-            ratings[(user, item)] = value
-    users = sorted({u for u, _ in ratings})
-    items = sorted({i for _, i in ratings})
-    return RatingsTable(users=users, items=items, ratings=ratings)
+            if (user, item) in seen:
+                raise DuplicateRatingError(line_no, f"duplicate rating for user {user}, item {item}")
+            seen.add((user, item))
+            user_ids.append(user)
+            item_ids.append(item)
+            values.append(value)
+    return _from_ids(user_ids, item_ids, np.array(values, dtype=float))
 
 
 def parse_user_features_csv(path) -> dict:
@@ -132,9 +245,8 @@ def parse_user_features_csv(path) -> dict:
 def write_movielens(table: RatingsTable, path) -> None:
     """Serialize in the tab-separated format, canonical order, zero timestamps."""
     with open(path, "w", encoding="utf-8") as fh:
-        for (user, item) in sorted(table.ratings):
-            value = table.ratings[(user, item)]
-            text = str(int(value)) if float(value).is_integer() else repr(float(value))
+        for (user, item), value in table.ratings.items():
+            text = str(int(value)) if value.is_integer() else repr(value)
             fh.write(f"{user}\t{item}\t{text}\t0\n")
 
 
@@ -159,37 +271,24 @@ def split_per_user(
     if len(fractions) != 3 or any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-12:
         raise InvalidInputError(f"fractions must be three positives summing to 1, got {fractions}")
     rng = np.random.default_rng(seed)
-    by_user = table.by_user()
-    parts: list[dict] = [{}, {}, {}]
-    for user in table.users:
-        user_items = [i for i, _ in by_user.get(user, [])]
-        m = len(user_items)
-        if m == 0:
-            continue
-        if m < 3:
+    counts = np.bincount(table.user, minlength=len(table.users)).tolist()
+    bucket = np.full(len(table), 2, dtype=np.int8)  # 0 train, 1 val, 2 test
+    lo = 0  # a user's rows are contiguous and in item order
+    for user, m in zip(table.users, counts):
+        if 0 < m < 3:
             warnings.warn(
                 f"user {user!r} has {m} rating(s); placing all in train", stacklevel=2
             )
-            for item in user_items:
-                parts[0][(user, item)] = table.ratings[(user, item)]
-            continue
-        order = rng.permutation(m)
-        n_train = int(np.floor(fractions[0] * m))
-        n_val = int(np.floor(fractions[1] * m))
-        for pos, idx in enumerate(order):
-            item = user_items[idx]
-            bucket = 0 if pos < n_train else (1 if pos < n_train + n_val else 2)
-            parts[bucket][(user, item)] = table.ratings[(user, item)]
-    tables = [
-        RatingsTable(
-            users=list(table.users),
-            items=list(table.items),
-            ratings=part,
-            user_features=table.user_features,
-        )
-        for part in parts
-    ]
-    return SplitTable(train=tables[0], val=tables[1], test=tables[2])
+            bucket[lo:lo + m] = 0
+        elif m >= 3:
+            rows = lo + rng.permutation(m)
+            n_train = int(np.floor(fractions[0] * m))
+            n_val = int(np.floor(fractions[1] * m))
+            bucket[rows[:n_train]] = 0
+            bucket[rows[n_train:n_train + n_val]] = 1
+        lo += m
+    train, val, test = (table._rows(bucket == b) for b in range(3))
+    return SplitTable(train=train, val=val, test=test)
 
 
 @dataclass(frozen=True)
@@ -222,21 +321,21 @@ class PairTaskSet:
 def _rating_block(table: RatingsTable, items: list) -> tuple[np.ndarray, np.ndarray]:
     """Dense (users x items) ratings and presence mask, rows in table.users order.
 
-    One scan of table.ratings. Presence is its own mask, so a stored rating
-    counts as present whatever its value; absent entries hold 0.0.
+    One scatter of the table's columns. Presence is its own mask, so a stored
+    rating counts as present whatever its value; absent entries hold 0.0.
+    Items the table does not declare stay absent.
     """
-    user_pos = {u: k for k, u in enumerate(table.users)}
-    item_pos = {i: k for k, i in enumerate(items)}
-    rows, cols, values = [], [], []
-    for (user, item), value in table.ratings.items():
-        col = item_pos.get(item)
-        if col is not None:
-            rows.append(user_pos[user])
-            cols.append(col)
-            values.append(value)
+    item_pos = {i: k for k, i in enumerate(table.items)}
+    col = np.full(len(table.items), -1, dtype=np.intp)  # table item code -> block column
+    for k, item in enumerate(items):
+        if item in item_pos:
+            col[item_pos[item]] = k
+    cols = col[table.item]
+    keep = cols >= 0
+    rows, cols = table.user[keep], cols[keep]
     R = np.zeros((len(table.users), len(items)))
     rated = np.zeros(R.shape, dtype=bool)
-    R[rows, cols] = values
+    R[rows, cols] = table.value[keep]
     rated[rows, cols] = True
     return R, rated
 
@@ -281,11 +380,9 @@ def build_pair_tasks(table: RatingsTable, item_subset) -> PairTaskSet:
 
 def top_items(table: RatingsTable, m: int) -> list:
     """The m most-rated items (ties broken by item id)."""
-    counts: dict = {}
-    for (_, i) in table.ratings:
-        counts[i] = counts.get(i, 0) + 1
-    ranked = sorted(table.items, key=lambda i: (-counts.get(i, 0), i))
-    return ranked[:m]
+    counts = np.bincount(table.item, minlength=len(table.items))
+    ranked = np.argsort(-counts, kind="stable")  # items are sorted, so ties keep id order
+    return [table.items[k] for k in ranked[:m].tolist()]
 
 
 def subsample_users(table: RatingsTable, max_users: int, seed: int = 0) -> RatingsTable:
@@ -293,12 +390,14 @@ def subsample_users(table: RatingsTable, max_users: int, seed: int = 0) -> Ratin
     if max_users >= len(table.users):
         return table
     rng = np.random.default_rng(seed)
-    keep = set(rng.choice(np.arange(len(table.users)), size=max_users, replace=False).tolist())
-    users = [u for idx, u in enumerate(table.users) if idx in keep]
-    user_set = set(users)
-    ratings = {(u, i): r for (u, i), r in table.ratings.items() if u in user_set}
-    return RatingsTable(
-        users=users, items=list(table.items), ratings=ratings, user_features=table.user_features
+    keep = np.zeros(len(table.users), dtype=bool)
+    keep[rng.choice(np.arange(len(table.users)), size=max_users, replace=False)] = True
+    users = [u for u, kept in zip(table.users, keep.tolist()) if kept]
+    rows = keep[table.user]
+    new_code = np.cumsum(keep) - 1
+    return RatingsTable._from_columns(
+        users, list(table.items), new_code[table.user[rows]], table.item[rows], table.value[rows],
+        table.user_features,
     )
 
 
@@ -321,22 +420,20 @@ def user_feature_map(table: RatingsTable, item_subset) -> dict:
                 raise InvalidInputError(f"no provided features for user {u!r}")
             feats[u] = np.asarray(provided[key], dtype=float)
         return feats
-    by_user = table.by_user()
-    feats = {}
-    items = list(item_subset)
-    for user in table.users:
-        rated = dict(by_user.get(user, []))
-        subset_vals = [rated[i] for i in items if i in rated]
-        if subset_vals:
-            fill = float(np.mean(subset_vals))
-        elif rated:
-            fill = float(np.mean(list(rated.values())))
-        else:
-            fill = 0.0
-        vec = np.array([rated.get(i, fill) - fill for i in items], dtype=float)
-        norm = np.linalg.norm(vec)
-        feats[user] = vec / norm if norm > 0 else vec
-    return feats
+    R, rated = _rating_block(table, list(item_subset))
+    # Per user, the subset ratings in subset order and all ratings in item
+    # order; each mean is numpy's over one contiguous array, as for a list.
+    in_subset = np.split(R[rated], np.cumsum(rated.sum(axis=1))[:-1])
+    per_user = np.bincount(table.user, minlength=len(table.users))
+    overall = np.split(table.value, np.cumsum(per_user)[:-1])
+    fill = np.array([
+        sub.mean() if sub.size else (every.mean() if every.size else 0.0)
+        for sub, every in zip(in_subset, overall)
+    ])[:, None]
+    V = np.where(rated, R, fill) - fill
+    norms = np.array([np.linalg.norm(v) for v in V])[:, None]
+    np.divide(V, norms, out=V, where=norms > 0)
+    return dict(zip(table.users, V))
 
 
 def simulate_movielens_table(
@@ -358,7 +455,7 @@ def simulate_movielens_table(
     u_lat = rng.standard_normal((n_users, latent_rank))
     v_lat = rng.standard_normal((n_items, latent_rank))
     item_bias = 0.4 * rng.standard_normal(n_items)
-    ratings: dict = {}
+    user_ids, item_ids, values = [], [], []
     for user in range(1, n_users + 1):
         k = int(np.clip(np.round(rng.lognormal(mean=np.log(70.0), sigma=0.75)), 20, 400))
         chosen = rng.choice(n_items, size=min(k, n_items), replace=False, p=pop)
@@ -368,9 +465,7 @@ def simulate_movielens_table(
             + item_bias[chosen]
             + noise * rng.standard_normal(chosen.shape[0])
         )
-        vals = np.clip(np.round(raw), 1, 5)
-        for item, val in zip(chosen, vals):
-            ratings[(user, int(item) + 1)] = float(val)
-    users = sorted({u for u, _ in ratings})
-    items = sorted({i for _, i in ratings})
-    return RatingsTable(users=users, items=items, ratings=ratings)
+        user_ids.append(np.full(chosen.shape[0], user))
+        item_ids.append(chosen + 1)
+        values.append(np.clip(np.round(raw), 1, 5))
+    return _from_ids(np.concatenate(user_ids), np.concatenate(item_ids), np.concatenate(values))

@@ -22,15 +22,15 @@ class DivergenceError(RuntimeError):
 
 
 class RatingsParseError(ValueError):
-    """A ratings file line could not be parsed."""
+    """A ratings file line could not be parsed or accepted."""
 
     def __init__(self, line_no: int, message: str):
         self.line_no = line_no
         super().__init__(f"line {line_no}: {message}")
 
 
-class DuplicateRatingError(ValueError):
-    """The same (user, item) pair appears more than once in a ratings source."""
+class DuplicateRatingError(RatingsParseError):
+    """A ratings source line repeats an earlier line's (user, item) pair."""
 
 
 class ConfigError(ValueError):

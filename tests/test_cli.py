@@ -52,6 +52,37 @@ class TestConfig:
             load_config(str(cfg_path), [], None, None)
 
 
+    @pytest.mark.parametrize(
+        "overrides, key",
+        [
+            (["items.top=abc"], "items.top"),
+            (["items.top=-3"], "items.top"),
+            (["items.top=1"], "items.top"),
+            (["train.rank=x"], "train.rank"),
+            (["train.iters=1.5"], "train.iters"),
+            (["train.step=fast"], "train.step"),
+            (["train.step=0"], "train.step"),
+            (["train.lambda=true"], "train.lambda"),
+            (["train.tol=NaN"], "train.tol"),
+            (["kernel.kind=gaussian", "kernel.bandwidth=wide"], "kernel.bandwidth"),
+            (["seed=1.5"], "seed"),
+            (["seed=-1"], "seed"),
+            (["users.max=0"], "users.max"),
+            (['grid.lambdas=[0.1, "a"]'], "grid.lambdas"),
+            (["grid.ranks=[]"], "grid.ranks"),
+            (["grid.steps=[0.1, -1]"], "grid.steps"),
+            (["grid.iters=100"], "grid.iters"),
+            (["synth.seeds=ten"], "synth.seeds"),
+        ],
+    )
+    def test_malformed_numeric_value_exits_2(self, tmp_path, ratings_file, capsys, overrides, key):
+        with pytest.raises(ConfigError, match=f"^{key} must be"):
+            load_config(None, [f"data.ratings={ratings_file}", *overrides], None, None)
+        rc = run("train", overrides=base_overrides(ratings_file, overrides), out=str(tmp_path))
+        assert rc == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+
+
 class TestCommands:
     def test_unknown_command_exits_2(self):
         assert run("explode") == 2

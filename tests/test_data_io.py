@@ -1,3 +1,6 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from selfrank.data_io import (
     PairTask,
     PairTaskSet,
     RatingsTable,
+    _rating_block,
     build_pair_tasks,
     parse_movielens,
     parse_ratings_csv,
@@ -59,6 +63,72 @@ class TestParseMovielens:
         path.write_text("1\t5\t3\t0\n1\t5\t4\t0\n")
         with pytest.raises(DuplicateRatingError):
             parse_movielens(path)
+        path.write_text("1\t5\t3\t0\n2\t5\t4\t0\n\n1\t5\t4\t0\n2\t5\t1\t0\n")
+        with pytest.raises(DuplicateRatingError, match="^line 4: duplicate rating for user 1, item 5$") as err:
+            parse_movielens(path)
+        assert err.value.line_no == 4
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("\n1\t5\t3\t0\n\n\n2\t6\t4\t0\n")
+        table = parse_movielens(path)
+        assert dict(table.ratings) == {(1, 5): 3.0, (2, 6): 4.0}
+        path.write_text("1\t5\t3\t0\n\n2\t6\tfour\t0\n")
+        with pytest.raises(RatingsParseError) as err:
+            parse_movielens(path)
+        assert err.value.line_no == 3
+
+    def test_crlf_line_endings_accepted(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_bytes(b"1\t5\t3\t881250949\r\n2\t6\t4.5\t0\r\n")
+        table = parse_movielens(path)
+        assert dict(table.ratings) == {(1, 5): 3.0, (2, 6): 4.5}
+
+    def test_last_line_without_newline(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("1\t5\t3\t0\n2\t6\t4\t0")
+        assert dict(parse_movielens(path).ratings) == {(1, 5): 3.0, (2, 6): 4.0}
+        path.write_text("1\t5\t3\t0\n2\t6\t4")
+        with pytest.raises(RatingsParseError) as err:
+            parse_movielens(path)
+        assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("line", ["1.5\t5\t3\t0", "1\t5e0\t3\t0", "\t5\t3\t0"])
+    def test_non_integer_id_reports_line(self, tmp_path, line):
+        path = tmp_path / "u.data"
+        path.write_text(f"1\t5\t3\t0\n{line}\n")
+        with pytest.raises(RatingsParseError, match="non-numeric field") as err:
+            parse_movielens(path)
+        assert err.value.line_no == 2
+
+    def test_id_outside_64_bits_reports_line(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text(f"1\t5\t3\t0\n{2**63}\t5\t3\t0\n")
+        with pytest.raises(RatingsParseError, match="64-bit") as err:
+            parse_movielens(path)
+        assert err.value.line_no == 2
+        path.write_text(f"{-2**63}\t+5\t3\t0\n")
+        assert dict(parse_movielens(path).ratings) == {(-2**63, 5): 3.0}
+
+    @pytest.mark.parametrize("line, fields", [("2\t6\t4", 3), ("2\t6\t4\t0\t9", 5), ("2 6 4 0", 1)])
+    def test_field_count_reported(self, tmp_path, line, fields):
+        path = tmp_path / "u.data"
+        path.write_text(f"1\t5\t3\t0\n{line}\n3\t7\tx\t0\n")
+        with pytest.raises(RatingsParseError, match=f"got {fields}$") as err:
+            parse_movielens(path)
+        assert err.value.line_no == 2
+
+    def test_first_bad_line_wins(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("1\t5\t3\t0\n1\t6\tinf\t0\n1\t5\t4\t0\n2\t6\n")
+        with pytest.raises(RatingsParseError, match="non-finite") as err:
+            parse_movielens(path)
+        assert err.value.line_no == 2
+
+    def test_timestamp_is_not_read(self, tmp_path):
+        path = tmp_path / "u.data"
+        path.write_text("1\t5\t3\tyesterday\n2\t6\t4\t\n")
+        assert dict(parse_movielens(path).ratings) == {(1, 5): 3.0, (2, 6): 4.0}
 
     def test_round_trip(self, tmp_path):
         src = tmp_path / "a.data"
@@ -92,6 +162,13 @@ class TestParseCsv:
         with pytest.raises(RatingsParseError) as err:
             parse_ratings_csv(path)
         assert err.value.line_no == 3
+
+    def test_duplicate_reports_line(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_text("user,item,rating\n1,10,4\nu2,10,3\n\n1,10,5\n")
+        with pytest.raises(DuplicateRatingError, match="^line 5: duplicate rating for user 1, item 10$") as err:
+            parse_ratings_csv(path)
+        assert err.value.line_no == 5
 
     def test_features_csv(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -214,6 +291,7 @@ class TestBuildPairTasks:
 def build_pair_tasks_reference(table, item_subset):
     """The per-pair, per-user dict-lookup loop that build_pair_tasks replaced."""
     items = list(item_subset)
+    ratings = table.ratings
     tasks = []
     for a in range(len(items)):
         for b in range(a + 1, len(items)):
@@ -221,8 +299,8 @@ def build_pair_tasks_reference(table, item_subset):
             queries = []
             zs = []
             for user in table.users:
-                ra = table.ratings.get((user, ia))
-                rb = table.ratings.get((user, ib))
+                ra = ratings.get((user, ia))
+                rb = ratings.get((user, ib))
                 if ra is not None and rb is not None:
                     queries.append(user)
                     zs.append(ra - rb)
@@ -326,3 +404,148 @@ class TestHelpers:
         for (u, _i) in table.ratings:
             counts[u] = counts.get(u, 0) + 1
         assert min(counts.values()) >= 20
+
+
+# The per-rating loops the columnar table replaced, kept as references. Each
+# works on plain (user, item) -> rating dicts.
+
+
+def parse_movielens_reference(path):
+    ratings = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise RatingsParseError(line_no, f"expected 4 tab-separated fields, got {len(parts)}")
+            try:
+                user = int(parts[0])
+                item = int(parts[1])
+                value = float(parts[2])
+            except ValueError:
+                raise RatingsParseError(line_no, f"non-numeric field in {parts[:3]!r}") from None
+            if not math.isfinite(value):
+                raise RatingsParseError(line_no, f"non-finite rating {parts[2]!r}")
+            if (user, item) in ratings:
+                raise DuplicateRatingError(line_no, f"duplicate rating for user {user}, item {item}")
+            ratings[(user, item)] = value
+    users = sorted({u for u, _ in ratings})
+    items = sorted({i for _, i in ratings})
+    return users, items, ratings
+
+
+def by_user_reference(users, ratings):
+    out = {u: [] for u in users}
+    for (u, i), r in ratings.items():
+        out[u].append((i, r))
+    for u in out:
+        out[u].sort()
+    return out
+
+
+def split_per_user_reference(users, ratings, seed, fractions=(0.5, 0.2, 0.3)):
+    """Three rating dicts and the warnings, as the dict-building split made them."""
+    rng = np.random.default_rng(seed)
+    by_user = by_user_reference(users, ratings)
+    parts, warned = [{}, {}, {}], []
+    for user in users:
+        user_items = [i for i, _ in by_user.get(user, [])]
+        m = len(user_items)
+        if m == 0:
+            continue
+        if m < 3:
+            warned.append(f"user {user!r} has {m} rating(s); placing all in train")
+            for item in user_items:
+                parts[0][(user, item)] = ratings[(user, item)]
+            continue
+        order = rng.permutation(m)
+        n_train = int(np.floor(fractions[0] * m))
+        n_val = int(np.floor(fractions[1] * m))
+        for pos, idx in enumerate(order):
+            item = user_items[idx]
+            bucket = 0 if pos < n_train else (1 if pos < n_train + n_val else 2)
+            parts[bucket][(user, item)] = ratings[(user, item)]
+    return parts, warned
+
+
+def top_items_reference(items, ratings, m):
+    counts = {}
+    for (_, i) in ratings:
+        counts[i] = counts.get(i, 0) + 1
+    return sorted(items, key=lambda i: (-counts.get(i, 0), i))[:m]
+
+
+def user_feature_map_reference(users, ratings, item_subset):
+    by_user = by_user_reference(users, ratings)
+    feats = {}
+    items = list(item_subset)
+    for user in users:
+        rated = dict(by_user.get(user, []))
+        subset_vals = [rated[i] for i in items if i in rated]
+        if subset_vals:
+            fill = float(np.mean(subset_vals))
+        elif rated:
+            fill = float(np.mean(list(rated.values())))
+        else:
+            fill = 0.0
+        vec = np.array([rated.get(i, fill) - fill for i in items], dtype=float)
+        norm = np.linalg.norm(vec)
+        feats[user] = vec / norm if norm > 0 else vec
+    return feats
+
+
+def _assert_same_ratings(got, want):
+    """Equal dicts, with values compared by their bytes so a stored NaN matches."""
+    assert list(got) == sorted(want)
+    assert [type(k) for key in got for k in key] == [type(k) for key in sorted(want) for k in key]
+    assert np.array(list(got.values())).tobytes() == np.array([want[k] for k in got]).tobytes()
+
+
+def _assert_same_ingestion(table, users, items, ratings, m, seed):
+    assert table.users == users and table.items == items
+    assert [type(v) for v in table.users + table.items] == [type(v) for v in users + items]
+    _assert_same_ratings(dict(table.ratings), ratings)
+    top = top_items(table, m)
+    assert top == top_items_reference(items, ratings, m)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        split = split_per_user(table, seed=seed)
+    want_parts, want_warned = split_per_user_reference(users, ratings, seed)
+    assert [str(w.message) for w in caught] == want_warned
+    for part, want in zip((split.train, split.val, split.test), want_parts):
+        assert part.users == users and part.items == items
+        _assert_same_ratings(dict(part.ratings), want)
+    got = user_feature_map(split.train, top)
+    want = user_feature_map_reference(users, want_parts[0], top)
+    assert list(got) == list(want)
+    for u in want:
+        assert got[u].dtype == want[u].dtype and got[u].tobytes() == want[u].tobytes()
+
+
+def test_columnar_ingestion_matches_loop_reference(tmp_path):
+    path = tmp_path / "u.data"
+    for seed, n_users, n_items, m in [(0, 150, 200, 30), (1, 150, 200, 30), (2, 150, 200, 6), (0, 943, 1682, 60)]:
+        write_movielens(simulate_movielens_table(n_users=n_users, n_items=n_items, seed=seed), path)
+        users, items, ratings = parse_movielens_reference(path)
+        _assert_same_ingestion(parse_movielens(path), users, items, ratings, m, seed)
+    # string ids, as the CSV parser produces them, and non-integer ratings
+    small = simulate_movielens_table(n_users=60, n_items=40, seed=5)
+    ratings = {(f"u{u}", str(i)): r - 0.3 * (i % 3) for (u, i), r in small.ratings.items()}
+    path = tmp_path / "ratings.csv"
+    path.write_text("user,item,rating\n" + "".join(f"{u},{i},{r!r}\n" for (u, i), r in ratings.items()))
+    users, items = sorted({u for u, _ in ratings}), sorted({i for _, i in ratings})
+    _assert_same_ingestion(parse_ratings_csv(path), users, items, ratings, 12, 3)
+    # users with fewer than 3 ratings, and a declared user without any
+    ratings = {(1, "a"): 4.0, (2, "a"): 2.0, (2, "b"): 5.0, (3, "c"): 1.0, (3, "a"): 3.0, (3, "b"): 2.5,
+               (3, "d"): 4.0, (5, "d"): 1.0, (5, "c"): 2.0, (5, "b"): 3.0}
+    table = RatingsTable(users=[5, 4, 3, 2, 1], items=["d", "c", "b", "a", "e"], ratings=ratings)
+    _assert_same_ingestion(table, [1, 2, 3, 4, 5], ["a", "b", "c", "d", "e"], ratings, 3, 0)
+    # a stored NaN is a present rating all the way into the rating block
+    ratings = {(u, i): float(u + i) for u in range(6) for i in range(4) if (u + i) % 5}
+    ratings[(2, 1)] = float("nan")
+    table = RatingsTable(users=list(range(6)), items=list(range(4)), ratings=ratings)
+    _assert_same_ingestion(table, list(range(6)), list(range(4)), ratings, 4, 1)
+    R, rated = _rating_block(table, [1, 0])
+    assert rated[2, 0] and np.isnan(R[2, 0])
