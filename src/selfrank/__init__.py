@@ -24,7 +24,6 @@ from .decoding import (
     Ordering,
     Tournament,
     backward_weight,
-    build_tournament,
     decode_finite,
     fas_exact,
     fas_greedy,

@@ -51,6 +51,7 @@ from .evaluation import (
 from .kernels import KernelSpec
 from .learners import TrainConfig
 from .ranking import (
+    HsRankModel,
     LowRankRankModel,
     build_pair_task_data,
     fit_rank_hs,
@@ -263,21 +264,14 @@ def cmd_train(cfg: dict) -> int:
         "seed": seed,
         **_data_fields(tasks, data),
     }
-    if cfg["learner"] == "lowrank":
+    if cfg["learner"] == "hs":
+        checkpoint["beta"] = model.beta.tolist()
+    else:
         checkpoint.update(
-            {
-                "rank": train_cfg.rank,
-                "step": train_cfg.step,
-                "iters_run": model.iters_run,
-                "A": model.A.ravel().tolist(),
-                "W": model.W.ravel().tolist(),
-            }
+            rank=train_cfg.rank, step=train_cfg.step, iters_run=model.iters_run,
+            A=model.A.ravel().tolist(), W=model.W.ravel().tolist(),
         )
-        _write_json(
-            cfg,
-            "objective_trace.json",
-            {"config": cfg, "objective_trace": model.objective_trace},
-        )
+        _write_json(cfg, "objective_trace.json", {"config": cfg, "objective_trace": model.objective_trace})
     path = _write_json(cfg, "checkpoint.json", checkpoint)
     print(f"wrote {path}")
     return 0
@@ -293,7 +287,12 @@ def _data_fields(tasks, data) -> dict:
     }
 
 
-def _model_from_checkpoint(cfg: dict, tasks, data):
+def _checkpoint_problem(cfg: dict, command: str):
+    """The configured problem and the model its checkpoint holds, built from arrays alone."""
+    if cfg["checkpoint"] is None:
+        raise ConfigError(f"{command} requires a checkpoint path")
+    split, items, tasks, features, kernel = _load_ranking_problem(cfg)
+    data = build_pair_task_data(tasks, features, kernel)
     with open(cfg["checkpoint"], "r", encoding="utf-8") as fh:
         ck = json.load(fh)
     schema = ck.get("schema_version")
@@ -311,23 +310,22 @@ def _model_from_checkpoint(cfg: dict, tasks, data):
                 "config/seed mismatch"
             )
     if ck["learner"] == "hs":
-        return fit_rank_hs(data, float(ck["lambda"]))
-    r = int(ck["rank"])
-    return LowRankRankModel(
-        data=data,
-        A=np.asarray(ck["A"], dtype=float).reshape(len(data.users), r),
-        W=np.asarray(ck["W"], dtype=float).reshape(data.n_tasks, r),
-        iters_run=int(ck["iters_run"]),
-        objective_trace=[],
-    )
+        beta = ck.get("beta")
+        if beta is None:
+            raise ConfigError("HS checkpoint has no field 'beta' (an older format); retrain it")
+        if not isinstance(beta, list) or len(beta) != data.n_rows:
+            raise ConfigError(f"HS checkpoint field 'beta' must hold sum(task_sizes) = {data.n_rows} values")
+        model = HsRankModel(data=data, beta=np.asarray(beta, dtype=float))
+    else:
+        r = int(ck["rank"])
+        A = np.asarray(ck["A"], dtype=float).reshape(len(data.users), r)
+        W = np.asarray(ck["W"], dtype=float).reshape(data.n_tasks, r)
+        model = LowRankRankModel(data=data, A=A, W=W, iters_run=int(ck["iters_run"]), objective_trace=[])
+    return split, items, tasks, features, model
 
 
 def cmd_eval(cfg: dict) -> int:
-    if cfg["checkpoint"] is None:
-        raise ConfigError("eval requires a checkpoint path")
-    split, items, tasks, features, kernel = _load_ranking_problem(cfg)
-    data = build_pair_task_data(tasks, features, kernel)
-    model = _model_from_checkpoint(cfg, tasks, data)
+    split, _, tasks, features, model = _checkpoint_problem(cfg, "eval")
     report = evaluate_ranking(model, split, tasks, features, on="test", config=cfg)
     path = _write_json(cfg, "eval_report.json", report.to_dict())
     print(f"wrote {path} (mean={report.mean:.4f}, n={report.n_queries}, skipped={report.skipped})")
@@ -368,11 +366,7 @@ def cmd_grid(cfg: dict) -> int:
 
 
 def cmd_decode(cfg: dict) -> int:
-    if cfg["checkpoint"] is None:
-        raise ConfigError("decode requires a checkpoint path")
-    split, items, tasks, features, kernel = _load_ranking_problem(cfg)
-    data = build_pair_task_data(tasks, features, kernel)
-    model = _model_from_checkpoint(cfg, tasks, data)
+    split, items, tasks, features, model = _checkpoint_problem(cfg, "decode")
     users = [u for u in split.test.users if u in features]
     X = np.vstack([np.asarray(features[u], dtype=float) for u in users])
     decoded = decode_queries(tasks, model.tournament_weights(X), decode=fas_greedy)

@@ -12,6 +12,7 @@ file it rejects.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import math
 import warnings
@@ -77,7 +78,22 @@ class RatingsTable:
         return len(self.value)
 
     def rating(self, user, item, default=None):
-        return self.ratings.get((user, item), default)
+        """The rating of (user, item), or default; a search on the sorted code columns."""
+        u, i = _position(self.users, user), _position(self.items, item)
+        if u is None or i is None:
+            return default
+        lo, hi = np.searchsorted(self.user, [u, u + 1])  # the user's rows are contiguous
+        k = lo + int(np.searchsorted(self.item[lo:hi], i))
+        return float(self.value[k]) if k < hi and self.item[k] == i else default
+
+
+def _position(ids: list, key) -> int | None:
+    """The position of key among the sorted ids, or None for an absent or incomparable key."""
+    try:
+        k = bisect.bisect_left(ids, key)
+    except TypeError:
+        return None
+    return k if k < len(ids) and ids[k] == key else None
 
 
 def _by_pair(user: np.ndarray, item: np.ndarray, value: np.ndarray, n_items: int) -> tuple:
@@ -245,7 +261,9 @@ def parse_user_features_csv(path) -> dict:
 def write_movielens(table: RatingsTable, path) -> None:
     """Serialize in the tab-separated format, canonical order, zero timestamps."""
     with open(path, "w", encoding="utf-8") as fh:
-        for (user, item), value in table.ratings.items():
+        users, items = table.users, table.items
+        for u, i, value in zip(table.user.tolist(), table.item.tolist(), table.value.tolist()):
+            user, item = users[u], items[i]
             text = str(int(value)) if value.is_integer() else repr(value)
             fh.write(f"{user}\t{item}\t{text}\t0\n")
 

@@ -62,27 +62,6 @@ class Tournament:
         self.weights = upper - upper.T
         self.size = w.shape[0]
 
-    @classmethod
-    def from_edges(cls, size: int, edges) -> "Tournament":
-        """Build from (j, k, weight) triples; weight is the net preference of j over k."""
-        w = np.zeros((size, size))
-        seen = set()
-        for j, k, value in edges:
-            if j == k or not (0 <= j < size and 0 <= k < size):
-                raise InvalidInputError(f"invalid document pair ({j}, {k})")
-            key = (min(j, k), max(j, k))
-            if key in seen:
-                raise InvalidInputError(f"duplicate pair task for documents {key}")
-            seen.add(key)
-            if j < k:
-                w[j, k] = value
-            else:
-                w[k, j] = -value
-        return cls(w)
-
-    def weight(self, j: int, k: int) -> float:
-        return float(self.weights[j, k])
-
 
 def decode_finite(candidates, alpha, train_outputs, loss: SelfLoss):
     """Pick the candidate minimizing sum_i alpha_i * loss(candidate, y_i).
@@ -105,25 +84,6 @@ def decode_finite(candidates, alpha, train_outputs, loss: SelfLoss):
         if best_score is None or score < best_score:
             best, best_score = cand, score
     return best, float(best_score)
-
-
-def build_tournament(size: int, pair_tasks) -> Tournament:
-    """Aggregate per-pair-task weights and observations into a tournament.
-
-    pair_tasks is an iterable of ((j, k), alpha_t, z_t); the edge weight of the
-    unordered pair is sum_i alpha_ti * z_ti, oriented as net preference of j
-    over k. Unobserved pairs keep weight 0.
-    """
-    edges = []
-    for (j, k), alpha_t, z_t in pair_tasks:
-        alpha_t = np.asarray(alpha_t, dtype=float)
-        z_t = np.asarray(z_t, dtype=float)
-        if alpha_t.shape != z_t.shape:
-            raise InvalidInputError(
-                f"pair ({j}, {k}): alpha length {alpha_t.shape} != z length {z_t.shape}"
-            )
-        edges.append((j, k, float(alpha_t @ z_t)))
-    return Tournament.from_edges(size, edges)
 
 
 def backward_weight(t: Tournament, ordering: Ordering) -> float:

@@ -1,5 +1,9 @@
 """Pair-task ranking models: low-rank multitask and per-task ridge.
 
+Both models predict as coefficients . k_U(x), k_U(x) the kernel vector of a
+query against the distinct training users: W A^T (kept factored) for low rank,
+the scattered per-task ridge solutions C for HS. Only trainers read the Gram.
+
 Pair tasks share query inputs heavily (each user appears in many tasks), and
 their output Grams are rank-one (z z^T under the linear kernel on signed
 rating differences). The low-rank trainer runs the exact multitask updates of
@@ -17,6 +21,7 @@ for u users and n stacked rows; the stacked n x n Gram is never built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_solve
@@ -25,7 +30,7 @@ from scipy.sparse import csc_array
 from .data_io import PairTaskSet
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .kernels import KernelSpec, cross_vector, gram
-from .learners import TrainConfig, _stop, halving_search, init_factors, ridge_cho_factor
+from .learners import TrainConfig, _row_slices, _stop, halving_search, init_factors, ridge_cho_factor
 
 
 @dataclass
@@ -34,7 +39,6 @@ class PairTaskData:
 
     users: list
     U: np.ndarray  # distinct user features, one row per user
-    K_u: np.ndarray  # user Gram under the input kernel
     kernel: KernelSpec
     pairs: list[tuple[int, int]]  # document index pairs, one per task
     row_user: np.ndarray  # user index per stacked row
@@ -50,11 +54,21 @@ class PairTaskData:
     def n_tasks(self) -> int:
         return len(self.pairs)
 
+    @cached_property
+    def K_u(self) -> np.ndarray:
+        """User Gram under the input kernel, built on first use and kept."""
+        return gram(self.U, self.kernel)
+
+    def cross_kernel(self, queries: np.ndarray) -> np.ndarray:
+        """k_U(x) for each query row x, one column per query; shape (users, queries)."""
+        queries = np.atleast_2d(np.asarray(queries, dtype=float))
+        return np.stack([cross_vector(self.U, q, self.kernel) for q in queries], axis=1)
+
 
 def build_pair_task_data(
     tasks: PairTaskSet, features: dict, kernel: KernelSpec
 ) -> PairTaskData:
-    """Stack the task samples and precompute the distinct-user Gram."""
+    """Stack the task samples over the distinct users; the user Gram waits for a trainer."""
     if not tasks.tasks:
         raise InvalidInputError("pair task set has no tasks")
     users = sorted({q for t in tasks.tasks for q in t.query_ids})
@@ -63,7 +77,6 @@ def build_pair_task_data(
         raise InvalidInputError(f"no features for users {missing[:5]!r}")
     index = {u: k for k, u in enumerate(users)}
     U = np.vstack([np.asarray(features[u], dtype=float) for u in users])
-    K_u = gram(U, kernel)
     row_user = []
     sizes = []
     z_parts = []
@@ -78,7 +91,6 @@ def build_pair_task_data(
     return PairTaskData(
         users=users,
         U=U,
-        K_u=K_u,
         kernel=kernel,
         pairs=pairs,
         row_user=np.asarray(row_user, dtype=int),
@@ -108,10 +120,7 @@ class LowRankRankModel:
         The edge weight z_t^T N_t M^T v_x, with v_x = S V_u[:, x] the stacked
         cross vector, is w_t^T A^T V_u[:, x].
         """
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        d = self.data
-        Vu = np.stack([cross_vector(d.U, q, d.kernel) for q in queries], axis=1)
-        return self.W @ (self.A.T @ Vu)
+        return self.W @ (self.A.T @ self.data.cross_kernel(queries))
 
 
 def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
@@ -195,35 +204,34 @@ def halving_step_search_rank(
 
 @dataclass
 class HsRankModel:
-    """Independent per-task kernel ridge over each pair task's own co-raters."""
+    """Independent per-task kernel ridge over each pair task's own co-raters.
+
+    The edge weight z_t^T (K_t + n_t lam I)^-1 k_t(x) is beta_t^T k_t(x), so C,
+    the tasks x users scatter of beta, gives every task's weight as C k_U(x).
+    """
 
     data: PairTaskData
-    lam: float
-    _factors: list
+    beta: np.ndarray  # per stacked row, like z: (K_t + n_t lam I) beta_t = z_t
+
+    def __post_init__(self):
+        d = self.data
+        self.C = np.zeros((d.n_tasks, len(d.users)))
+        self.C[np.repeat(np.arange(d.n_tasks), d.task_sizes), d.row_user] = self.beta
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        d = self.data
-        Vu = np.stack([cross_vector(d.U, q, d.kernel) for q in queries], axis=1)
-        out = np.empty((d.n_tasks, queries.shape[0]))
-        for t in range(d.n_tasks):
-            s = d.starts[t]
-            rows = d.row_user[s : s + d.task_sizes[t]]
-            alpha = cho_solve(self._factors[t], Vu[rows])
-            out[t] = d.z[s : s + d.task_sizes[t]] @ alpha
-        return out
+        return self.C @ self.data.cross_kernel(queries)
 
 
 def fit_rank_hs(data: PairTaskData, lam: float) -> HsRankModel:
-    """Closed-form per-task weights: alpha_t(x) = (K_t + n_t lam I)^-1 v_x."""
+    """Closed-form per-task coefficients: beta_t = (K_t + n_t lam I)^-1 z_t."""
     if not lam > 0:
         raise InvalidInputError(f"lam must be > 0, got {lam}")
-    factors = []
-    for t in range(data.n_tasks):
-        s = data.starts[t]
-        rows = data.row_user[s : s + data.task_sizes[t]]
+    beta = np.empty(data.n_rows)
+    for t, b in enumerate(_row_slices(data.task_sizes)):
+        rows = data.row_user[b]
         try:
-            factors.append(ridge_cho_factor(data.K_u[np.ix_(rows, rows)], lam))
+            factor = ridge_cho_factor(data.K_u[np.ix_(rows, rows)], lam)
         except NumericalError as exc:
             raise NumericalError(f"task {t}: {exc}") from exc
-    return HsRankModel(data=data, lam=lam, _factors=factors)
+        beta[b] = cho_solve(factor, data.z[b])
+    return HsRankModel(data=data, beta=beta)

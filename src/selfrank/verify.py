@@ -32,7 +32,7 @@ from .oracles import (
     prox_nuclear,
     svt,
 )
-from .ranking import build_pair_task_data, fit_rank_lowrank
+from .ranking import build_pair_task_data, fit_rank_hs, fit_rank_lowrank
 
 
 def _check(name: str, value: float, threshold: float) -> dict:
@@ -243,13 +243,18 @@ def check_mtl_reduction(rng) -> dict:
     return _check("mtl_t1_reduction", dev, 1e-8)
 
 
-def check_pairtask_reduced_state(rng) -> dict:
-    """fit_rank_lowrank's (A, W) and trace must match the projections S^T M and
-    N_t^T z_t of the generic fit_lowrank_mtl iterates on materialized blocks."""
+def _random_pair_task_data(rng):
+    """Pair tasks over 10 users rating about 70% of 6 items, with 4 linear features each."""
     ratings = {(u, i): float(rng.integers(1, 6)) for u in range(10) for i in range(6) if rng.random() < 0.7}
     table = RatingsTable(users=list(range(10)), items=list(range(6)), ratings=ratings)
     feats = {u: rng.standard_normal(4) for u in table.users}
-    data = build_pair_task_data(build_pair_tasks(table, table.items), feats, KernelSpec("linear"))
+    return build_pair_task_data(build_pair_tasks(table, table.items), feats, KernelSpec("linear"))
+
+
+def check_pairtask_reduced_state(rng) -> dict:
+    """fit_rank_lowrank's (A, W) and trace must match the projections S^T M and
+    N_t^T z_t of the generic fit_lowrank_mtl iterates on materialized blocks."""
+    data = _random_pair_task_data(rng)
     cfg = TrainConfig(lam=0.3, rank=2, step=0.02, max_iters=40, seed=4, tol=0.0)
     model = fit_rank_lowrank(data, cfg)
     K_rows = data.K_u[data.row_user][:, data.row_user]
@@ -265,6 +270,20 @@ def check_pairtask_reduced_state(rng) -> dict:
         float(np.max(np.abs(model.objective_trace - t) / t)),
     )
     return _check("pairtask_reduced_state_equivalence", dev, 1e-10)
+
+
+def check_pairtask_hs(rng, queries=5, lam=0.2) -> dict:
+    """fit_rank_hs's weights C k_U(x) must match z_t^T alpha_t(x) from fit_hs and
+    hs_weights on each task's materialized block K_t (linear kernel: k_t(x) = U_t x)."""
+    data = _random_pair_task_data(rng)
+    X = rng.standard_normal((queries, data.U.shape[1]))
+    got = fit_rank_hs(data, lam).tournament_weights(X)
+    expected = np.empty_like(got)
+    for t, b in enumerate(_row_slices(data.task_sizes)):
+        rows = data.row_user[b]
+        model = fit_hs(data.K_u[np.ix_(rows, rows)], lam)
+        expected[t] = data.z[b] @ hs_weights(model, data.U[rows] @ X.T)
+    return _check("pairtask_hs_equivalence", np.linalg.norm(got - expected) / np.linalg.norm(expected), 1e-8)
 
 
 def check_trace_norm_domination(rng, problems=10) -> dict:
@@ -297,4 +316,5 @@ def run_verification(seed: int = 0) -> dict:
     checks.append(check_mtl_reduction(rng))
     checks.append(check_trace_norm_domination(rng))
     checks.append(check_pairtask_reduced_state(rng))
+    checks.append(check_pairtask_hs(rng))
     return {"checks": checks, "passed": all(c["pass"] for c in checks)}

@@ -3,9 +3,11 @@ import warnings
 
 import pytest
 
-from selfrank.cli import load_config, run
+from selfrank.cli import _load_ranking_problem, load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
+from selfrank.evaluation import evaluate_ranking
+from selfrank.ranking import build_pair_task_data, fit_rank_hs
 
 
 @pytest.fixture(scope="module")
@@ -207,6 +209,57 @@ class TestCommands:
                 seed=2,
             )
         assert rc == 0
+        ck = json.load(open(f"{out}/checkpoint.json"))
+        assert len(ck["beta"]) == sum(ck["task_sizes"])
+        # the checkpoint's beta reproduces the in-memory model's losses exactly
+        cfg = load_config(None, base_overrides(ratings_file, ["learner=hs"]), out, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            split, _, tasks, features, kernel = _load_ranking_problem(cfg)
+        model = fit_rank_hs(build_pair_task_data(tasks, features, kernel), cfg["train.lambda"])
+        report = evaluate_ranking(model, split, tasks, features, on="test")
+        assert json.load(open(f"{out}/eval_report.json"))["per_query"] == report.per_query
+
+    def test_hs_checkpoint_without_valid_beta_exits_2(self, tmp_path, ratings_file, capsys):
+        out = str(tmp_path / "hs")
+        hs = base_overrides(ratings_file, ["learner=hs"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=hs, out=out, seed=2) == 0
+        ck = json.load(open(f"{out}/checkpoint.json"))
+        missing = {k: v for k, v in ck.items() if k != "beta"}
+        for name, edited, message in (
+            ("missing", missing, "no field 'beta'"),
+            ("short", dict(ck, beta=ck["beta"][:-1]), "field 'beta' must hold"),
+            ("long", dict(ck, beta=ck["beta"] + [0.0]), "field 'beta' must hold"),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(edited))
+            for command in ("eval", "decode"):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    rc = run(command, overrides=hs + [f"checkpoint={path}"], out=out, seed=2)
+                assert rc == 2
+                err = capsys.readouterr().err
+                assert message in err
+                assert name != "missing" or "retrain" in err
+
+    @pytest.mark.parametrize("learner", ["lowrank", "hs"])
+    def test_eval_and_decode_build_no_gram(self, tmp_path, ratings_file, monkeypatch, learner):
+        out = str(tmp_path / learner)
+        overrides = base_overrides(ratings_file, [f"learner={learner}"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=overrides, out=out, seed=3) == 0
+
+            def no_gram(*args, **kwargs):
+                raise AssertionError("the user Gram was built")
+
+            monkeypatch.setattr("selfrank.ranking.gram", no_gram)
+            for command in ("eval", "decode"):
+                rc = run(command, overrides=overrides + [f"checkpoint={out}/checkpoint.json"],
+                         out=out, seed=3)
+                assert rc == 0
 
     def test_grid_artifacts(self, tmp_path, ratings_file):
         out = str(tmp_path / "grid")
@@ -267,6 +320,7 @@ class TestCommands:
         names = {c["name"] for c in report["checks"]}
         assert "loss_trick_factor_equivalence" in names
         assert "pairtask_reduced_state_equivalence" in names
+        assert "pairtask_hs_equivalence" in names
         assert all(c["pass"] for c in report["checks"])
 
     def test_determinism_byte_identical(self, tmp_path, ratings_file):

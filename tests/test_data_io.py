@@ -549,3 +549,48 @@ def test_columnar_ingestion_matches_loop_reference(tmp_path):
     _assert_same_ingestion(table, list(range(6)), list(range(4)), ratings, 4, 1)
     R, rated = _rating_block(table, [1, 0])
     assert rated[2, 0] and np.isnan(R[2, 0])
+
+
+def _all_pairs_agree(table):
+    want = dict(table.ratings)
+    for u in table.users:
+        for i in table.items:
+            got, expected = table.rating(u, i, "miss"), want.get((u, i), "miss")
+            assert got == expected or (math.isnan(got) and math.isnan(expected))
+
+
+def test_rating_agrees_with_the_mapping():
+    table = simulate_movielens_table(n_users=60, n_items=40, seed=4)
+    assert len(table) < len(table.users) * len(table.items)  # some pairs are absent
+    _all_pairs_agree(table)
+    u, i = table.users[0], table.items[0]
+    for user, item in [(max(table.users) + 1, i), (-1, i), (u, max(table.items) + 1),
+                       (str(u), i), (u, str(i)), (u, None), ([u], i)]:
+        assert table.rating(user, item) is None
+        assert table.rating(user, item, default=-1.0) == -1.0
+    ratings = {("u1", "b"): 2.0, ("u1", "a"): 4.5, ("u3", "a"): float("nan"), ("u2", "c"): 1.0}
+    table = RatingsTable(users=["u1", "u2", "u3", "u4"], items=["a", "b", "c"], ratings=ratings)
+    _all_pairs_agree(table)
+    assert table.rating("u4", "a") is None and table.rating(1, "a") is None
+    assert table.rating("u0", "a") is None and table.rating("u1", "z") is None
+    empty = RatingsTable(users=[1], items=[2], ratings={})
+    assert empty.rating(1, 2) is None
+
+
+def test_write_movielens_matches_mapping_writer(tmp_path):
+    table = simulate_movielens_table(n_users=943, n_items=1682, seed=0)
+    path = tmp_path / "u.data"
+    write_movielens(table, path)
+    lines = []
+    for (user, item), value in table.ratings.items():
+        text = str(int(value)) if value.is_integer() else repr(value)
+        lines.append(f"{user}\t{item}\t{text}\t0\n")
+    assert path.read_bytes() == "".join(lines).encode("utf-8")
+    # string ids and non-integer ratings
+    ratings = {(f"u{u}", str(i)): r - 0.3 * (i % 3) for (u, i), r in table.ratings.items() if u < 30}
+    small = RatingsTable({u for u, _ in ratings}, {i for _, i in ratings}, ratings)
+    write_movielens(small, path)
+    want = "".join(
+        f"{u}\t{i}\t{str(int(r)) if r.is_integer() else repr(r)}\t0\n" for (u, i), r in small.ratings.items()
+    )
+    assert path.read_text(encoding="utf-8") == want

@@ -9,13 +9,16 @@ from selfrank.decoding import (
     Ordering,
     Tournament,
     backward_weight,
-    build_tournament,
     decode_finite,
     fas_exact,
     fas_greedy,
 )
 from selfrank.errors import CapacityError, InvalidInputError
 from selfrank.losses import zero_one
+
+
+# 0 over 1 and 1 over 2 by 1.0, 2 over 0 by 0.5
+THREE_CYCLE = np.array([[0.0, 1.0, -0.5], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
 
 
 def brute_force_objective(t: Tournament) -> float:
@@ -70,36 +73,6 @@ class TestDecodeFinite:
                 for c in labels
             ]
             assert chosen == labels[int(np.argmin(sums))]
-
-
-class TestBuildTournament:
-    def test_zero_alphas_give_zero_tournament(self):
-        t = build_tournament(3, [((0, 1), np.zeros(2), np.array([1.0, -1.0]))])
-        np.testing.assert_array_equal(t.weights, np.zeros((3, 3)))
-
-    def test_single_term(self):
-        t = build_tournament(2, [((0, 1), np.array([1.0]), np.array([2.5]))])
-        assert t.weight(0, 1) == 2.5
-        assert t.weight(1, 0) == -2.5
-
-    def test_weighted_combination(self):
-        t = build_tournament(2, [((0, 1), np.array([0.5, 0.5]), np.array([2.0, -4.0]))])
-        assert t.weight(0, 1) == pytest.approx(-1.0)
-
-    def test_duplicate_pair_rejected(self):
-        tasks = [
-            ((0, 1), np.array([1.0]), np.array([1.0])),
-            ((1, 0), np.array([1.0]), np.array([1.0])),
-        ]
-        with pytest.raises(InvalidInputError):
-            build_tournament(2, tasks)
-
-    def test_linear_in_alpha(self):
-        rng = np.random.default_rng(2)
-        tasks = [((0, 2), rng.standard_normal(3), rng.standard_normal(3))]
-        t1 = build_tournament(3, tasks)
-        t2 = build_tournament(3, [((0, 2), 2 * tasks[0][1], tasks[0][2])])
-        np.testing.assert_allclose(t2.weights, 2 * t1.weights)
 
 
 def fas_greedy_reference(t: Tournament) -> Ordering:
@@ -174,7 +147,7 @@ class TestFasGreedy:
         assert backward_weight(Tournament(w), ordering) == 0.0
 
     def test_three_cycle_breaks_weakest_edge(self):
-        t = Tournament.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5)])
+        t = Tournament(THREE_CYCLE)
         obj = backward_weight(t, fas_greedy(t))
         assert obj == pytest.approx(0.5)
 
@@ -205,7 +178,7 @@ class TestFasExact:
         np.testing.assert_array_equal(ordering.docs_by_rank(), np.arange(5))
 
     def test_three_cycle_objective(self):
-        t = Tournament.from_edges(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 0.5)])
+        t = Tournament(THREE_CYCLE)
         # brute force over all 6 orders gives 0.5 (breaking only the weak edge)
         assert brute_force_objective(t) == pytest.approx(0.5)
         assert backward_weight(t, fas_exact(t)) == pytest.approx(0.5)
@@ -262,11 +235,6 @@ class TestTournamentType:
         rng = np.random.default_rng(7)
         t = Tournament(rng.standard_normal((6, 6)))
         assert np.array_equal(t.weights, -t.weights.T)
-
-    def test_from_edges_orientation(self):
-        t = Tournament.from_edges(3, [(2, 0, 1.5)])
-        assert t.weight(2, 0) == 1.5
-        assert t.weight(0, 2) == -1.5
 
     def test_positions_must_be_permutation(self):
         with pytest.raises(InvalidInputError):
