@@ -309,7 +309,10 @@ def _checkpoint_problem(cfg: dict, command: str):
                 f"checkpoint field {field!r} differs from the configured data; "
                 "config/seed mismatch"
             )
-    if ck["learner"] == "hs":
+    learner = ck.get("learner")
+    if learner not in ("lowrank", "hs"):
+        raise ConfigError(f"checkpoint field 'learner' must be 'lowrank' or 'hs', got {learner!r}")
+    if learner == "hs":
         beta = ck.get("beta")
         if beta is None:
             raise ConfigError("HS checkpoint has no field 'beta' (an older format); retrain it")
@@ -317,10 +320,18 @@ def _checkpoint_problem(cfg: dict, command: str):
             raise ConfigError(f"HS checkpoint field 'beta' must hold sum(task_sizes) = {data.n_rows} values")
         model = HsRankModel(data=data, beta=np.asarray(beta, dtype=float))
     else:
-        r = int(ck["rank"])
-        A = np.asarray(ck["A"], dtype=float).reshape(len(data.users), r)
-        W = np.asarray(ck["W"], dtype=float).reshape(data.n_tasks, r)
-        model = LowRankRankModel(data=data, A=A, W=W, iters_run=int(ck["iters_run"]), objective_trace=[])
+        for field, least in (("rank", 1), ("iters_run", 0)):
+            value = ck.get(field)
+            if type(value) is not int or value < least:
+                raise ConfigError(f"low-rank checkpoint field {field!r} must be an integer >= {least}, got {value!r}")
+        r = ck["rank"]
+        factors = {}
+        for field, rows in (("A", len(data.users)), ("W", data.n_tasks)):
+            values = ck.get(field)
+            if not isinstance(values, list) or len(values) != rows * r:
+                raise ConfigError(f"low-rank checkpoint field {field!r} must hold {rows} x rank = {rows * r} values")
+            factors[field] = np.asarray(values, dtype=float).reshape(rows, r)
+        model = LowRankRankModel(data=data, **factors, iters_run=ck["iters_run"], objective_trace=[])
     return split, items, tasks, features, model
 
 

@@ -103,46 +103,55 @@ def fas_greedy(t: Tournament) -> Ordering:
     position p, first the moves up to q = p-1 down to 0, then the moves down
     to q = p+1 up to n-1. A move becomes the round's best when its gain beats
     the current best gain (at first 0) by more than 1e-15; the round applies
-    the last move that became best. The gains of a round come from one O(n^2)
-    numpy pass of cumulative sums, each added in scan order. The result is
-    locally optimal under adjacent transpositions: no swap of neighbouring
-    documents decreases the contradicted weight.
+    the last move that became best.
+
+    The gains of a round come from one O(n^2) numpy pass of cumulative sums
+    over the strictly lower triangle L of the reordered weights, each added in
+    scan order. L holds both directions because the upper triangle is its
+    exact negation: column p of L accumulated downward gives the moves of
+    docs[p] down, and row p of L accumulated from the right gives its moves
+    up. Entries that are no legal move add only zeros and stay 0.0, which the
+    rule never accepts. The result is locally optimal under adjacent
+    transpositions: no swap of neighbouring documents decreases the
+    contradicted weight.
     """
-    borda = t.weights.sum(axis=1)
-    docs = sorted(range(t.size), key=lambda j: (-borda[j], j))
     w = t.weights
     n = t.size
+    rows = w.tolist()
     lower = np.tri(n, k=-1, dtype=bool)
-    # gains of a round sit side by side as [up | down], n x 2n: up[p, k] is the
-    # gain of moving docs[p] up to q = n-1-k, down[p, q] of moving it down to q.
-    # Row-major order over the valid entries is the scan order.
-    valid = np.hstack([lower[:, ::-1], lower.T])
-    scan_p, scan_k = np.nonzero(valid)
-    scan_q = np.where(scan_k < n, n - 1 - scan_k, scan_k - n)
+    # gains[p] = [up[p] | down[p]]: up[p, k] is the gain of moving docs[p] up
+    # to q = n-1-k, down[p, q] of moving it down to q. Row-major order is the
+    # scan order.
+    gains = np.empty((n, 2 * n))
+    up, down, scan = gains[:, :n], gains[:, n:], gains.ravel()
+    docs = np.argsort(-w.sum(axis=1), kind="stable").tolist()  # Borda, ties by index
     while True:
-        improved = True
-        while improved:
-            improved = False
-            for p in range(n - 1):
-                u, v = docs[p], docs[p + 1]
-                if w[u, v] < 0:  # swapping strictly reduces the objective
-                    docs[p], docs[p + 1] = v, u
-                    improved = True
+        order = np.asarray(docs)
+        sub = w.take(order, axis=0).take(order, axis=1)
+        if (sub.diagonal(1) < 0).any():  # an adjacent swap improves: sweep first
+            improved = True
+            while improved:
+                improved = False
+                for p in range(n - 1):
+                    u, v = docs[p], docs[p + 1]
+                    if rows[u][v] < 0:  # swapping strictly reduces the objective
+                        docs[p], docs[p + 1] = v, u
+                        improved = True
+            continue
         # moving docs[p] to position q changes the objective by
         # -sum(w[u, docs[j]]) over the positions it jumps across
-        order = np.asarray(docs)
-        sub = w[order[:, None], order[None, :]]
-        up = np.cumsum(np.where(lower, sub, 0.0)[:, ::-1], axis=1)
-        down = np.cumsum(np.where(lower.T, -sub, 0.0), axis=1)
-        gains = np.hstack([up, down])[valid]
+        low = np.where(lower, sub, 0.0)
+        np.cumsum(low[:, ::-1], axis=1, out=up)
+        np.cumsum(low.T, axis=1, out=down)
+        cand = np.flatnonzero(scan > 1e-15)  # only these can pass the rule
         best, move = 0.0, None
-        for i in np.flatnonzero(gains > 1e-15).tolist():  # only these can pass the rule
-            if gains[i] > best + 1e-15:
-                best, move = gains[i], i
+        for i, gain in zip(cand.tolist(), scan[cand].tolist()):
+            if gain > best + 1e-15:
+                best, move = gain, i
         if move is None:
             break
-        doc = docs.pop(scan_p[move])
-        docs.insert(scan_q[move], doc)
+        p, k = divmod(move, 2 * n)
+        docs.insert(n - 1 - k if k < n else k - n, docs.pop(p))
     return Ordering.from_docs(docs)
 
 

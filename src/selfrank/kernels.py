@@ -2,8 +2,9 @@
 
 All vector kernels share one row-evaluation path so that ``kernel_eval``,
 ``cross_vector`` and ``gram`` agree bit-for-bit: a Gram entry is the same
-floating-point computation as the corresponding single evaluation, which also
-makes every Gram matrix exactly symmetric by construction.
+floating-point computation as the corresponding single evaluation. ``gram``
+evaluates only the upper triangle and mirrors it; the elementwise products
+commute, so every Gram matrix is exactly symmetric by construction.
 """
 
 from __future__ import annotations
@@ -126,8 +127,10 @@ def cross_vector(train_points, x, spec: KernelSpec) -> np.ndarray:
 def gram(points, spec: KernelSpec) -> np.ndarray:
     """Gram matrix K[i, j] = k(p_i, p_j).
 
-    Exactly symmetric (commutative elementwise products, identical reduction
-    order) with unit diagonal for gaussian/abel/delta.
+    Row i is evaluated over points i..n-1 only and mirrored into column i.
+    Each entry is the same contiguous reduction as cross_vector's, and the
+    elementwise products commute, so K[j, i] = K[i, j] bit for bit: exactly
+    symmetric, with unit diagonal for gaussian/abel/delta.
     """
     n = len(points)
     if n == 0:
@@ -140,7 +143,8 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
     pts = _as_points(points)
     out = np.empty((n, n))
     for i in range(n):
-        out[i] = _rows(spec, pts, pts[i])
+        out[i, i:] = _rows(spec, pts[i:], pts[i])
+        out[i:, i] = out[i, i:]
     return out
 
 

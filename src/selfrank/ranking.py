@@ -16,11 +16,15 @@ P = S K_u A and the per-row error e_i = P_i . w_t(i) - z_i:
 
 and the penalty is <A, K_u A> + ||W||^2. An iteration costs O(u^2 r + n r)
 for u users and n stacked rows; the stacked n x n Gram is never built.
+
+PairTaskData keeps what its trainers share: the user Gram K_u, built on first
+use, and the projected initial state (A0, W0) per (rank, seed, init_scale),
+so step-search probes, grid cells and the fit of one rank draw it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -35,7 +39,12 @@ from .learners import TrainConfig, _row_slices, _stop, halving_search, init_fact
 
 @dataclass
 class PairTaskData:
-    """Stacked view of a PairTaskSet against a fixed user feature map."""
+    """Stacked view of a PairTaskSet against a fixed user feature map.
+
+    It caches what trainers share: the user Gram K_u and, per (rank, seed,
+    init_scale), the low-rank initial state (initial_state). A new instance
+    computes both anew.
+    """
 
     users: list
     U: np.ndarray  # distinct user features, one row per user
@@ -45,6 +54,7 @@ class PairTaskData:
     starts: np.ndarray  # first stacked row of each task
     task_sizes: np.ndarray
     z: np.ndarray  # stacked signed rating differences
+    _initial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -58,6 +68,23 @@ class PairTaskData:
     def K_u(self) -> np.ndarray:
         """User Gram under the input kernel, built on first use and kept."""
         return gram(self.U, self.kernel)
+
+    def initial_state(self, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+        """The low-rank trainer's start (A0, W0) = (S^T M, rows N_t^T z_t).
+
+        M and N are init_factors' draw for the stacked rows. They depend on
+        (rank, seed, init_scale) alone, so each such key is drawn and projected
+        once and kept, read-only, for the step-search probes and the fit.
+        """
+        key = (cfg.rank, cfg.seed, cfg.init_scale)
+        if key not in self._initial:
+            n = self.n_rows
+            M, N = init_factors(n, cfg)
+            S_T = csc_array((np.ones(n), self.row_user, np.arange(n + 1)), shape=(len(self.users), n))
+            A, W = S_T @ M, _segment_sum(self.z[:, None] * N, self.starts)
+            A.flags.writeable = W.flags.writeable = False
+            self._initial[key] = A, W
+        return self._initial[key]
 
     def cross_kernel(self, queries: np.ndarray) -> np.ndarray:
         """k_U(x) for each query row x, one column per query; shape (users, queries)."""
@@ -128,7 +155,8 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
 
     The iterates are the projections A = S^T M and w_t = N_t^T z_t of those of
     learners.fit_lowrank_mtl on the materialized blocks (K_t = rows of S K_u S^T,
-    output Gram z_t z_t^T); M and N are drawn as there and projected. With
+    output Gram z_t z_t^T); M and N are drawn as there and projected, once per
+    data and (rank, seed, init_scale) by PairTaskData.initial_state. With
     P = S K_u A and e_i = P_i . w_t(i) - z_i for stacked row i of task t(i):
 
         A   <- (1 - lam nu) A - nu S^T [ e_i w_t(i) / (T n_t(i)) ]
@@ -139,13 +167,11 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
     products and segment sums.
     """
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
-    M, N = init_factors(n, cfg)
+    A, W = data.initial_state(cfg)
     z = data.z
     row_task = np.repeat(np.arange(T), data.task_sizes)
     # Column-compressed, so the stored values are the stacked rows in order.
     E = csc_array((np.empty(n), data.row_user, np.append(data.starts, n)), shape=(u, T))
-    A = csc_array((np.ones(n), data.row_user, np.arange(n + 1)), shape=(u, n)) @ M  # S^T M
-    W = _segment_sum(z[:, None] * N, data.starts)
     inv_nt = 1.0 / data.task_sizes.astype(float)
     inv_Tnt = (inv_nt / T)[:, None]
     z2_per_task = _segment_sum(z * z, data.starts)

@@ -183,6 +183,22 @@ class TestCommands:
                 assert rc == 2
                 assert f"checkpoint field {field!r}" in capsys.readouterr().err
 
+    def test_lowrank_checkpoint_with_bad_fields_exits_2(self, tmp_path, ratings_file, capsys):
+        out = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file), out=out, seed=1) == 0
+        ck = json.load(open(f"{out}/checkpoint.json"))
+        cases = [("A", dict(ck, A=ck["A"][:-1])), ("W", dict(ck, W=ck["W"] + [0.0]))]
+        cases += [(key, {k: v for k, v in ck.items() if k != key}) for key in ("rank", "iters_run", "learner")]
+        for field, edited in cases:
+            path = tmp_path / f"{field}.json"
+            path.write_text(json.dumps(edited))
+            for command in ("eval", "decode"):
+                rc = run(command, overrides=base_overrides(ratings_file, [f"checkpoint={path}"]), out=out, seed=1)
+                assert rc == 2
+                assert f"field {field!r}" in capsys.readouterr().err
+
     def test_schema_1_checkpoint_exits_2(self, tmp_path, ratings_file, capsys):
         path = tmp_path / "v1.json"
         path.write_text(json.dumps({"schema_version": 1, "learner": "lowrank"}))

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from selfrank.data_io import build_pair_tasks, simulate_movielens_table, split_per_user, top_items, user_feature_map
 from selfrank.decoding import (
     Ordering,
     Tournament,
@@ -14,7 +15,11 @@ from selfrank.decoding import (
     fas_greedy,
 )
 from selfrank.errors import CapacityError, InvalidInputError
+from selfrank.evaluation import decode_queries
+from selfrank.kernels import KernelSpec
+from selfrank.learners import TrainConfig
 from selfrank.losses import zero_one
+from selfrank.ranking import build_pair_task_data, fit_rank_lowrank
 
 
 # 0 over 1 and 1 over 2 by 1.0, 2 over 0 by 0.5
@@ -129,13 +134,36 @@ def _near_margin(rng, n):
     return rng.standard_normal((n, n)) * 1e-17 * n
 
 
-@pytest.mark.parametrize("weights", [_gaussian, _integer_ties, _tiny, _near_margin])
+def _low_rank(rng, n):
+    # U V^T with r = 2 plus small noise: like the model's tournaments, it takes
+    # tens of insertion rounds at n = 60
+    U, V = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+    return U @ V.T + 0.05 * rng.standard_normal((n, n))
+
+
+@pytest.mark.parametrize("weights", [_gaussian, _integer_ties, _tiny, _near_margin, _low_rank])
 def test_fas_greedy_matches_loop_reference(weights):
     rng = np.random.default_rng(8)
     for n in range(1, 65):
         t = Tournament(weights(rng, n))
         np.testing.assert_array_equal(
             fas_greedy(t).positions, fas_greedy_reference(t).positions, err_msg=f"n={n}"
+        )
+
+
+def test_fas_greedy_matches_loop_reference_on_fitted_tournaments():
+    table = simulate_movielens_table(n_users=150, n_items=80, seed=5)
+    items = top_items(table, 30)
+    split = split_per_user(table, seed=5)
+    tasks = build_pair_tasks(split.train, items)
+    features = user_feature_map(split.train, items)
+    data = build_pair_task_data(tasks, features, KernelSpec("linear"))
+    model = fit_rank_lowrank(data, TrainConfig(lam=1e-3, rank=5, step=0.05, max_iters=20, seed=5))
+    X = np.vstack([features[u] for u in data.users])
+    tournaments = decode_queries(tasks, model.tournament_weights(X), decode=lambda t: t)
+    for user, t in zip(data.users, tournaments):
+        np.testing.assert_array_equal(
+            fas_greedy(t).positions, fas_greedy_reference(t).positions, err_msg=f"user {user}"
         )
 
 

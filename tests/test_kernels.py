@@ -92,6 +92,30 @@ class TestGram:
         check_gram(gram(pts, KernelSpec(kind, bw)))
 
 
+def gram_reference(points, spec: KernelSpec) -> np.ndarray:
+    """The full-row form of gram (each row over all points), kept as its bitwise reference."""
+    pts = np.asarray(points, dtype=float)
+    out = np.empty((len(pts), len(pts)))
+    for i in range(len(pts)):
+        out[i] = cross_vector(pts, pts[i], spec)
+    return out
+
+
+# d <= 7 sums in numpy's plain loop, 8 <= d < 128 with eight accumulators and
+# d >= 128 blocked pairwise: the half Gram must match in every branch
+@pytest.mark.parametrize("d", [1, 7, 8, 9, 30, 60, 129, 200])
+@pytest.mark.parametrize("spec", [KernelSpec("linear"), KernelSpec("gaussian", 3.0), KernelSpec("abel", 2.0)],
+                         ids=["linear", "gaussian", "abel"])
+def test_gram_matches_full_row_reference_bitwise(d, spec):
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 5, 300):
+        pts = rng.standard_normal((n, d)) * rng.uniform(0.1, 10.0, size=d)
+        K = gram(pts, spec)
+        assert K.tobytes() == gram_reference(pts, spec).tobytes(), f"n={n}"
+        assert K.tobytes() == K.T.copy().tobytes()
+        assert cross_vector(pts, pts[-1], spec).tobytes() == K[-1].tobytes()
+
+
 class TestCrossVector:
     def test_self_point_gives_one(self):
         rng = np.random.default_rng(5)

@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from selfrank.data_io import RatingsTable, build_pair_tasks
 from selfrank.errors import DivergenceError, InvalidInputError
 from selfrank.kernels import KernelSpec
-from selfrank.learners import TrainConfig, fit_lowrank_mtl, mtl_weights
+from selfrank.learners import TrainConfig, fit_lowrank_mtl, init_factors, mtl_weights
 from selfrank.ranking import (
     build_pair_task_data,
     fit_rank_hs,
@@ -97,6 +99,45 @@ class TestStructuredTrainerEquivalence:
         cfg = TrainConfig(lam=0.1, rank=3, step=step, max_iters=120, seed=1, tol=0.0)
         model = fit_rank_lowrank(data, cfg)
         assert np.all(np.diff(model.objective_trace) <= 0)
+
+
+class TestSharedInitialState:
+    def test_step_search_and_fit_draw_once_per_rank_and_seed(self, small_problem, monkeypatch):
+        tasks, feats, _ = small_problem
+        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        draws, probes = [], []
+
+        def counted_init(n, cfg, count=2):
+            draws.append((cfg.rank, cfg.seed, cfg.init_scale))
+            return init_factors(n, cfg, count)
+
+        def counted_fit(data, cfg):
+            probes.append(cfg.step)
+            return fit_rank_lowrank(data, cfg)
+
+        monkeypatch.setattr("selfrank.ranking.init_factors", counted_init)
+        monkeypatch.setattr("selfrank.ranking.fit_rank_lowrank", counted_fit)
+        base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1, tol=0.0)
+        step = halving_step_search_rank(data, base, start=100.0)
+        model = fit_rank_lowrank(data, replace(base, step=step))
+        assert len(probes) > 1 and draws == [(3, 1, None)]
+        for other in (replace(base, rank=2), replace(base, seed=2), replace(base, init_scale=0.1)):
+            fit_rank_lowrank(data, replace(other, step=step))
+        assert draws == [(3, 1, None), (2, 1, None), (3, 2, None), (3, 1, 0.1)]
+        fresh = fit_rank_lowrank(build_pair_task_data(tasks, feats, KernelSpec("linear")), replace(base, step=step))
+        assert draws[-1] == (3, 1, None)  # a new PairTaskData draws anew
+        assert fresh.A.tobytes() == model.A.tobytes()
+        assert fresh.W.tobytes() == model.W.tobytes()
+        assert fresh.objective_trace == model.objective_trace
+
+    def test_cached_state_is_read_only(self, small_problem):
+        tasks, feats, _ = small_problem
+        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        A0, W0 = data.initial_state(TrainConfig(lam=0.1, rank=2, step=0.1, max_iters=5, seed=4))
+        assert data.initial_state(TrainConfig(lam=0.5, rank=2, step=0.01, max_iters=9, seed=4))[0] is A0
+        for array in (A0, W0):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
 
 
 class TestHsRankModel:
