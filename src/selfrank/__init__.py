@@ -45,7 +45,7 @@ from .evaluation import (
     grid_search,
     synthetic_comparison,
 )
-from .kernels import KernelSpec, check_gram, cross_vector, gram, kernel_eval
+from .kernels import KernelSpec, check_gram, cross_gram, cross_vector, gram, kernel_eval
 from .learners import (
     FactorPair,
     HsModel,

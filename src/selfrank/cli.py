@@ -287,6 +287,21 @@ def _data_fields(tasks, data) -> dict:
     }
 
 
+def _number_array(values, size: int) -> np.ndarray | None:
+    """A checkpoint list of `size` finite JSON numbers as floats; None for anything else.
+
+    JSON null, true/false and strings are not numbers, and NaN or an
+    overflowing integer is not finite.
+    """
+    if not isinstance(values, list) or len(values) != size or not set(map(type, values)) <= {int, float}:
+        return None
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:
+        return None
+    return array if np.isfinite(array).all() else None
+
+
 def _checkpoint_problem(cfg: dict, command: str):
     """The configured problem and the model its checkpoint holds, built from arrays alone."""
     if cfg["checkpoint"] is None:
@@ -316,9 +331,10 @@ def _checkpoint_problem(cfg: dict, command: str):
         beta = ck.get("beta")
         if beta is None:
             raise ConfigError("HS checkpoint has no field 'beta' (an older format); retrain it")
-        if not isinstance(beta, list) or len(beta) != data.n_rows:
-            raise ConfigError(f"HS checkpoint field 'beta' must hold sum(task_sizes) = {data.n_rows} values")
-        model = HsRankModel(data=data, beta=np.asarray(beta, dtype=float))
+        beta = _number_array(beta, data.n_rows)
+        if beta is None:
+            raise ConfigError(f"HS checkpoint field 'beta' must hold sum(task_sizes) = {data.n_rows} finite numbers")
+        model = HsRankModel(data=data, beta=beta)
     else:
         for field, least in (("rank", 1), ("iters_run", 0)):
             value = ck.get(field)
@@ -327,10 +343,12 @@ def _checkpoint_problem(cfg: dict, command: str):
         r = ck["rank"]
         factors = {}
         for field, rows in (("A", len(data.users)), ("W", data.n_tasks)):
-            values = ck.get(field)
-            if not isinstance(values, list) or len(values) != rows * r:
-                raise ConfigError(f"low-rank checkpoint field {field!r} must hold {rows} x rank = {rows * r} values")
-            factors[field] = np.asarray(values, dtype=float).reshape(rows, r)
+            values = _number_array(ck.get(field), rows * r)
+            if values is None:
+                raise ConfigError(
+                    f"low-rank checkpoint field {field!r} must hold {rows} x rank = {rows * r} finite numbers"
+                )
+            factors[field] = values.reshape(rows, r)
         model = LowRankRankModel(data=data, **factors, iters_run=ck["iters_run"], objective_trace=[])
     return split, items, tasks, features, model
 

@@ -1,10 +1,17 @@
 """Kernels on inputs and outputs, Gram matrices and cross-kernel vectors.
 
-All vector kernels share one row-evaluation path so that ``kernel_eval``,
-``cross_vector`` and ``gram`` agree bit-for-bit: a Gram entry is the same
+``kernel_eval``, ``cross_vector`` and ``gram`` are the bitwise oracle: all
+vector kernels share one row-evaluation path, so a Gram entry is the same
 floating-point computation as the corresponding single evaluation. ``gram``
 evaluates only the upper triangle and mirrors it; the elementwise products
 commute, so every Gram matrix is exactly symmetric by construction.
+
+The ranking pipeline builds its user Gram and its query kernel vectors with
+``cross_gram`` instead: one BLAS product for all pairs. Its sums run in
+another order, so it agrees with the oracle to 1e-12 x max(1, max |k|) per
+entry, not bit for bit. For gaussian and abel the squared distance
+||p||^2 + ||x||^2 - 2 <p, x> cancels between near points, so pairs closer
+than a quarter of sqrt(||p||^2 + ||x||^2) take the oracle's direct sum.
 """
 
 from __future__ import annotations
@@ -146,6 +153,45 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
         out[i, i:] = _rows(spec, pts[i:], pts[i])
         out[i:, i] = out[i, i:]
     return out
+
+
+def cross_gram(P, X, spec: KernelSpec) -> np.ndarray:
+    """K[i, j] = k(p_i, x_j) for every pair, from one BLAS product P X^T.
+
+    Linear kernels return P X^T; gaussian and abel take the squared distance
+    ||p||^2 + ||x||^2 - 2 P X^T, recomputed directly for near pairs. Delta
+    compares canonical encodings as gram and cross_vector do. With X the same
+    object as P the result is a Gram matrix: exactly symmetric, with unit
+    diagonal for gaussian/abel/delta.
+    """
+    if spec.kind == "delta":
+        if X is P:
+            return gram(P, spec)
+        return np.stack([cross_vector(P, x, spec) for x in X], axis=1)
+    square = X is P
+    pts = _as_points(P)
+    xs = pts if square else _as_points(X)
+    if xs.shape[1] != pts.shape[1]:
+        raise InvalidInputError(f"points have dimension {pts.shape[1]}, queries {xs.shape[1]}")
+    G = pts @ xs.T  # numpy computes pts @ pts.T with syrk, which mirrors its triangle
+    if square and not np.array_equal(G, G.T):
+        G = np.triu(G) + np.triu(G, 1).T
+    if spec.kind == "linear":
+        return G
+    sq_p = np.einsum("ij,ij->i", pts, pts)
+    sq_x = sq_p if square else np.einsum("ij,ij->i", xs, xs)
+    S = sq_p[:, None] + sq_x[None, :]  # the sum commutes: symmetric when square
+    G *= 2.0
+    d2 = np.subtract(S, G, out=G)
+    # S - 2 G carries an absolute error of a few eps (d + 2) S. Where d2 is
+    # under S / 16 that error is large against d2 (and abel's sqrt magnifies
+    # it), so those pairs take the oracle's direct sum, bit-equal to it. That
+    # also makes a Gram diagonal exactly 0 and leaves no d2 negative.
+    i, j = np.nonzero(d2 < S * 0.0625)
+    d2[i, j] = ((pts[i] - xs[j]) ** 2).sum(axis=1)
+    if spec.kind == "gaussian":
+        return np.exp(-d2 / (2.0 * spec.bandwidth**2))
+    return np.exp(-np.sqrt(d2) / spec.bandwidth)
 
 
 def check_gram(K: np.ndarray, eps: float = 1e-10) -> None:

@@ -17,9 +17,15 @@ P = S K_u A and the per-row error e_i = P_i . w_t(i) - z_i:
 and the penalty is <A, K_u A> + ||W||^2. An iteration costs O(u^2 r + n r)
 for u users and n stacked rows; the stacked n x n Gram is never built.
 
-PairTaskData keeps what its trainers share: the user Gram K_u, built on first
-use, and the projected initial state (A0, W0) per (rank, seed, init_scale),
-so step-search probes, grid cells and the fit of one rank draw it once.
+PairTaskData keeps what its trainers share:
+- the user Gram K_u, built on first use by kernels.cross_gram, one BLAS
+  product that agrees with the bitwise kernel oracle (kernels.gram) to 1e-12;
+  cross_kernel builds every query's k_U(x) the same way;
+- the projected initial state (A0, W0) per (rank, seed, init_scale), so
+  step-search probes, grid cells and the fit of one rank draw it once;
+- the end state of its last low-rank fit, so a fit whose way passes through
+  it (the fit after its accepted step-search probe, a 2000-iteration grid
+  cell after its 500-iteration sibling) continues from there.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ from scipy.sparse import csc_array
 
 from .data_io import PairTaskSet
 from .errors import DivergenceError, InvalidInputError, NumericalError
-from .kernels import KernelSpec, cross_vector, gram
+# gram and cross_vector stay ranking attributes: perfbench's tracer patches them.
+from .kernels import KernelSpec, cross_gram, cross_vector, gram  # noqa: F401
 from .learners import TrainConfig, _row_slices, _stop, halving_search, init_factors, ridge_cho_factor
 
 
@@ -41,9 +48,10 @@ from .learners import TrainConfig, _row_slices, _stop, halving_search, init_fact
 class PairTaskData:
     """Stacked view of a PairTaskSet against a fixed user feature map.
 
-    It caches what trainers share: the user Gram K_u and, per (rank, seed,
-    init_scale), the low-rank initial state (initial_state). A new instance
-    computes both anew.
+    It caches what trainers share: the user Gram K_u (kernels.cross_gram),
+    per (rank, seed, init_scale) the low-rank initial state (initial_state),
+    and the end state of the last low-rank fit with its (rank, seed,
+    init_scale, lam, step) (end_state). A new instance computes them anew.
     """
 
     users: list
@@ -55,6 +63,7 @@ class PairTaskData:
     task_sizes: np.ndarray
     z: np.ndarray  # stacked signed rating differences
     _initial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _end: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_rows(self) -> int:
@@ -67,7 +76,7 @@ class PairTaskData:
     @cached_property
     def K_u(self) -> np.ndarray:
         """User Gram under the input kernel, built on first use and kept."""
-        return gram(self.U, self.kernel)
+        return cross_gram(self.U, self.U, self.kernel)
 
     def initial_state(self, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
         """The low-rank trainer's start (A0, W0) = (S^T M, rows N_t^T z_t).
@@ -86,10 +95,27 @@ class PairTaskData:
             self._initial[key] = A, W
         return self._initial[key]
 
+    def end_state(self, cfg: TrainConfig):
+        """The end state ((A, W, K_u A, pw), trace) of the last low-rank fit, or None.
+
+        It is returned only when a fit by cfg passes through it: the same
+        (rank, seed, init_scale, lam, step), cfg.max_iters at least its
+        iteration count and no stop under cfg.tol before its last iterate.
+        The updates are deterministic, so that fit would recompute it bit for
+        bit and may continue from it instead.
+        """
+        if self._end is None:
+            return None
+        key, state, trace = self._end
+        if key != _fit_key(cfg) or len(trace) - 1 > cfg.max_iters:
+            return None
+        if any(_stop(prev, curr, cfg.tol) for prev, curr in zip(trace[:-2], trace[1:-1])):
+            return None
+        return state, trace
+
     def cross_kernel(self, queries: np.ndarray) -> np.ndarray:
         """k_U(x) for each query row x, one column per query; shape (users, queries)."""
-        queries = np.atleast_2d(np.asarray(queries, dtype=float))
-        return np.stack([cross_vector(self.U, q, self.kernel) for q in queries], axis=1)
+        return cross_gram(self.U, np.atleast_2d(np.asarray(queries, dtype=float)), self.kernel)
 
 
 def build_pair_task_data(
@@ -165,9 +191,14 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
     Both corrections are products of one sparse users x tasks matrix holding e,
     so an iteration costs one u x u x r GEMM plus O(n r) gathers, sparse
     products and segment sums.
+
+    The fit continues from PairTaskData.end_state, the last fit's end state,
+    when it lies on this fit's way (an accepted step-search probe, or a grid
+    cell's shorter sibling), and from initial_state otherwise; either way the
+    iterates, trace and iters_run are those of a fit from the initial state.
+    It leaves its own end state on data, read-only; the model holds copies.
     """
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
-    A, W = data.initial_state(cfg)
     z = data.z
     row_task = np.repeat(np.arange(T), data.task_sizes)
     # Column-compressed, so the stored values are the stacked rows in order.
@@ -194,25 +225,39 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
         pen = float(np.sum(A * KA)) + float(np.sum(W * W))
         return data_term + cfg.lam * pen
 
-    KA, pw = forward(A, W)
-    trace = [objective(A, W, KA, pw)]
-    if not np.isfinite(trace[0]):
-        raise DivergenceError(0)
-    iters = 0
+    resumed = data.end_state(cfg)
+    if resumed is None:
+        A, W = data.initial_state(cfg)
+        KA, pw = forward(A, W)
+        trace = [objective(A, W, KA, pw)]
+        if not np.isfinite(trace[0]):
+            raise DivergenceError(0)
+    else:
+        (A, W, KA, pw), trace = resumed
+        trace = list(trace)
+    iters = len(trace) - 1
+    stopped = iters > 0 and _stop(trace[-2], trace[-1], cfg.tol)
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.max_iters + 1):
+        while not stopped and iters < cfg.max_iters:
             np.subtract(pw, z, out=E.data)
             A = shrink * A - cfg.step * (E @ (W * inv_Tnt))  # W is still the old W here
             W = shrink * W - cfg.step * (inv_nt[:, None] * (E.T @ KA))
             KA, pw = forward(A, W)
             obj = objective(A, W, KA, pw)
+            iters += 1
             if not np.isfinite(obj):
-                raise DivergenceError(k)
+                raise DivergenceError(iters)
             trace.append(obj)
-            iters = k
-            if _stop(trace[-2], obj, cfg.tol):
-                break
-    return LowRankRankModel(data=data, A=A, W=W, iters_run=iters, objective_trace=trace)
+            stopped = _stop(trace[-2], obj, cfg.tol)
+    for array in (A, W, KA, pw):
+        array.flags.writeable = False
+    data._end = _fit_key(cfg), (A, W, KA, pw), tuple(trace)
+    return LowRankRankModel(data=data, A=A.copy(), W=W.copy(), iters_run=iters, objective_trace=trace)
+
+
+def _fit_key(cfg: TrainConfig) -> tuple:
+    """What fixes a low-rank fit's iterates; max_iters and tol only end them."""
+    return cfg.rank, cfg.seed, cfg.init_scale, cfg.lam, cfg.step
 
 
 def halving_step_search_rank(

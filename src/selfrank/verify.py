@@ -12,7 +12,7 @@ import numpy as np
 
 from .data_io import RatingsTable, build_pair_tasks
 from .decoding import Tournament, backward_weight, decode_finite, fas_exact, fas_greedy
-from .kernels import KernelSpec
+from .kernels import KernelSpec, cross_gram, cross_vector, gram
 from .learners import (
     TrainConfig,
     _row_slices,
@@ -286,6 +286,23 @@ def check_pairtask_hs(rng, queries=5, lam=0.2) -> dict:
     return _check("pairtask_hs_equivalence", np.linalg.norm(got - expected) / np.linalg.norm(expected), 1e-8)
 
 
+def check_cross_gram(rng, dims=(1, 8, 30, 129)) -> dict:
+    """cross_gram must match the bitwise oracle, gram and cross_vector, to
+    1e-12 x max(1, max |k|) per entry, and its Gram case must be exactly symmetric."""
+    worst = 0.0
+    for d in dims:
+        P = rng.standard_normal((40, d))
+        X = rng.standard_normal((15, d))
+        for spec in (KernelSpec("linear"), KernelSpec("gaussian", np.sqrt(d)), KernelSpec("abel", np.sqrt(d))):
+            K = cross_gram(P, P, spec)
+            if not np.array_equal(K, K.T):
+                worst = np.inf
+            oracle_cross = np.stack([cross_vector(P, x, spec) for x in X], axis=1)
+            for got, oracle in ((K, gram(P, spec)), (cross_gram(P, X, spec), oracle_cross)):
+                worst = max(worst, float(np.max(np.abs(got - oracle))) / max(1.0, float(np.max(np.abs(oracle)))))
+    return _check("cross_gram_equivalence", worst, 1e-12)
+
+
 def check_trace_norm_domination(rng, problems=10) -> dict:
     """Half the penalty always dominates the nuclear norm of the induced G."""
     worst = -np.inf
@@ -317,4 +334,5 @@ def run_verification(seed: int = 0) -> dict:
     checks.append(check_trace_norm_domination(rng))
     checks.append(check_pairtask_reduced_state(rng))
     checks.append(check_pairtask_hs(rng))
+    checks.append(check_cross_gram(rng))
     return {"checks": checks, "passed": all(c["pass"] for c in checks)}

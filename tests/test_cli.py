@@ -7,7 +7,10 @@ from selfrank.cli import _load_ranking_problem, load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
 from selfrank.evaluation import evaluate_ranking
-from selfrank.ranking import build_pair_task_data, fit_rank_hs
+from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
+
+# JSON values a checkpoint's number arrays must reject: a string, null, NaN and a bool
+BAD_NUMBERS = ("x", None, float("nan"), True)
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +194,7 @@ class TestCommands:
         ck = json.load(open(f"{out}/checkpoint.json"))
         cases = [("A", dict(ck, A=ck["A"][:-1])), ("W", dict(ck, W=ck["W"] + [0.0]))]
         cases += [(key, {k: v for k, v in ck.items() if k != key}) for key in ("rank", "iters_run", "learner")]
+        cases += [(key, dict(ck, **{key: [bad] + ck[key][1:]})) for key in ("A", "W") for bad in BAD_NUMBERS]
         for field, edited in cases:
             path = tmp_path / f"{field}.json"
             path.write_text(json.dumps(edited))
@@ -248,6 +252,7 @@ class TestCommands:
             ("missing", missing, "no field 'beta'"),
             ("short", dict(ck, beta=ck["beta"][:-1]), "field 'beta' must hold"),
             ("long", dict(ck, beta=ck["beta"] + [0.0]), "field 'beta' must hold"),
+            *((f"entry {bad!r}", dict(ck, beta=[bad] + ck["beta"][1:]), "field 'beta' must hold") for bad in BAD_NUMBERS),
         ):
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(edited))
@@ -268,10 +273,10 @@ class TestCommands:
             warnings.simplefilter("ignore")
             assert run("train", overrides=overrides, out=out, seed=3) == 0
 
-            def no_gram(*args, **kwargs):
+            def no_gram(data):
                 raise AssertionError("the user Gram was built")
 
-            monkeypatch.setattr("selfrank.ranking.gram", no_gram)
+            monkeypatch.setattr(PairTaskData, "K_u", property(no_gram))
             for command in ("eval", "decode"):
                 rc = run(command, overrides=overrides + [f"checkpoint={out}/checkpoint.json"],
                          out=out, seed=3)
@@ -337,6 +342,7 @@ class TestCommands:
         assert "loss_trick_factor_equivalence" in names
         assert "pairtask_reduced_state_equivalence" in names
         assert "pairtask_hs_equivalence" in names
+        assert "cross_gram_equivalence" in names
         assert all(c["pass"] for c in report["checks"])
 
     def test_determinism_byte_identical(self, tmp_path, ratings_file):

@@ -8,6 +8,7 @@ from selfrank.errors import DivergenceError, InvalidInputError
 from selfrank.kernels import KernelSpec
 from selfrank.learners import TrainConfig, fit_lowrank_mtl, init_factors, mtl_weights
 from selfrank.ranking import (
+    PairTaskData,
     build_pair_task_data,
     fit_rank_hs,
     fit_rank_lowrank,
@@ -138,6 +139,104 @@ class TestSharedInitialState:
         for array in (A0, W0):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
+
+
+def assert_same_fit(model, reference):
+    assert model.A.tobytes() == reference.A.tobytes()
+    assert model.W.tobytes() == reference.W.tobytes()
+    assert model.objective_trace == reference.objective_trace
+    assert model.iters_run == reference.iters_run
+
+
+class TestResumedFit:
+    """A fit continues from the last fit's end state only where a fresh fit passes through it."""
+
+    @pytest.fixture
+    def fresh(self, small_problem, monkeypatch):
+        """A new PairTaskData per call; `starts` counts the fits that begin at the initial state."""
+        tasks, feats, _ = small_problem
+        starts = []
+        initial_state = PairTaskData.initial_state
+
+        def counted(data, cfg):
+            starts.append(cfg.max_iters)
+            return initial_state(data, cfg)
+
+        monkeypatch.setattr(PairTaskData, "initial_state", counted)
+        return (lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))), starts
+
+    def reference(self, fresh, cfg):
+        return fit_rank_lowrank(fresh[0](), cfg)
+
+    def test_fit_after_accepted_probe(self, fresh):
+        new_data, starts = fresh
+        data = new_data()
+        base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1)
+        step = halving_step_search_rank(data, base, start=100.0)
+        cfg = replace(base, step=step)
+        probes = len(starts)
+        model = fit_rank_lowrank(data, cfg)
+        assert len(starts) == probes  # continued from the accepted probe
+        assert_same_fit(model, self.reference(fresh, cfg))
+
+    def test_longer_grid_cell_after_shorter(self, fresh):
+        new_data, starts = fresh
+        data = new_data()
+        cfg = TrainConfig(lam=0.01, rank=2, step=0.02, max_iters=500, seed=3, tol=0.0)
+        short = fit_rank_lowrank(data, cfg)
+        long = fit_rank_lowrank(data, replace(cfg, max_iters=2000))
+        assert starts == [500]
+        assert_same_fit(short, self.reference(fresh, cfg))
+        assert_same_fit(long, self.reference(fresh, replace(cfg, max_iters=2000)))
+
+    def test_tol_stop_at_the_cached_end(self, fresh):
+        new_data, starts = fresh
+        data = new_data()
+        cfg = TrainConfig(lam=0.1, rank=2, step=0.02, max_iters=5000, seed=3, tol=1e-6)
+        stopped = fit_rank_lowrank(data, cfg)
+        assert stopped.iters_run < 5000
+        again = fit_rank_lowrank(data, replace(cfg, max_iters=6000))
+        assert starts == [5000]
+        assert_same_fit(again, stopped)
+
+    def test_fallbacks_start_from_the_initial_state(self, fresh):
+        new_data, starts = fresh
+        data = new_data()
+        cfg = TrainConfig(lam=0.1, rank=2, step=0.02, max_iters=30, seed=3, tol=0.0)
+        fit_rank_lowrank(data, cfg)
+        cases = [
+            replace(cfg, tol=0.05),  # stops inside the cached 30 iterations
+            replace(cfg, max_iters=20),  # ends inside them
+            replace(cfg, lam=0.2),  # another key
+        ]
+        for other in cases:
+            fit_rank_lowrank(data, cfg)
+            before = len(starts)
+            assert_same_fit(fit_rank_lowrank(data, other), self.reference(fresh, other))
+            assert len(starts) == before + 2  # this fit and the reference both began afresh
+        assert fit_rank_lowrank(data, cases[0]).iters_run < 30
+
+    def test_diverged_probe_leaves_no_end_state(self, fresh):
+        new_data, starts = fresh
+        data = new_data()
+        diverging = TrainConfig(lam=0.3, rank=2, step=1e3, max_iters=10, seed=9, tol=0.0)
+        with pytest.raises(DivergenceError) as first:
+            fit_rank_lowrank(data, diverging)
+        with pytest.raises(DivergenceError) as again:
+            fit_rank_lowrank(data, replace(diverging, max_iters=200))
+        assert again.value.args == first.value.args
+        assert starts == [10, 200]
+
+    def test_mutating_a_model_leaves_later_fits(self, fresh):
+        new_data, _ = fresh
+        data = new_data()
+        cfg = TrainConfig(lam=0.1, rank=2, step=0.02, max_iters=10, seed=3, tol=0.0)
+        model = fit_rank_lowrank(data, cfg)
+        model.A[:] = 0.0
+        model.W *= 2.0
+        model.objective_trace.append(0.0)
+        for later in (cfg, replace(cfg, max_iters=25)):
+            assert_same_fit(fit_rank_lowrank(data, later), self.reference(fresh, later))
 
 
 class TestHsRankModel:
