@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .losses import SelfLoss, loss_eval
+from .losses import SelfLoss, loss_eval, triangle
 
 FAS_EXACT_MAX_SIZE = 10
 
@@ -58,7 +58,7 @@ class Tournament:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidInputError(f"tournament weights must be square, got {w.shape}")
-        upper = np.triu(w, k=1)
+        upper = np.where(triangle(w.shape[0])[0].T, w, 0.0)  # np.triu(w, k=1)
         self.weights = upper - upper.T
         self.size = w.shape[0]
 
@@ -118,7 +118,7 @@ def fas_greedy(t: Tournament) -> Ordering:
     w = t.weights
     n = t.size
     rows = w.tolist()
-    lower = np.tri(n, k=-1, dtype=bool)
+    lower = triangle(n)[0]
     # gains[p] = [up[p] | down[p]]: up[p, k] is the gain of moving docs[p] up
     # to q = n-1-k, down[p, q] of moving it down to q. Row-major order is the
     # scan order.

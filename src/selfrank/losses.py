@@ -8,6 +8,7 @@ matrices of outputs, never the embedding itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Any, Callable
 
 import numpy as np
@@ -120,6 +121,21 @@ class RatingVector:
         return self.values.shape[0]
 
 
+@lru_cache(maxsize=128)
+def triangle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The strict triangles of an n x n matrix, built once per size, read-only.
+
+    Returns the strictly lower mask np.tri(n, k=-1, dtype=bool), whose
+    transpose is the strictly upper one, and the strictly upper indices
+    np.triu_indices(n, k=1) in their row-major order.
+    """
+    lower = np.tri(n, k=-1, dtype=bool)
+    ii, jj = np.triu_indices(n, k=1)
+    for array in (lower, ii, jj):
+        array.flags.writeable = False
+    return lower, ii, jj
+
+
 def pairwise_rank_loss(rank_scores, ratings: RatingVector) -> tuple[float, float]:
     """Weighted pairwise disagreement between scores and ratings.
 
@@ -139,7 +155,7 @@ def pairwise_rank_loss(rank_scores, ratings: RatingVector) -> tuple[float, float
         return 0.0, 0.0
     r = ratings.values[idx]
     s = scores[idx]
-    ii, jj = np.triu_indices(idx.size, k=1)
+    _, ii, jj = triangle(idx.size)
     dr = r[ii] - r[jj]
     ds = s[ii] - s[jj]
     w = np.abs(dr)

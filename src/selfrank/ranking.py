@@ -15,14 +15,18 @@ P = S K_u A and the per-row error e_i = P_i . w_t(i) - z_i:
     w_t <- (1 - lam nu) w_t - (nu / n_t) sum_{i in t} e_i P_i
 
 and the penalty is <A, K_u A> + ||W||^2. An iteration costs O(u^2 r + n r)
-for u users and n stacked rows; the stacked n x n Gram is never built.
+for u users and n stacked rows; the stacked n x n Gram is never built. It
+streams K_u once (the GEMM K_u A) and does its n x r row gathers in blocks of
+PAIR_BLOCK_ROWS stacked rows that stay in cache, bit-equal to whole-array
+gathers.
 
 PairTaskData keeps what its trainers share:
 - the user Gram K_u, built on first use by kernels.cross_gram, one BLAS
   product that agrees with the bitwise kernel oracle (kernels.gram) to 1e-12;
   cross_kernel builds every query's k_U(x) the same way;
-- the projected initial state (A0, W0) per (rank, seed, init_scale), so
-  step-search probes, grid cells and the fit of one rank draw it once;
+- the projected initial state (A0, W0) and its first pass (K_u A0, pw0) per
+  (rank, seed, init_scale), so step-search probes, grid cells and the fit of
+  one rank draw and pass it once;
 - the end state of its last low-rank fit, so a fit whose way passes through
   it (the fit after its accepted step-search probe, a 2000-iteration grid
   cell after its 500-iteration sibling) continues from there.
@@ -43,15 +47,22 @@ from .errors import DivergenceError, InvalidInputError, NumericalError
 from .kernels import KernelSpec, cross_gram, cross_vector, gram  # noqa: F401
 from .learners import TrainConfig, _row_slices, _stop, halving_search, init_factors, ridge_cho_factor
 
+# Stacked rows per block of the pair-score pass (PairTaskData.forward): at rank
+# 10 its two gathered blocks take 2 x 4096 x 10 floats (655 KB), well inside a
+# core's L2 cache, where whole-array gathers of 64,213 rows did not fit.
+PAIR_BLOCK_ROWS = 4096
+
 
 @dataclass
 class PairTaskData:
     """Stacked view of a PairTaskSet against a fixed user feature map.
 
-    It caches what trainers share: the user Gram K_u (kernels.cross_gram),
-    per (rank, seed, init_scale) the low-rank initial state (initial_state),
-    and the end state of the last low-rank fit with its (rank, seed,
-    init_scale, lam, step) (end_state). A new instance computes them anew.
+    It caches what trainers share, each built on a trainer's first use: the
+    user Gram K_u (kernels.cross_gram), the task of each stacked row
+    (row_task), per (rank, seed, init_scale) the low-rank initial state and
+    its first pass (initial_state), and the end state of the last low-rank
+    fit with its (rank, seed, init_scale, lam, step) (end_state). A new
+    instance computes them anew.
     """
 
     users: list
@@ -78,12 +89,35 @@ class PairTaskData:
         """User Gram under the input kernel, built on first use and kept."""
         return cross_gram(self.U, self.U, self.kernel)
 
-    def initial_state(self, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-        """The low-rank trainer's start (A0, W0) = (S^T M, rows N_t^T z_t).
+    @cached_property
+    def row_task(self) -> np.ndarray:
+        """Task index per stacked row, built on first use and kept."""
+        return np.repeat(np.arange(self.n_tasks), self.task_sizes)
 
-        M and N are init_factors' draw for the stacked rows. They depend on
-        (rank, seed, init_scale) alone, so each such key is drawn and projected
-        once and kept, read-only, for the step-search probes and the fit.
+    def forward(self, A: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """K_u A, and the pair scores pw_i = (K_u A)[u_i] . W[t_i] per stacked row.
+
+        The scores are gathered and dotted PAIR_BLOCK_ROWS stacked rows at a
+        time, so the two gathered blocks stay in cache; each row is still one
+        einsum over the same r products, bit-equal to one pass over all rows.
+        """
+        KA = self.K_u @ A
+        pw = np.empty(self.n_rows)
+        for lo in range(0, self.n_rows, PAIR_BLOCK_ROWS):
+            rows = slice(lo, lo + PAIR_BLOCK_ROWS)
+            # np.take gathers faster than fancy indexing, and than take(out=...)
+            P = np.take(KA, self.row_user[rows], axis=0)
+            np.einsum("ij,ij->i", P, np.take(W, self.row_task[rows], axis=0), out=pw[rows])
+        return KA, pw
+
+    def initial_state(self, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
+        """The low-rank trainer's start (A0, W0, K_u A0, pw0).
+
+        (A0, W0) = (S^T M, rows N_t^T z_t), M and N init_factors' draw for the
+        stacked rows, and (K_u A0, pw0) = forward(A0, W0). They depend on
+        (rank, seed, init_scale) alone, so each such key is drawn, projected
+        and passed forward once and kept, read-only, for the step-search probes
+        and the fit.
         """
         key = (cfg.rank, cfg.seed, cfg.init_scale)
         if key not in self._initial:
@@ -91,8 +125,12 @@ class PairTaskData:
             M, N = init_factors(n, cfg)
             S_T = csc_array((np.ones(n), self.row_user, np.arange(n + 1)), shape=(len(self.users), n))
             A, W = S_T @ M, _segment_sum(self.z[:, None] * N, self.starts)
-            A.flags.writeable = W.flags.writeable = False
-            self._initial[key] = A, W
+            # Free the n x r draw before forward builds K_u: both at once raise peak memory.
+            del M, N
+            state = (A, W, *self.forward(A, W))
+            for array in state:
+                array.flags.writeable = False
+            self._initial[key] = state
         return self._initial[key]
 
     def end_state(self, cfg: TrainConfig):
@@ -189,8 +227,9 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
         w_t <- (1 - lam nu) w_t - (nu / n_t) sum_{i in t} e_i P_i
 
     Both corrections are products of one sparse users x tasks matrix holding e,
-    so an iteration costs one u x u x r GEMM plus O(n r) gathers, sparse
-    products and segment sums.
+    so an iteration costs O(u^2 r + n r): one GEMM K_u A that streams K_u
+    once, the n x r row gathers of PairTaskData.forward in cache-sized blocks
+    of PAIR_BLOCK_ROWS stacked rows, sparse products and segment sums.
 
     The fit continues from PairTaskData.end_state, the last fit's end state,
     when it lies on this fit's way (an accepted step-search probe, or a grid
@@ -200,19 +239,14 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
     """
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
     z = data.z
-    row_task = np.repeat(np.arange(T), data.task_sizes)
-    # Column-compressed, so the stored values are the stacked rows in order.
+    # Column-compressed, so the stored values are the stacked rows in order;
+    # E.T shares them, so one transpose serves the whole fit.
     E = csc_array((np.empty(n), data.row_user, np.append(data.starts, n)), shape=(u, T))
+    E_T = E.T
     inv_nt = 1.0 / data.task_sizes.astype(float)
     inv_Tnt = (inv_nt / T)[:, None]
     z2_per_task = _segment_sum(z * z, data.starts)
     shrink = 1.0 - cfg.lam * cfg.step
-
-    def forward(A, W):
-        """K_u A, and pw_i = P_i . w_t(i) from row gathers."""
-        KA = data.K_u @ A
-        P = np.take(KA, data.row_user, axis=0)  # np.take gathers faster than fancy indexing
-        return KA, np.einsum("ij,ij->i", P, np.take(W, row_task, axis=0))
 
     def objective(A, W, KA, pw):
         # residual_t = ||z_t||^2 - 2 z_t.(P_t w_t) + ||P_t w_t||^2, all segment sums
@@ -227,8 +261,7 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
 
     resumed = data.end_state(cfg)
     if resumed is None:
-        A, W = data.initial_state(cfg)
-        KA, pw = forward(A, W)
+        A, W, KA, pw = data.initial_state(cfg)
         trace = [objective(A, W, KA, pw)]
         if not np.isfinite(trace[0]):
             raise DivergenceError(0)
@@ -241,8 +274,8 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
         while not stopped and iters < cfg.max_iters:
             np.subtract(pw, z, out=E.data)
             A = shrink * A - cfg.step * (E @ (W * inv_Tnt))  # W is still the old W here
-            W = shrink * W - cfg.step * (inv_nt[:, None] * (E.T @ KA))
-            KA, pw = forward(A, W)
+            W = shrink * W - cfg.step * (inv_nt[:, None] * (E_T @ KA))
+            KA, pw = data.forward(A, W)
             obj = objective(A, W, KA, pw)
             iters += 1
             if not np.isfinite(obj):

@@ -264,6 +264,13 @@ class TestTournamentType:
         t = Tournament(rng.standard_normal((6, 6)))
         assert np.array_equal(t.weights, -t.weights.T)
 
+    def test_weights_match_per_call_triu(self):
+        rng = np.random.default_rng(8)
+        for n in range(62):
+            w = np.round(rng.standard_normal((n, n)), 1)
+            upper = np.triu(w, k=1)
+            assert Tournament(w).weights.tobytes() == (upper - upper.T).tobytes()
+
     def test_positions_must_be_permutation(self):
         with pytest.raises(InvalidInputError):
             Ordering(np.array([0, 0, 1]))

@@ -12,6 +12,7 @@ from selfrank.losses import (
     pair_sign,
     pairwise_rank_loss,
     squared,
+    triangle,
     zero_one,
 )
 
@@ -115,6 +116,47 @@ class TestPairwiseRankLoss:
             rv = RatingVector(rng.integers(1, 6, size=n).astype(float), rng.random(n) < 0.8)
             scores = rng.standard_normal(n)
             assert pairwise_rank_loss(scores, rv) == pairwise_rank_loss(transform(scores), rv)
+
+
+def pairwise_rank_loss_reference(rank_scores, ratings):
+    """pairwise_rank_loss as it was before the cached triangle: np.triu_indices per call."""
+    scores = np.asarray(rank_scores, dtype=float)
+    idx = np.flatnonzero(ratings.present)
+    if idx.size < 2:
+        return 0.0, 0.0
+    r = ratings.values[idx]
+    s = scores[idx]
+    ii, jj = np.triu_indices(idx.size, k=1)
+    dr = r[ii] - r[jj]
+    ds = s[ii] - s[jj]
+    w = np.abs(dr)
+    contra = np.sign(dr) * np.sign(ds) < 0
+    tie = (ds == 0) & (dr != 0)
+    raw = float(np.sum(w * contra) + 0.5 * np.sum(w * tie))
+    denom = float(np.sum(w))
+    return raw, raw / denom if denom > 0 else 0.0
+
+
+def test_pairwise_rank_loss_matches_per_call_triangle_reference():
+    rng = np.random.default_rng(11)
+    for m in range(62):
+        for _ in range(4):
+            rv = RatingVector(rng.integers(1, 6, size=m).astype(float), rng.random(m) < 0.8)
+            scores = np.round(rng.standard_normal(m), 1)  # score ties too
+            got = pairwise_rank_loss(scores, rv)
+            expected = pairwise_rank_loss_reference(scores, rv)
+            assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+
+def test_triangle_is_cached_and_read_only():
+    lower, ii, jj = triangle(7)
+    assert triangle(7)[0] is lower
+    assert np.array_equal(lower, np.tri(7, k=-1, dtype=bool))
+    for got, expected in zip((ii, jj), np.triu_indices(7, k=1)):
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    for array in (lower, ii, jj):
+        with pytest.raises(ValueError):
+            array[0] = 1
 
 
 @settings(max_examples=60, deadline=None)

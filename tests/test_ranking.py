@@ -2,11 +2,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
+from selfrank import ranking
 from selfrank.data_io import RatingsTable, build_pair_tasks
 from selfrank.errors import DivergenceError, InvalidInputError
 from selfrank.kernels import KernelSpec
-from selfrank.learners import TrainConfig, fit_lowrank_mtl, init_factors, mtl_weights
+from selfrank.learners import TrainConfig, _stop, fit_lowrank_mtl, init_factors, mtl_weights
 from selfrank.ranking import (
     PairTaskData,
     build_pair_task_data,
@@ -134,11 +136,95 @@ class TestSharedInitialState:
     def test_cached_state_is_read_only(self, small_problem):
         tasks, feats, _ = small_problem
         data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
-        A0, W0 = data.initial_state(TrainConfig(lam=0.1, rank=2, step=0.1, max_iters=5, seed=4))
-        assert data.initial_state(TrainConfig(lam=0.5, rank=2, step=0.01, max_iters=9, seed=4))[0] is A0
-        for array in (A0, W0):
+        A0, W0, KA0, pw0 = data.initial_state(TrainConfig(lam=0.1, rank=2, step=0.1, max_iters=5, seed=4))
+        again = data.initial_state(TrainConfig(lam=0.5, rank=2, step=0.01, max_iters=9, seed=4))
+        assert all(a is b for a, b in zip(again, (A0, W0, KA0, pw0)))
+        for array in (A0, W0, KA0, pw0):
             with pytest.raises(ValueError):
-                array[0, 0] = 1.0
+                array[0] = 1.0
+
+    def test_initial_pass_once_per_draw(self, small_problem, monkeypatch):
+        """K_u A0 is computed once per (rank, seed, init_scale) over searches, fits and grid cells."""
+        tasks, feats, _ = small_problem
+        new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        data = new_data()
+        passed = []
+        forward = PairTaskData.forward
+
+        def counted(self, A, W):
+            passed.append(A)
+            return forward(self, A, W)
+
+        monkeypatch.setattr(PairTaskData, "forward", counted)
+        base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1, tol=0.0)
+        keys = (base, replace(base, rank=2), replace(base, seed=2))
+        cells = []
+        for key in keys:
+            step = halving_step_search_rank(data, key, start=100.0)
+            for lam in (0.1, 0.01):  # the second cell starts from the kept initial pass
+                cfg = replace(key, lam=lam, step=step)
+                cells.append((cfg, fit_rank_lowrank(data, cfg)))
+        initial = [data.initial_state(key)[0] for key in keys]
+        assert [sum(A is A0 for A in passed) for A0 in initial] == [1, 1, 1]
+        for cfg, model in cells:
+            assert_same_fit(model, fit_rank_lowrank(new_data(), cfg))
+
+
+def unblocked_fit(data, cfg):
+    """The low-rank fit from its initial state with one whole-array pair-score pass
+    per iteration and a transpose per iteration, as the trainer ran before row blocks."""
+    n, T, u = data.n_rows, data.n_tasks, len(data.users)
+    z = data.z
+    row_task = np.repeat(np.arange(T), data.task_sizes)
+    E = csc_array((np.empty(n), data.row_user, np.append(data.starts, n)), shape=(u, T))
+    inv_nt = 1.0 / data.task_sizes.astype(float)
+    inv_Tnt = (inv_nt / T)[:, None]
+    seg = lambda values: np.add.reduceat(values, data.starts, axis=0)
+    z2_per_task = seg(z * z)
+    shrink = 1.0 - cfg.lam * cfg.step
+
+    def forward(A, W):
+        KA = data.K_u @ A
+        P = np.take(KA, data.row_user, axis=0)
+        return KA, np.einsum("ij,ij->i", P, np.take(W, row_task, axis=0))
+
+    def objective(A, W, KA, pw):
+        res = z2_per_task - 2.0 * seg(z * pw) + seg(pw * pw)
+        data_term = float(np.sum(np.maximum(res, 0.0) * inv_nt) / T)
+        return data_term + cfg.lam * (float(np.sum(A * KA)) + float(np.sum(W * W)))
+
+    A, W = data.initial_state(cfg)[:2]
+    KA, pw = forward(A, W)
+    trace = [objective(A, W, KA, pw)]
+    iters, stopped = 0, False
+    while not stopped and iters < cfg.max_iters:
+        np.subtract(pw, z, out=E.data)
+        A = shrink * A - cfg.step * (E @ (W * inv_Tnt))
+        W = shrink * W - cfg.step * (inv_nt[:, None] * (E.T @ KA))
+        KA, pw = forward(A, W)
+        trace.append(objective(A, W, KA, pw))
+        iters += 1
+        stopped = _stop(trace[-2], trace[-1], cfg.tol)
+    return A, W, trace, iters
+
+
+class TestBlockedPass:
+    """Pair scores in row blocks equal one whole-array pass bit for bit."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 10, 20])
+    @pytest.mark.parametrize("rows_over_block", ["below", "exact", "one_more", "many"])
+    def test_matches_unblocked_fit(self, small_problem, monkeypatch, rank, rows_over_block):
+        tasks, feats, data = small_problem
+        n = data.n_rows
+        block = {"below": n + 3, "exact": n, "one_more": n - 1, "many": 7}[rows_over_block]
+        monkeypatch.setattr(ranking, "PAIR_BLOCK_ROWS", block)
+        cfg = TrainConfig(lam=0.05, rank=rank, step=0.05, max_iters=300, seed=5, tol=1e-5)
+        model = fit_rank_lowrank(build_pair_task_data(tasks, feats, KernelSpec("linear")), cfg)
+        A, W, trace, iters = unblocked_fit(build_pair_task_data(tasks, feats, KernelSpec("linear")), cfg)
+        assert model.A.tobytes() == A.tobytes()
+        assert model.W.tobytes() == W.tobytes()
+        assert model.objective_trace == trace
+        assert model.iters_run == iters
 
 
 def assert_same_fit(model, reference):
