@@ -281,7 +281,7 @@ def _data_fields(tasks, data) -> dict:
     """The data a checkpoint is bound to, in the checkpoint's JSON form."""
     return {
         "items": tasks.items,
-        "pairs": [list(t.pair) for t in tasks.tasks],
+        "pairs": [[tasks.items[a], tasks.items[b]] for a, b in zip(tasks.a.tolist(), tasks.b.tolist())],
         "users": data.users,
         "task_sizes": data.task_sizes.tolist(),
     }

@@ -8,6 +8,13 @@ features all work on those arrays; `table.ratings` is a read-only mapping
 built from them on demand. parse_movielens reads and checks a file as whole
 columns and rescans it line by line only to name the first bad line of a
 file it rejects.
+
+A PairTaskSet holds the co-rated item pairs of an item subset as columns
+too: per task the document pair (a, b) and its row count, and per stacked
+row a user code (a position in the table's sorted users) and the rating
+difference z, with rows sorted by task, then by user. build_pair_tasks
+reads them off one pairs x users co-rating mask; `tasks` is a read-only
+PairTask view built from the columns on demand.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import bisect
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -61,7 +68,7 @@ class RatingsTable:
         return table
 
     def _rows(self, keep: np.ndarray) -> RatingsTable:
-        """The rows where `keep` holds, over the same users and items."""
+        """The rows keep selects, by mask or increasing row number, over the same users and items."""
         return RatingsTable._from_columns(
             list(self.users), list(self.items), self.user[keep], self.item[keep], self.value[keep],
             self.user_features,
@@ -138,15 +145,18 @@ def parse_movielens(path) -> RatingsTable:
     if data.size and data[-1] != ord("\n"):
         ends = np.append(ends, data.size)  # a last line without a newline
     starts = np.append(0, ends[:-1] + 1)
-    tabs = np.flatnonzero(data == ord("\t"))
-    first_tab = np.searchsorted(tabs, starts)
     filled = ends > starts
-    if np.any(filled & (np.searchsorted(tabs, ends) - first_tab != 3)):
+    starts, ends = starts[filled], ends[filled]
+    tabs = np.flatnonzero(data == ord("\t"))
+    if tabs.size != 3 * starts.size:
         raise _first_bad_line(text)
-    rows = np.flatnonzero(filled)
-    t = tabs[first_tab[rows, None] + np.arange(3)]  # the three tabs of each rating line
+    # With three tabs per rating line in all, every line holds three exactly
+    # when the k-th three tabs lie in the k-th line for every k (pigeonhole).
+    t = tabs.reshape(-1, 3)
+    if np.any(t[:, 0] < starts) or np.any(t[:, 2] >= ends):
+        raise _first_bad_line(text)
     try:
-        user = _column(data, starts[rows], t[:, 0], int)
+        user = _column(data, starts, t[:, 0], int)
         item = _column(data, t[:, 0] + 1, t[:, 1], int)
         value = _column(data, t[:, 1] + 1, t[:, 2], float)
     except (ValueError, OverflowError):
@@ -289,23 +299,27 @@ def split_per_user(
     if len(fractions) != 3 or any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-12:
         raise InvalidInputError(f"fractions must be three positives summing to 1, got {fractions}")
     rng = np.random.default_rng(seed)
-    counts = np.bincount(table.user, minlength=len(table.users)).tolist()
-    bucket = np.full(len(table), 2, dtype=np.int8)  # 0 train, 1 val, 2 test
-    lo = 0  # a user's rows are contiguous and in item order
-    for user, m in zip(table.users, counts):
+    counts = np.bincount(table.user, minlength=len(table.users))
+    firsts = np.cumsum(counts) - counts  # a user's rows are contiguous and in item order
+    # Each user's slice of one row index, shuffled in place: the draws of lo + rng.permutation(m).
+    order = np.arange(len(table))
+    for user, lo, m in zip(table.users, firsts.tolist(), counts.tolist()):
         if 0 < m < 3:
             warnings.warn(
                 f"user {user!r} has {m} rating(s); placing all in train", stacklevel=2
             )
-            bucket[lo:lo + m] = 0
         elif m >= 3:
-            rows = lo + rng.permutation(m)
-            n_train = int(np.floor(fractions[0] * m))
-            n_val = int(np.floor(fractions[1] * m))
-            bucket[rows[:n_train]] = 0
-            bucket[rows[n_train:n_train + n_val]] = 1
-        lo += m
-    train, val, test = (table._rows(bucket == b) for b in range(3))
+            rng.shuffle(order[lo:lo + m])
+    # The first n_train of a user's shuffled rows go to train, the next n_val to
+    # val, the rest to test; users with fewer than 3 ratings keep all in train.
+    n_train = np.where(counts < 3, counts, np.floor(fractions[0] * counts).astype(np.intp))
+    n_val = np.where(counts < 3, 0, np.floor(fractions[1] * counts).astype(np.intp))
+    rank = np.arange(len(table)) - firsts[table.user]
+    cut = n_train[table.user]
+    bucket = np.empty(len(table), dtype=np.int8)  # 0 train, 1 val, 2 test
+    bucket[order] = (rank >= cut).astype(np.int8) + (rank >= cut + n_val[table.user])
+    # Row numbers, not the scattered masks: a gather by them is several times faster.
+    train, val, test = (table._rows(np.flatnonzero(bucket == b)) for b in range(3))
     return SplitTable(train=train, val=val, test=test)
 
 
@@ -320,20 +334,54 @@ class PairTask:
     z: np.ndarray  # rating(item a) - rating(item b) per query
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PairTaskSet:
-    """All co-rated document pairs of an item subset, in canonical order."""
+    """All co-rated document pairs of an item subset, as columns.
+
+    Task t is the document pair (a[t], b[t]), positions in `items` with
+    a[t] < b[t], and owns sizes[t] consecutive stacked rows. Stacked row i is
+    the co-rating of user `users[user[i]]` (`users` is the rating table's
+    sorted user list) with z[i] = rating(item a) - rating(item b). Tasks are
+    in (a, b) order and each task's rows in user order, so the result does not
+    depend on source order. The columns are read-only; `tasks` is a
+    read-only PairTask view built from them on demand.
+    """
 
     items: list
-    tasks: list[PairTask] = field(default_factory=list)
+    users: list
+    a: np.ndarray
+    b: np.ndarray
+    sizes: np.ndarray
+    user: np.ndarray
+    z: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.a, self.b, self.sizes, self.user, self.z):
+            column.flags.writeable = False
 
     @property
     def n_docs(self) -> int:
         return len(self.items)
 
     @property
+    def n_tasks(self) -> int:
+        return len(self.sizes)
+
+    @property
     def total_samples(self) -> int:
-        return sum(len(t.z) for t in self.tasks)
+        return len(self.z)
+
+    @property
+    def tasks(self) -> tuple[PairTask, ...]:
+        """One PairTask per task, in task order, built on each access."""
+        items, users = self.items, self.users
+        query_ids = [users[k] for k in self.user.tolist()]
+        tasks, lo = [], 0
+        for a, b, size in zip(self.a.tolist(), self.b.tolist(), self.sizes.tolist()):
+            rows = slice(lo, lo + size)
+            tasks.append(PairTask(a, b, (items[a], items[b]), tuple(query_ids[rows]), self.z[rows]))
+            lo += size
+        return tuple(tasks)
 
 
 def _rating_block(table: RatingsTable, items: list) -> tuple[np.ndarray, np.ndarray]:
@@ -375,25 +423,16 @@ def build_pair_tasks(table: RatingsTable, item_subset) -> PairTaskSet:
     if len(set(items)) != len(items):
         raise InvalidInputError("item subset contains duplicates")
     R, rated = _rating_block(table, items)
-    users = table.users
-    tasks = []
-    for a in range(len(items) - 1):
-        co = rated[:, a, None] & rated[:, a + 1:]
-        # Co-rating (b, user) indices sorted by b, then by user.
-        bs, us = np.nonzero(co.T)
-        z = R[us, a] - R[us, a + 1 + bs]
-        queries = [users[k] for k in us.tolist()]
-        lo = 0
-        for b, hi in enumerate(np.cumsum(co.sum(axis=0)).tolist(), start=a + 1):
-            if hi > lo:
-                tasks.append(
-                    PairTask(
-                        a=a, b=b, pair=(items[a], items[b]),
-                        query_ids=tuple(queries[lo:hi]), z=z[lo:hi],
-                    )
-                )
-            lo = hi
-    return PairTaskSet(items=items, tasks=tasks)
+    a, b = np.triu_indices(len(items), k=1)
+    # pairs x users co-rating mask; its nonzeros come sorted by pair, then user
+    rated_T = np.ascontiguousarray(rated.T)
+    task, user = np.nonzero(rated_T[a] & rated_T[b])
+    z = R[user, a[task]] - R[user, b[task]]
+    sizes = np.bincount(task, minlength=a.size)
+    kept = sizes > 0
+    return PairTaskSet(
+        items=items, users=table.users, a=a[kept], b=b[kept], sizes=sizes[kept], user=user, z=z,
+    )
 
 
 def top_items(table: RatingsTable, m: int) -> list:
@@ -449,7 +488,8 @@ def user_feature_map(table: RatingsTable, item_subset) -> dict:
         for sub, every in zip(in_subset, overall)
     ])[:, None]
     V = np.where(rated, R, fill) - fill
-    norms = np.array([np.linalg.norm(v) for v in V])[:, None]
+    # Per row, the dot np.linalg.norm takes, from one stacked product.
+    norms = np.sqrt(np.matmul(V[:, None, :], V[:, :, None]))[:, 0]
     np.divide(V, norms, out=V, where=norms > 0)
     return dict(zip(table.users, V))
 

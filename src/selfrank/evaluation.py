@@ -129,12 +129,10 @@ def decode_queries(pair_tasks: PairTaskSet, W: np.ndarray, *, decode) -> list[Or
     (a, b); the tournament is zero on pairs without a task.
     """
     n_docs = len(pair_tasks.items)
-    a_idx = np.array([t.a for t in pair_tasks.tasks], dtype=int)
-    b_idx = np.array([t.b for t in pair_tasks.tasks], dtype=int)
     orderings = []
     for qi in range(W.shape[1]):
         weights = np.zeros((n_docs, n_docs))
-        weights[a_idx, b_idx] = W[:, qi]
+        weights[pair_tasks.a, pair_tasks.b] = W[:, qi]
         orderings.append(decode(Tournament(weights)))
     return orderings
 

@@ -159,35 +159,29 @@ class PairTaskData:
 def build_pair_task_data(
     tasks: PairTaskSet, features: dict, kernel: KernelSpec
 ) -> PairTaskData:
-    """Stack the task samples over the distinct users; the user Gram waits for a trainer."""
-    if not tasks.tasks:
+    """Stack the task samples over the distinct users; the user Gram waits for a trainer.
+
+    The distinct users are the co-raters in the table's sorted user order, so
+    row_user renumbers the task set's user codes to positions among them.
+    """
+    if not tasks.n_tasks:
         raise InvalidInputError("pair task set has no tasks")
-    users = sorted({q for t in tasks.tasks for q in t.query_ids})
+    present = np.bincount(tasks.user, minlength=len(tasks.users)) > 0
+    users = [tasks.users[k] for k in np.flatnonzero(present).tolist()]
     missing = [u for u in users if u not in features]
     if missing:
         raise InvalidInputError(f"no features for users {missing[:5]!r}")
-    index = {u: k for k, u in enumerate(users)}
     U = np.vstack([np.asarray(features[u], dtype=float) for u in users])
-    row_user = []
-    sizes = []
-    z_parts = []
-    pairs = []
-    for t in tasks.tasks:
-        pairs.append((t.a, t.b))
-        row_user.extend(index[q] for q in t.query_ids)
-        sizes.append(len(t.query_ids))
-        z_parts.append(t.z)
-    sizes = np.asarray(sizes, dtype=int)
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    starts = np.cumsum(tasks.sizes) - tasks.sizes
     return PairTaskData(
         users=users,
         U=U,
         kernel=kernel,
-        pairs=pairs,
-        row_user=np.asarray(row_user, dtype=int),
+        pairs=list(zip(tasks.a.tolist(), tasks.b.tolist())),
+        row_user=(np.cumsum(present) - 1)[tasks.user],
         starts=starts,
-        task_sizes=sizes,
-        z=np.concatenate(z_parts).astype(float),
+        task_sizes=tasks.sizes,
+        z=tasks.z,
     )
 
 

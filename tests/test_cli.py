@@ -117,6 +117,21 @@ class TestCommands:
         assert rc == 2
         assert "line 4: non-finite rating" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("blank", [False, True])
+    @pytest.mark.parametrize("fields", [(3, 5), (5, 3)])
+    def test_offsetting_field_counts_exit_2(self, tmp_path, ratings_file, capsys, fields, blank):
+        """A line one tab short and one a tab over still average three tabs a line."""
+        bad = tmp_path / "u.data"
+        lines = open(ratings_file, encoding="utf-8").read().splitlines()
+        for k, n in zip((3, 4), fields):
+            lines[k] = "\t".join((lines[k].split("\t") + ["0"])[:n])
+        if blank:
+            lines.insert(4, "")
+        bad.write_text("\n".join(lines) + "\n")
+        rc = run("train", overrides=base_overrides(str(bad)), out=str(tmp_path / "out"))
+        assert rc == 2
+        assert f"line 4: expected 4 tab-separated fields, got {fields[0]}" in capsys.readouterr().err
+
     def test_divergent_step_exits_3(self, tmp_path, ratings_file):
         rc = run(
             "train",

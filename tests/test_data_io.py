@@ -6,7 +6,6 @@ import pytest
 
 from selfrank.data_io import (
     PairTask,
-    PairTaskSet,
     RatingsTable,
     _rating_block,
     build_pair_tasks,
@@ -21,6 +20,8 @@ from selfrank.data_io import (
     write_movielens,
 )
 from selfrank.errors import DuplicateRatingError, InvalidInputError, RatingsParseError
+from selfrank.kernels import KernelSpec
+from selfrank.ranking import PairTaskData, build_pair_task_data
 
 
 class TestParseMovielens:
@@ -117,6 +118,20 @@ class TestParseMovielens:
         with pytest.raises(RatingsParseError, match=f"got {fields}$") as err:
             parse_movielens(path)
         assert err.value.line_no == 2
+
+    @pytest.mark.parametrize("text, fields", [
+        ("1\t2\t\n4\t\t5\t6\t0\n", 3),  # read across the line break, every field would convert
+        ("1\t2\t\n\n4\t\t5\t6\t0\n", 3),
+        ("4\t\t5\t6\t0\n1\t2\t\n", 5),
+        ("4\t\t5\t6\t0\n\n1\t2\t\n", 5),
+    ])
+    def test_offsetting_tab_counts_rejected(self, tmp_path, text, fields):
+        """Two bad lines can hold three tabs a line between them; the first is named."""
+        path = tmp_path / "u.data"
+        path.write_text(text)
+        with pytest.raises(RatingsParseError, match=f"expected 4 tab-separated fields, got {fields}$") as err:
+            parse_movielens(path)
+        assert err.value.line_no == 1
 
     def test_first_bad_line_wins(self, tmp_path):
         path = tmp_path / "u.data"
@@ -289,7 +304,7 @@ class TestBuildPairTasks:
 
 
 def build_pair_tasks_reference(table, item_subset):
-    """The per-pair, per-user dict-lookup loop that build_pair_tasks replaced."""
+    """The per-pair, per-user dict-lookup loop that build_pair_tasks replaced; its PairTasks."""
     items = list(item_subset)
     ratings = table.ratings
     tasks = []
@@ -308,13 +323,13 @@ def build_pair_tasks_reference(table, item_subset):
                 tasks.append(
                     PairTask(a=a, b=b, pair=(ia, ib), query_ids=tuple(queries), z=np.array(zs))
                 )
-    return PairTaskSet(items=items, tasks=tasks)
+    return tasks
 
 
-def _assert_same_tasks(got, want):
-    assert got.items == want.items
-    assert len(got.tasks) == len(want.tasks)
-    for g, w in zip(got.tasks, want.tasks):
+def _assert_same_tasks(got, items, want):
+    assert got.items == items
+    assert len(got.tasks) == len(want)
+    for g, w in zip(got.tasks, want):
         assert (g.a, g.b, g.pair) == (w.a, w.b, w.pair)
         assert [type(v) for v in (g.a, g.b, *g.pair)] == [type(v) for v in (w.a, w.b, *w.pair)]
         assert g.query_ids == w.query_ids
@@ -361,7 +376,98 @@ def _reference_cases(tmp_path):
 
 def test_build_pair_tasks_matches_loop_reference(tmp_path):
     for table, subset in _reference_cases(tmp_path):
-        _assert_same_tasks(build_pair_tasks(table, subset), build_pair_tasks_reference(table, subset))
+        _assert_same_tasks(build_pair_tasks(table, subset), list(subset), build_pair_tasks_reference(table, subset))
+
+
+def split_per_user_loop_reference(table, seed, fractions=(0.5, 0.2, 0.3)):
+    """The per-user permutation loop that split_per_user replaced: its three tables and warnings."""
+    rng = np.random.default_rng(seed)
+    counts = np.bincount(table.user, minlength=len(table.users)).tolist()
+    bucket = np.full(len(table), 2, dtype=np.int8)
+    warned = []
+    lo = 0
+    for user, m in zip(table.users, counts):
+        if 0 < m < 3:
+            warned.append(f"user {user!r} has {m} rating(s); placing all in train")
+            bucket[lo:lo + m] = 0
+        elif m >= 3:
+            rows = lo + rng.permutation(m)
+            n_train = int(np.floor(fractions[0] * m))
+            n_val = int(np.floor(fractions[1] * m))
+            bucket[rows[:n_train]] = 0
+            bucket[rows[n_train:n_train + n_val]] = 1
+        lo += m
+    return [table._rows(bucket == b) for b in range(3)], warned
+
+
+def build_pair_task_data_reference(tasks, features, kernel):
+    """The set, dict and per-row generator loop that build_pair_task_data replaced, over PairTasks."""
+    users = sorted({q for t in tasks for q in t.query_ids})
+    index = {u: k for k, u in enumerate(users)}
+    U = np.vstack([np.asarray(features[u], dtype=float) for u in users])
+    row_user, sizes, z_parts, pairs = [], [], [], []
+    for t in tasks:
+        pairs.append((t.a, t.b))
+        row_user.extend(index[q] for q in t.query_ids)
+        sizes.append(len(t.query_ids))
+        z_parts.append(t.z)
+    sizes = np.asarray(sizes, dtype=int)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    return PairTaskData(
+        users=users, U=U, kernel=kernel, pairs=pairs, row_user=np.asarray(row_user, dtype=int),
+        starts=starts, task_sizes=sizes, z=np.concatenate(z_parts).astype(float),
+    )
+
+
+def _assert_same_array(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _assert_same_table(got, want):
+    assert got.users == want.users and got.items == want.items
+    assert [type(v) for v in got.users + got.items] == [type(v) for v in want.users + want.items]
+    for column in ("user", "item", "value"):
+        _assert_same_array(getattr(got, column), getattr(want, column))
+
+
+def _assert_same_pair_task_data(got, want):
+    assert got.users == want.users
+    assert [type(u) for u in got.users] == [type(u) for u in want.users]
+    assert got.pairs == want.pairs
+    assert {type(v) for pair in got.pairs for v in pair} <= {int}
+    for name in ("U", "row_user", "starts", "task_sizes", "z"):
+        _assert_same_array(getattr(got, name), getattr(want, name))
+
+
+def _split_cases(tmp_path):
+    """Reference (table, subset) cases plus users with 1-2 ratings and declared users without any."""
+    ratings = {(1, "a"): 4.0, (2, "a"): 2.0, (2, "b"): 5.0, (3, "c"): 1.0, (3, "a"): 3.0, (3, "b"): 2.5,
+               (3, "d"): 4.0, (5, "d"): 1.0, (5, "c"): 2.0, (5, "b"): 3.0, (6, "a"): 1.0, (6, "b"): 2.0}
+    few = RatingsTable(users=[6, 5, 4, 3, 2, 1, 0], items=["d", "c", "b", "a", "e"], ratings=ratings)
+    return _reference_cases(tmp_path) + [(few, ["a", "b", "c", "d"]), (few, ["b", "e", "c"])]
+
+
+def test_split_and_pair_task_data_match_loop_references(tmp_path):
+    kernel = KernelSpec("linear")
+    for table, subset in _split_cases(tmp_path):
+        for seed in (0, 1, 4099):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                split = split_per_user(table, seed=seed)
+            want_parts, want_warned = split_per_user_loop_reference(table, seed)
+            assert [str(w.message) for w in caught] == want_warned
+            for part, want in zip((split.train, split.val, split.test), want_parts):
+                _assert_same_table(part, want)
+            tasks = build_pair_tasks(split.train, subset)
+            want_tasks = build_pair_tasks_reference(split.train, subset)
+            if not want_tasks:
+                assert tasks.n_tasks == 0
+                continue
+            features = user_feature_map(split.train, subset)
+            _assert_same_pair_task_data(
+                build_pair_task_data(tasks, features, kernel),
+                build_pair_task_data_reference(want_tasks, features, kernel),
+            )
 
 
 class TestHelpers:
@@ -494,6 +600,18 @@ def user_feature_map_reference(users, ratings, item_subset):
         norm = np.linalg.norm(vec)
         feats[user] = vec / norm if norm > 0 else vec
     return feats
+
+
+def test_feature_norms_match_per_user_norm_loop():
+    """The stacked per-row dot gives the norms of a per-user np.linalg.norm loop, bit for bit."""
+    for m in (1, 2, 3, 7, 16, 31, 32, 33, 60, 64, 65, 129):
+        table = simulate_movielens_table(n_users=80, n_items=300, seed=m)
+        subset = top_items(table, m)
+        got = user_feature_map(table, subset)
+        want = user_feature_map_reference(table.users, dict(table.ratings), subset)
+        assert list(got) == list(want)
+        for u in want:
+            assert got[u].tobytes() == want[u].tobytes()
 
 
 def _assert_same_ratings(got, want):
