@@ -179,7 +179,9 @@ def grid_search(
     """Validation-loss grid search for either learner kind.
 
     Returns (best config dict, best cell's validation EvalReport, full table).
-    Diverging cells are recorded as failed rather than aborting the search;
+    A low-rank cell's row also records its fit's iters_run and stop_reason
+    ("tol" or "max_iters"). Diverging cells are recorded as failed rather than
+    aborting the search;
     ties in validation mean break toward the earlier grid cell. When
     step_by_rank (from resolve_grid) is given it replaces grid.steps.
     """
@@ -211,16 +213,17 @@ def grid_search(
         report = evaluate_ranking(
             model, split, pair_tasks, features, decode=decode, on="val", config=cell
         )
-        table.append(
-            {
-                "config": cell,
-                "status": "ok",
-                "mean": report.mean,
-                "std": report.std,
-                "n_queries": report.n_queries,
-                "skipped": report.skipped,
-            }
-        )
+        row = {
+            "config": cell,
+            "status": "ok",
+            "mean": report.mean,
+            "std": report.std,
+            "n_queries": report.n_queries,
+            "skipped": report.skipped,
+        }
+        if learner_kind == "lowrank":
+            row.update(iters_run=model.iters_run, stop_reason=model.stop_reason)
+        table.append(row)
         if best is None or report.mean < best_report.mean:
             best, best_report = cell, report
     if best is None:

@@ -14,16 +14,19 @@ P = S K_u A and the per-row error e_i = P_i . w_t(i) - z_i:
     A   <- (1 - lam nu) A - nu S^T [ e_i w_t(i) / (T n_t(i)) ]
     w_t <- (1 - lam nu) w_t - (nu / n_t) sum_{i in t} e_i P_i
 
-and the penalty is <A, K_u A> + ||W||^2. An iteration costs O(u^2 r + n r)
-for u users and n stacked rows; the stacked n x n Gram is never built. It
-streams K_u once (the GEMM K_u A) and does its n x r row gathers in blocks of
-PAIR_BLOCK_ROWS stacked rows that stay in cache, bit-equal to whole-array
-gathers.
+and the penalty is <A, K_u A> + ||W||^2. K_u A is the one product with the
+user Gram. Under the linear kernel K_u = U U^T for the u x d user features U,
+so it is U (U^T A) and no u x u Gram is built: an iteration costs
+O(u d r + n r) for n stacked rows. Other kernels stream the cached K_u once
+(the GEMM K_u A): O(u^2 r + n r). The stacked n x n Gram is never built, and
+the n x r row gathers run in blocks of PAIR_BLOCK_ROWS stacked rows that stay
+in cache, bit-equal to whole-array gathers.
 
 PairTaskData keeps what its trainers share:
 - the user Gram K_u, built on first use by kernels.cross_gram, one BLAS
   product that agrees with the bitwise kernel oracle (kernels.gram) to 1e-12;
-  cross_kernel builds every query's k_U(x) the same way;
+  HS reads its blocks under every kernel, the low-rank trainer only under
+  non-linear kernels; cross_kernel builds every query's k_U(x) the same way;
 - the projected initial state (A0, W0) and its first pass (K_u A0, pw0) per
   (rank, seed, init_scale), so step-search probes, grid cells and the fit of
   one rank draw and pass it once;
@@ -58,7 +61,8 @@ class PairTaskData:
     """Stacked view of a PairTaskSet against a fixed user feature map.
 
     It caches what trainers share, each built on a trainer's first use: the
-    user Gram K_u (kernels.cross_gram), the task of each stacked row
+    user Gram K_u (kernels.cross_gram; built by fit_rank_hs, and by the
+    low-rank trainer under non-linear kernels only), the task of each stacked row
     (row_task), per (rank, seed, init_scale) the low-rank initial state and
     its first pass (initial_state), and the end state of the last low-rank
     fit with its (rank, seed, init_scale, lam, step) (end_state). A new
@@ -97,11 +101,18 @@ class PairTaskData:
     def forward(self, A: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K_u A, and the pair scores pw_i = (K_u A)[u_i] . W[t_i] per stacked row.
 
+        Under the linear kernel K_u A is U (U^T A), O(u d r) for d feature
+        columns, and K_u is not built; it agrees with K_u @ A to rounding
+        (selfrank verify: factored_gram_product). That is faster while d is
+        well under u, which the derived features (d = the ranked items) are;
+        features wider than about u/2 would be slower this way. Other kernels
+        multiply by the cached K_u.
+
         The scores are gathered and dotted PAIR_BLOCK_ROWS stacked rows at a
         time, so the two gathered blocks stay in cache; each row is still one
         einsum over the same r products, bit-equal to one pass over all rows.
         """
-        KA = self.K_u @ A
+        KA = self.U @ (self.U.T @ A) if self.kernel.kind == "linear" else self.K_u @ A
         pw = np.empty(self.n_rows)
         for lo in range(0, self.n_rows, PAIR_BLOCK_ROWS):
             rows = slice(lo, lo + PAIR_BLOCK_ROWS)
@@ -125,7 +136,8 @@ class PairTaskData:
             M, N = init_factors(n, cfg)
             S_T = csc_array((np.ones(n), self.row_user, np.arange(n + 1)), shape=(len(self.users), n))
             A, W = S_T @ M, _segment_sum(self.z[:, None] * N, self.starts)
-            # Free the n x r draw before forward builds K_u: both at once raise peak memory.
+            # Free the n x r draw before forward, which builds K_u under a
+            # non-linear kernel: both at once raise peak memory.
             del M, N
             state = (A, W, *self.forward(A, W))
             for array in state:
@@ -198,6 +210,9 @@ class LowRankRankModel:
     W: np.ndarray  # tasks x r: w_t = N_t^T z_t
     iters_run: int
     objective_trace: list[float]
+    # Why the fit ended: "tol" (the last relative change fell under cfg.tol) or
+    # "max_iters"; None for a model loaded from a checkpoint, which omits it.
+    stop_reason: str | None = None
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
         """Edge weight per task for each query row; shape (n_tasks, n_queries).
@@ -221,15 +236,18 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
         w_t <- (1 - lam nu) w_t - (nu / n_t) sum_{i in t} e_i P_i
 
     Both corrections are products of one sparse users x tasks matrix holding e,
-    so an iteration costs O(u^2 r + n r): one GEMM K_u A that streams K_u
-    once, the n x r row gathers of PairTaskData.forward in cache-sized blocks
-    of PAIR_BLOCK_ROWS stacked rows, sparse products and segment sums.
+    so an iteration is the product K_u A, the n x r row gathers of
+    PairTaskData.forward in cache-sized blocks of PAIR_BLOCK_ROWS stacked rows,
+    sparse products and segment sums. Under the linear kernel K_u A is
+    U (U^T A) for the u x d features U: O(u d r + n r), and no u x u Gram is
+    built. Other kernels stream the cached K_u once: O(u^2 r + n r).
 
     The fit continues from PairTaskData.end_state, the last fit's end state,
     when it lies on this fit's way (an accepted step-search probe, or a grid
     cell's shorter sibling), and from initial_state otherwise; either way the
-    iterates, trace and iters_run are those of a fit from the initial state.
-    It leaves its own end state on data, read-only; the model holds copies.
+    iterates, trace, iters_run and stop_reason are those of a fit from the
+    initial state. It leaves its own end state on data, read-only; the model
+    holds copies.
     """
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
     z = data.z
@@ -279,7 +297,10 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
     for array in (A, W, KA, pw):
         array.flags.writeable = False
     data._end = _fit_key(cfg), (A, W, KA, pw), tuple(trace)
-    return LowRankRankModel(data=data, A=A.copy(), W=W.copy(), iters_run=iters, objective_trace=trace)
+    return LowRankRankModel(
+        data=data, A=A.copy(), W=W.copy(), iters_run=iters, objective_trace=trace,
+        stop_reason="tol" if stopped else "max_iters",
+    )
 
 
 def _fit_key(cfg: TrainConfig) -> tuple:

@@ -243,12 +243,12 @@ def check_mtl_reduction(rng) -> dict:
     return _check("mtl_t1_reduction", dev, 1e-8)
 
 
-def _random_pair_task_data(rng):
-    """Pair tasks over 10 users rating about 70% of 6 items, with 4 linear features each."""
+def _random_pair_task_data(rng, width=4, kernel=KernelSpec("linear")):
+    """Pair tasks over 10 users rating about 70% of 6 items, with `width` features each."""
     ratings = {(u, i): float(rng.integers(1, 6)) for u in range(10) for i in range(6) if rng.random() < 0.7}
     table = RatingsTable(users=list(range(10)), items=list(range(6)), ratings=ratings)
-    feats = {u: rng.standard_normal(4) for u in table.users}
-    return build_pair_task_data(build_pair_tasks(table, table.items), feats, KernelSpec("linear"))
+    feats = {u: rng.standard_normal(width) for u in table.users}
+    return build_pair_task_data(build_pair_tasks(table, table.items), feats, kernel)
 
 
 def check_pairtask_reduced_state(rng) -> dict:
@@ -303,6 +303,28 @@ def check_cross_gram(rng, dims=(1, 8, 30, 129)) -> dict:
     return _check("cross_gram_equivalence", worst, 1e-12)
 
 
+def check_factored_gram_product(rng, widths=(3, 10, 30), ranks=(1, 5, 20)) -> dict:
+    """Under the linear kernel PairTaskData.forward's K_u A is U (U^T A); it must
+    match the oracle product gram(U) @ A to 1e-12 x max |gram(U) @ A|, with
+    feature widths below, at and above the user count. Under the gaussian
+    kernel forward must still return K_u @ A bit for bit."""
+    worst = 0.0
+    for width in widths:
+        data = _random_pair_task_data(rng, width)
+        K = gram(data.U, data.kernel)
+        for r in ranks:
+            A = rng.standard_normal((len(data.users), r))
+            W = rng.standard_normal((data.n_tasks, r))
+            want = K @ A
+            got = data.forward(A, W)[0]
+            worst = max(worst, float(np.max(np.abs(got - want))) / float(np.max(np.abs(want))))
+    data = _random_pair_task_data(rng, 4, KernelSpec("gaussian", 2.0))
+    A = rng.standard_normal((len(data.users), 5))
+    if not np.array_equal(data.forward(A, rng.standard_normal((data.n_tasks, 5)))[0], data.K_u @ A):
+        worst = np.inf
+    return _check("factored_gram_product", worst, 1e-12)
+
+
 def check_trace_norm_domination(rng, problems=10) -> dict:
     """Half the penalty always dominates the nuclear norm of the induced G."""
     worst = -np.inf
@@ -335,4 +357,5 @@ def run_verification(seed: int = 0) -> dict:
     checks.append(check_pairtask_reduced_state(rng))
     checks.append(check_pairtask_hs(rng))
     checks.append(check_cross_gram(rng))
+    checks.append(check_factored_gram_product(rng))
     return {"checks": checks, "passed": all(c["pass"] for c in checks)}

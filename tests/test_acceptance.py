@@ -25,7 +25,14 @@ from selfrank.data_io import (
 )
 from selfrank.decoding import Tournament, backward_weight, decode_finite, fas_exact, fas_greedy
 from selfrank.errors import DivergenceError
-from selfrank.evaluation import evaluate_ranking, fit_cell, grid_search, resolve_grid, synthetic_comparison
+from selfrank.evaluation import (
+    DEFAULT_LAMBDAS,
+    evaluate_ranking,
+    fit_cell,
+    grid_search,
+    resolve_grid,
+    synthetic_comparison,
+)
 from selfrank.kernels import KernelSpec
 from selfrank.learners import (
     TrainConfig,
@@ -281,6 +288,15 @@ def test_c08_ranking_directional():
         test_tn = evaluate_ranking(fit_cell(data, best_tn), split, tasks, feats, on="test")
         test_hs = evaluate_ranking(fit_cell(data, best_hs), split, tasks, feats, on="test")
     elapsed = time.time() - t0
+    if source == "simulated":
+        # The simulated table's selected cells and test means, pinned exactly:
+        # a faster trainer or decode must reproduce them.
+        assert best_tn == {
+            "learner": "lowrank", "lambda": DEFAULT_LAMBDAS[4], "rank": 10,
+            "step": 0.1, "iters": 500, "seed": 0,
+        }
+        assert best_hs == {"learner": "hs", "lambda": DEFAULT_LAMBDAS[2]}
+        assert (test_tn.mean, test_hs.mean) == (0.2261246139056528, 0.2845411923159379)
     ok = test_tn.mean <= test_hs.mean and elapsed < 900.0
     report(
         8,

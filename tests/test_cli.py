@@ -6,7 +6,7 @@ import pytest
 from selfrank.cli import _load_ranking_problem, load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
-from selfrank.evaluation import evaluate_ranking
+from selfrank.evaluation import evaluate_ranking, fit_cell
 from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 
 # JSON values a checkpoint's number arrays must reject: a string, null, NaN and a bool
@@ -282,15 +282,21 @@ class TestCommands:
 
     @pytest.mark.parametrize("learner", ["lowrank", "hs"])
     def test_eval_and_decode_build_no_gram(self, tmp_path, ratings_file, monkeypatch, learner):
+        """eval and decode never build the user Gram; a linear-kernel low-rank
+        train (auto step search and fit, or a fixed step) does not either."""
         out = str(tmp_path / learner)
         overrides = base_overrides(ratings_file, [f"learner={learner}"])
+
+        def no_gram(data):
+            raise AssertionError("the user Gram was built")
+
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
+            if learner == "lowrank":
+                monkeypatch.setattr(PairTaskData, "K_u", property(no_gram))
+                fixed = str(tmp_path / "fixed_step")
+                assert run("train", overrides=overrides + ["train.step=0.05"], out=fixed, seed=3) == 0
             assert run("train", overrides=overrides, out=out, seed=3) == 0
-
-            def no_gram(data):
-                raise AssertionError("the user Gram was built")
-
             monkeypatch.setattr(PairTaskData, "K_u", property(no_gram))
             for command in ("eval", "decode"):
                 rc = run(command, overrides=overrides + [f"checkpoint={out}/checkpoint.json"],
@@ -307,6 +313,41 @@ class TestCommands:
         best = json.load(open(f"{out}/best_config.json"))
         ok_means = [row["mean"] for row in table["cells"] if row["status"] == "ok"]
         assert best["validation"]["mean"] == min(ok_means)
+
+    def test_grid_cells_record_why_the_fit_stopped(self, tmp_path, ratings_file):
+        """Each low-rank cell records iters_run and stop_reason. The 2000-iteration
+        cells resume from their 100-iteration siblings; every row must agree with
+        a fresh fit of its cell."""
+        out = str(tmp_path / "grid")
+        overrides = base_overrides(ratings_file, ["grid.lambdas=[0.01, 1.0]", "grid.iters=[100, 2000]"])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("grid", overrides=overrides, out=out, seed=0) == 0
+            cfg = load_config(None, overrides, out, 0)
+            split, _, tasks, features, kernel = _load_ranking_problem(cfg)
+        reasons = {}
+        for row in json.load(open(f"{out}/grid_table.json"))["cells"]:
+            cell = row["config"]
+            fresh = fit_cell(build_pair_task_data(tasks, features, kernel), cell)
+            assert (row["iters_run"], row["stop_reason"]) == (fresh.iters_run, fresh.stop_reason)
+            reasons[cell["lambda"], cell["iters"]] = row["stop_reason"]
+        assert reasons == {
+            (0.01, 100): "max_iters", (0.01, 2000): "max_iters",
+            (1.0, 100): "max_iters", (1.0, 2000): "tol",
+        }
+
+    @pytest.mark.parametrize("tol, stopped_early", [(1e-3, True), (0.0, False)])
+    def test_checkpoint_fields_independent_of_stop_reason(self, tmp_path, ratings_file, tol, stopped_early):
+        out = str(tmp_path / "train")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file, [f"train.tol={tol}"]), out=out, seed=3) == 0
+        ck = json.load(open(f"{out}/checkpoint.json"))
+        assert (ck["iters_run"] < 150) == stopped_early
+        assert sorted(ck) == [
+            "A", "W", "config", "items", "iters_run", "kernel", "lambda", "learner", "pairs",
+            "rank", "schema_version", "seed", "step", "task_sizes", "users",
+        ]
 
     def test_grid_with_every_cell_failing_exits_3(self, tmp_path, ratings_file, capsys):
         with warnings.catch_warnings():
@@ -358,6 +399,7 @@ class TestCommands:
         assert "pairtask_reduced_state_equivalence" in names
         assert "pairtask_hs_equivalence" in names
         assert "cross_gram_equivalence" in names
+        assert "factored_gram_product" in names
         assert all(c["pass"] for c in report["checks"])
 
     def test_determinism_byte_identical(self, tmp_path, ratings_file):

@@ -6,7 +6,9 @@ from scipy.sparse import csc_array
 
 from selfrank import ranking
 from selfrank.data_io import RatingsTable, build_pair_tasks
+from selfrank.decoding import fas_greedy
 from selfrank.errors import DivergenceError, InvalidInputError
+from selfrank.evaluation import decode_queries
 from selfrank.kernels import KernelSpec
 from selfrank.learners import TrainConfig, _stop, fit_lowrank_mtl, init_factors, mtl_weights
 from selfrank.ranking import (
@@ -170,9 +172,20 @@ class TestSharedInitialState:
             assert_same_fit(model, fit_rank_lowrank(new_data(), cfg))
 
 
-def unblocked_fit(data, cfg):
+def factored_product(data, A):
+    """K_u A under the linear kernel through the features, as the trainer computes it."""
+    return data.U @ (data.U.T @ A)
+
+
+def dense_product(data, A):
+    """K_u A through the dense u x u user Gram, the product of non-linear kernels."""
+    return data.K_u @ A
+
+
+def unblocked_fit(data, cfg, product=factored_product):
     """The low-rank fit from its initial state with one whole-array pair-score pass
-    per iteration and a transpose per iteration, as the trainer ran before row blocks."""
+    per iteration and a transpose per iteration, as the trainer ran before row blocks;
+    its K_u A comes from `product`."""
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
     z = data.z
     row_task = np.repeat(np.arange(T), data.task_sizes)
@@ -184,7 +197,7 @@ def unblocked_fit(data, cfg):
     shrink = 1.0 - cfg.lam * cfg.step
 
     def forward(A, W):
-        KA = data.K_u @ A
+        KA = product(data, A)
         P = np.take(KA, data.row_user, axis=0)
         return KA, np.einsum("ij,ij->i", P, np.take(W, row_task, axis=0))
 
@@ -205,7 +218,7 @@ def unblocked_fit(data, cfg):
         trace.append(objective(A, W, KA, pw))
         iters += 1
         stopped = _stop(trace[-2], trace[-1], cfg.tol)
-    return A, W, trace, iters
+    return A, W, trace, iters, "tol" if stopped else "max_iters"
 
 
 class TestBlockedPass:
@@ -220,11 +233,48 @@ class TestBlockedPass:
         monkeypatch.setattr(ranking, "PAIR_BLOCK_ROWS", block)
         cfg = TrainConfig(lam=0.05, rank=rank, step=0.05, max_iters=300, seed=5, tol=1e-5)
         model = fit_rank_lowrank(build_pair_task_data(tasks, feats, KernelSpec("linear")), cfg)
-        A, W, trace, iters = unblocked_fit(build_pair_task_data(tasks, feats, KernelSpec("linear")), cfg)
+        A, W, trace, iters, reason = unblocked_fit(build_pair_task_data(tasks, feats, KernelSpec("linear")), cfg)
         assert model.A.tobytes() == A.tobytes()
         assert model.W.tobytes() == W.tobytes()
         assert model.objective_trace == trace
         assert model.iters_run == iters
+        assert model.stop_reason == reason
+
+
+class TestFactoredGramProduct:
+    """The linear trainer's K_u A through the features against the dense user Gram."""
+
+    @pytest.mark.parametrize("rank", [1, 2, 10, 20])
+    def test_matches_dense_gram_reference(self, small_problem, rank):
+        """Traces agree to 1e-12 relative, with the same iters_run, stop reason and
+        fas_greedy ordering for every query (each user's features and 20 random ones)."""
+        tasks, feats, _ = small_problem
+        new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        cfg = TrainConfig(lam=0.05, rank=rank, step=0.05, max_iters=300, seed=5, tol=1e-5)
+        model = fit_rank_lowrank(new_data(), cfg)
+        data = new_data()
+        A, W, trace, iters, reason = unblocked_fit(data, cfg, dense_product)
+        np.testing.assert_allclose(model.objective_trace, trace, rtol=1e-12, atol=0.0)
+        assert (model.iters_run, model.stop_reason) == (iters, reason)
+        dense = ranking.LowRankRankModel(data, A, W, iters, trace)
+        queries = np.vstack([*feats.values(), np.random.default_rng(7).standard_normal((20, 4))])
+        got = decode_queries(tasks, model.tournament_weights(queries), decode=fas_greedy)
+        want = decode_queries(tasks, dense.tournament_weights(queries), decode=fas_greedy)
+        assert [o.docs_by_rank().tolist() for o in got] == [o.docs_by_rank().tolist() for o in want]
+
+    def test_linear_fit_builds_no_gram(self, small_problem, monkeypatch):
+        tasks, feats, _ = small_problem
+
+        def no_gram(data):
+            raise AssertionError("the user Gram was built")
+
+        monkeypatch.setattr(PairTaskData, "K_u", property(no_gram))
+        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1)
+        step = halving_step_search_rank(data, base, start=100.0)
+        fit_rank_lowrank(data, replace(base, step=step))
+        with pytest.raises(AssertionError, match="Gram was built"):
+            fit_rank_lowrank(build_pair_task_data(tasks, feats, KernelSpec("gaussian", 2.0)), base)
 
 
 def assert_same_fit(model, reference):
@@ -232,6 +282,7 @@ def assert_same_fit(model, reference):
     assert model.W.tobytes() == reference.W.tobytes()
     assert model.objective_trace == reference.objective_trace
     assert model.iters_run == reference.iters_run
+    assert model.stop_reason == reference.stop_reason
 
 
 class TestResumedFit:
@@ -280,10 +331,26 @@ class TestResumedFit:
         data = new_data()
         cfg = TrainConfig(lam=0.1, rank=2, step=0.02, max_iters=5000, seed=3, tol=1e-6)
         stopped = fit_rank_lowrank(data, cfg)
-        assert stopped.iters_run < 5000
+        assert stopped.iters_run < 5000 and stopped.stop_reason == "tol"
         again = fit_rank_lowrank(data, replace(cfg, max_iters=6000))
         assert starts == [5000]
         assert_same_fit(again, stopped)
+
+    def test_stop_reason_of_resumed_fits(self, fresh):
+        """A fit cut at max_iters, then two continuations of it: one cut an iterate
+        before the tol stop and one that reaches it; each against a fresh fit."""
+        new_data, starts = fresh
+        data = new_data()
+        cfg = TrainConfig(lam=0.1, rank=2, step=0.02, max_iters=5000, seed=3, tol=1e-6)
+        stop = fit_rank_lowrank(new_data(), cfg).iters_run
+        short = fit_rank_lowrank(data, replace(cfg, max_iters=stop // 2))
+        longer = fit_rank_lowrank(data, replace(cfg, max_iters=stop - 1))
+        full = fit_rank_lowrank(data, cfg)
+        assert starts == [5000, stop // 2]  # longer and full continued
+        assert (short.stop_reason, longer.stop_reason, full.stop_reason) == ("max_iters", "max_iters", "tol")
+        assert (short.iters_run, longer.iters_run, full.iters_run) == (stop // 2, stop - 1, stop)
+        for model in (short, longer, full):
+            assert_same_fit(model, self.reference(fresh, replace(cfg, max_iters=model.iters_run)))
 
     def test_fallbacks_start_from_the_initial_state(self, fresh):
         new_data, starts = fresh
