@@ -478,15 +478,19 @@ def user_feature_map(table: RatingsTable, item_subset) -> dict:
             feats[u] = np.asarray(provided[key], dtype=float)
         return feats
     R, rated = _rating_block(table, list(item_subset))
-    # Per user, the subset ratings in subset order and all ratings in item
-    # order; each mean is numpy's over one contiguous array, as for a list.
-    in_subset = np.split(R[rated], np.cumsum(rated.sum(axis=1))[:-1])
-    per_user = np.bincount(table.user, minlength=len(table.users))
-    overall = np.split(table.value, np.cumsum(per_user)[:-1])
-    fill = np.array([
-        sub.mean() if sub.size else (every.mean() if every.size else 0.0)
-        for sub, every in zip(in_subset, overall)
-    ])[:, None]
+    # A user's fill is numpy's mean of their subset ratings in subset order,
+    # else of all their ratings in item order. The users rating k subset
+    # items take one mean over a contiguous users x k block: numpy reduces
+    # each row in the pairwise order of the mean of that row alone.
+    counts = rated.sum(axis=1)
+    fill = np.zeros(len(table.users))
+    for k in np.unique(counts[counts > 0]).tolist():
+        members = np.flatnonzero(counts == k)
+        fill[members] = R[members][rated[members]].reshape(-1, k).mean(axis=1)
+    for user in np.flatnonzero(counts == 0).tolist():
+        lo, hi = np.searchsorted(table.user, [user, user + 1])  # rows sorted by user
+        fill[user] = table.value[lo:hi].mean() if hi > lo else 0.0
+    fill = fill[:, None]
     V = np.where(rated, R, fill) - fill
     # Per row, the dot np.linalg.norm takes, from one stacked product.
     norms = np.sqrt(np.matmul(V[:, None, :], V[:, :, None]))[:, 0]

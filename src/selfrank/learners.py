@@ -163,9 +163,15 @@ def lowrank_step(M, N, K_X, K_Y, lam: float, step: float):
     return M_next, N_next
 
 
+def init_scale(n: int, cfg: TrainConfig) -> float:
+    """The factors' draw scale: cfg.init_scale, by default 1/sqrt(n r)."""
+    return cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(n * cfg.rank)
+
+
 def init_factors(n: int, cfg: TrainConfig, count: int = 2) -> list[np.ndarray]:
-    """Seeded i.i.d. normal factor matrices, scaled by init_scale (default 1/sqrt(n r))."""
-    scale = cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(n * cfg.rank)
+    """Seeded i.i.d. normal n x r factor matrices, drawn one after another from
+    default_rng(cfg.seed) and scaled by init_scale(n, cfg)."""
+    scale = init_scale(n, cfg)
     rng = np.random.default_rng(cfg.seed)
     return [scale * rng.standard_normal((n, cfg.rank)) for _ in range(count)]
 

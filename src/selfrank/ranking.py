@@ -29,7 +29,8 @@ PairTaskData keeps what its trainers share:
   non-linear kernels; cross_kernel builds every query's k_U(x) the same way;
 - the projected initial state (A0, W0) and its first pass (K_u A0, pw0) per
   (rank, seed, init_scale), so step-search probes, grid cells and the fit of
-  one rank draw and pass it once;
+  one rank draw and pass it once. The n x r factors behind (A0, W0) are drawn
+  and projected a block of stacked rows at a time and never held whole;
 - the end state of its last low-rank fit, so a fit whose way passes through
   it (the fit after its accepted step-search probe, a 2000-iteration grid
   cell after its 500-iteration sibling) continues from there.
@@ -48,7 +49,7 @@ from .data_io import PairTaskSet
 from .errors import DivergenceError, InvalidInputError, NumericalError
 # gram and cross_vector stay ranking attributes: perfbench's tracer patches them.
 from .kernels import KernelSpec, cross_gram, cross_vector, gram  # noqa: F401
-from .learners import TrainConfig, _row_slices, _stop, halving_search, init_factors, ridge_cho_factor
+from .learners import TrainConfig, _row_slices, _stop, halving_search, init_scale, ridge_cho_factor
 
 # Stacked rows per block of the pair-score pass (PairTaskData.forward): at rank
 # 10 its two gathered blocks take 2 x 4096 x 10 floats (655 KB), well inside a
@@ -124,42 +125,79 @@ class PairTaskData:
     def initial_state(self, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
         """The low-rank trainer's start (A0, W0, K_u A0, pw0).
 
-        (A0, W0) = (S^T M, rows N_t^T z_t), M and N init_factors' draw for the
-        stacked rows, and (K_u A0, pw0) = forward(A0, W0). They depend on
-        (rank, seed, init_scale) alone, so each such key is drawn, projected
-        and passed forward once and kept, read-only, for the step-search probes
-        and the fit.
+        (A0, W0) = (S^T M, rows N_t^T z_t) for the n x r factors M and N that
+        learners.init_factors(n, cfg) draws, and (K_u A0, pw0) = forward(A0, W0).
+        The draw is streamed (projected_draw): no n x r array outlives one
+        block of stacked rows, and the result is bit-equal to projecting the
+        whole draw. The state depends on (rank, seed, init_scale) alone, so
+        each such key is drawn, projected and passed forward once and kept,
+        read-only, for the step-search probes and the fit.
         """
         key = (cfg.rank, cfg.seed, cfg.init_scale)
         if key not in self._initial:
-            n = self.n_rows
-            M, N = init_factors(n, cfg)
-            S_T = csc_array((np.ones(n), self.row_user, np.arange(n + 1)), shape=(len(self.users), n))
-            A, W = S_T @ M, _segment_sum(self.z[:, None] * N, self.starts)
-            # Free the n x r draw before forward, which builds K_u under a
-            # non-linear kernel: both at once raise peak memory.
-            del M, N
+            A, W = self.projected_draw(cfg)
             state = (A, W, *self.forward(A, W))
             for array in state:
                 array.flags.writeable = False
             self._initial[key] = state
         return self._initial[key]
 
-    def end_state(self, cfg: TrainConfig):
+    def projected_draw(self, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+        """(S^T M, rows N_t^T z_t) for init_factors' M and N, drawn block by block.
+
+        One default_rng(cfg.seed) draws M and then N in blocks of about
+        PAIR_BLOCK_ROWS stacked rows, the stream of its two whole draws, and
+        each block is projected as it is drawn: an M block is added into A in
+        stacked-row order (the adds of the csc product S^T M, in its order),
+        and an N block ends at a task start, so each task's sum of
+        z_i N_i is one segment sum inside one block, as over the whole array.
+        """
+        r = cfg.rank
+        scale = init_scale(self.n_rows, cfg)
+        rng = np.random.default_rng(cfg.seed)
+        blocks = self._task_blocks()
+        A = np.zeros((len(self.users), r))
+        for lo, hi, _ in blocks:
+            M = rng.standard_normal((hi - lo, r))
+            M *= scale
+            # Entry by entry into the flat A: 1-D np.add.at takes numpy's fast
+            # path, about three times faster than adding rows into the 2-D A.
+            np.add.at(A.reshape(-1), (r * self.row_user[lo:hi, None] + np.arange(r)).ravel(), M.ravel())
+        W = np.empty((self.n_tasks, r))
+        for lo, hi, tasks in blocks:
+            N = rng.standard_normal((hi - lo, r))
+            N *= scale
+            N *= self.z[lo:hi, None]
+            W[tasks] = _segment_sum(N, self.starts[tasks] - lo)
+        return A, W
+
+    def _task_blocks(self) -> list[tuple[int, int, slice]]:
+        """Stacked-row ranges [lo, hi) cut at task starts, with their tasks: each
+        the most whole tasks that fit in PAIR_BLOCK_ROWS rows, or one longer task."""
+        edges = np.append(self.starts, self.n_rows)
+        blocks, t0 = [], 0
+        while t0 < self.n_tasks:
+            t1 = max(int(np.searchsorted(edges, edges[t0] + PAIR_BLOCK_ROWS, side="right")) - 1, t0 + 1)
+            blocks.append((int(edges[t0]), int(edges[t1]), slice(t0, t1)))
+            t0 = t1
+        return blocks
+
+    def end_state(self, cfg: TrainConfig, stop_on_rise: bool = False):
         """The end state ((A, W, K_u A, pw), trace) of the last low-rank fit, or None.
 
         It is returned only when a fit by cfg passes through it: the same
         (rank, seed, init_scale, lam, step), cfg.max_iters at least its
-        iteration count and no stop under cfg.tol before its last iterate.
-        The updates are deterministic, so that fit would recompute it bit for
-        bit and may continue from it instead.
+        iteration count and no stop before its last iterate (under cfg.tol,
+        or at a rise when stop_on_rise). The updates are deterministic, so
+        that fit would recompute it bit for bit and may continue from it
+        instead.
         """
         if self._end is None:
             return None
         key, state, trace = self._end
         if key != _fit_key(cfg) or len(trace) - 1 > cfg.max_iters:
             return None
-        if any(_stop(prev, curr, cfg.tol) for prev, curr in zip(trace[:-2], trace[1:-1])):
+        if any(_halt(prev, curr, cfg.tol, stop_on_rise) for prev, curr in zip(trace[:-2], trace[1:-1])):
             return None
         return state, trace
 
@@ -210,8 +248,9 @@ class LowRankRankModel:
     W: np.ndarray  # tasks x r: w_t = N_t^T z_t
     iters_run: int
     objective_trace: list[float]
-    # Why the fit ended: "tol" (the last relative change fell under cfg.tol) or
-    # "max_iters"; None for a model loaded from a checkpoint, which omits it.
+    # Why the fit ended: "tol" (the last relative change fell under cfg.tol),
+    # "rise" (a step-search probe's objective rose) or "max_iters"; None for a
+    # model loaded from a checkpoint, which omits it.
     stop_reason: str | None = None
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
@@ -223,7 +262,7 @@ class LowRankRankModel:
         return self.W @ (self.A.T @ self.data.cross_kernel(queries))
 
 
-def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
+def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool = False) -> LowRankRankModel:
     """Multitask factorized descent specialized to pair tasks, on the state (A, W).
 
     The iterates are the projections A = S^T M and w_t = N_t^T z_t of those of
@@ -248,6 +287,10 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
     iterates, trace, iters_run and stop_reason are those of a fit from the
     initial state. It leaves its own end state on data, read-only; the model
     holds copies.
+
+    With stop_on_rise (the step search's probes) the fit also ends at the
+    first iterate whose objective is above the one before, with stop_reason
+    "rise": that rise already rejects the probe's step.
     """
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
     z = data.z
@@ -271,7 +314,7 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
         pen = float(np.sum(A * KA)) + float(np.sum(W * W))
         return data_term + cfg.lam * pen
 
-    resumed = data.end_state(cfg)
+    resumed = data.end_state(cfg, stop_on_rise)
     if resumed is None:
         A, W, KA, pw = data.initial_state(cfg)
         trace = [objective(A, W, KA, pw)]
@@ -281,9 +324,9 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
         (A, W, KA, pw), trace = resumed
         trace = list(trace)
     iters = len(trace) - 1
-    stopped = iters > 0 and _stop(trace[-2], trace[-1], cfg.tol)
+    stop = _halt(trace[-2], trace[-1], cfg.tol, stop_on_rise) if iters > 0 else None
     with np.errstate(over="ignore", invalid="ignore"):
-        while not stopped and iters < cfg.max_iters:
+        while stop is None and iters < cfg.max_iters:
             np.subtract(pw, z, out=E.data)
             A = shrink * A - cfg.step * (E @ (W * inv_Tnt))  # W is still the old W here
             W = shrink * W - cfg.step * (inv_nt[:, None] * (E_T @ KA))
@@ -293,14 +336,22 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
             if not np.isfinite(obj):
                 raise DivergenceError(iters)
             trace.append(obj)
-            stopped = _stop(trace[-2], obj, cfg.tol)
+            stop = _halt(trace[-2], obj, cfg.tol, stop_on_rise)
     for array in (A, W, KA, pw):
         array.flags.writeable = False
     data._end = _fit_key(cfg), (A, W, KA, pw), tuple(trace)
     return LowRankRankModel(
         data=data, A=A.copy(), W=W.copy(), iters_run=iters, objective_trace=trace,
-        stop_reason="tol" if stopped else "max_iters",
+        stop_reason=stop or "max_iters",
     )
+
+
+def _halt(prev: float, curr: float, tol: float, on_rise: bool) -> str | None:
+    """Why a fit ends at the iterate prev -> curr: "rise" (on_rise and the
+    objective rose), "tol", or None when it goes on."""
+    if on_rise and curr > prev:
+        return "rise"
+    return "tol" if _stop(prev, curr, tol) else None
 
 
 def _fit_key(cfg: TrainConfig) -> tuple:
@@ -315,9 +366,13 @@ def halving_step_search_rank(
     probe_iters: int | None = 10,
     max_halvings: int = 60,
 ) -> float:
-    """Halve from `start` until a probe of fit_rank_lowrank descends."""
+    """Halve from `start` until a probe of fit_rank_lowrank descends.
+
+    A probe stops at its first rise (stop_on_rise), which already rejects
+    its step, so the chosen step is that of probes run to probe_iters.
+    """
     return halving_search(
-        lambda probe: fit_rank_lowrank(data, probe), cfg, start, probe_iters, max_halvings
+        lambda probe: fit_rank_lowrank(data, probe, stop_on_rise=True), cfg, start, probe_iters, max_halvings
     )
 
 

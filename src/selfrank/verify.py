@@ -9,6 +9,7 @@ threshold. The CLI `verify` command runs this and fails on any violation.
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csc_array
 
 from .data_io import RatingsTable, build_pair_tasks
 from .decoding import Tournament, backward_weight, decode_finite, fas_exact, fas_greedy
@@ -21,6 +22,7 @@ from .learners import (
     fit_lowrank_mtl,
     halving_step_search,
     hs_weights,
+    init_factors,
     lowrank_step,
 )
 from .losses import zero_one
@@ -32,7 +34,7 @@ from .oracles import (
     prox_nuclear,
     svt,
 )
-from .ranking import build_pair_task_data, fit_rank_hs, fit_rank_lowrank
+from .ranking import PAIR_BLOCK_ROWS, PairTaskData, build_pair_task_data, fit_rank_hs, fit_rank_lowrank
 
 
 def _check(name: str, value: float, threshold: float) -> dict:
@@ -325,6 +327,51 @@ def check_factored_gram_product(rng, widths=(3, 10, 30), ranks=(1, 5, 20)) -> di
     return _check("factored_gram_product", worst, 1e-12)
 
 
+def stacked_pair_task_data(rng, sizes, users=40, width=5) -> PairTaskData:
+    """Linear-kernel PairTaskData over tasks of the given sizes: each stacked row
+    a random one of `users` users with `width` features, and a random z."""
+    sizes = np.asarray(sizes)
+    n = int(sizes.sum())
+    return PairTaskData(
+        users=list(range(users)),
+        U=rng.standard_normal((users, width)),
+        kernel=KernelSpec("linear"),
+        pairs=[(0, 1)] * len(sizes),
+        row_user=rng.integers(0, users, n),
+        starts=np.cumsum(sizes) - sizes,
+        task_sizes=sizes,
+        z=rng.standard_normal(n),
+    )
+
+
+def check_streamed_initial_state(rng, ranks=(1, 5, 20)) -> dict:
+    """PairTaskData.initial_state draws and projects M and N block by block; its
+    (A0, W0) must equal S^T M and the per-task sums of z_i N_i for the whole
+    n x r draws of learners.init_factors bit for bit. Cases: n below, at and
+    across a block edge, tasks straddling the edges, one task longer than a
+    block, and init_scale both default and set."""
+    B = PAIR_BLOCK_ROWS
+    cases = [
+        [37] * (B // 40),  # below one block
+        [64] * (B // 64),  # exactly one block; a task ends at the edge
+        [30] * (B // 30) + [50] + [47] * (B // 47),  # tasks straddle the first and second edge
+        [B + 100, 20, 20],  # a task longer than a block
+    ]
+    worst = 0.0
+    for sizes in cases:
+        data = stacked_pair_task_data(rng, sizes)
+        n = data.n_rows
+        S_T = csc_array((np.ones(n), data.row_user, np.arange(n + 1)), shape=(len(data.users), n))
+        for r in ranks:
+            for scale in (None, 0.3):
+                cfg = TrainConfig(lam=0.1, rank=r, step=0.1, max_iters=1, seed=int(rng.integers(1000)), init_scale=scale)
+                M, N = init_factors(n, cfg)
+                want = (S_T @ M, np.add.reduceat(data.z[:, None] * N, data.starts, axis=0))
+                for got, ref in zip(data.initial_state(cfg)[:2], want):
+                    worst = max(worst, float(np.max(np.abs(got - ref))) if got.shape == ref.shape else np.inf)
+    return _check("streamed_initial_state", worst, 0.0)
+
+
 def check_trace_norm_domination(rng, problems=10) -> dict:
     """Half the penalty always dominates the nuclear norm of the induced G."""
     worst = -np.inf
@@ -358,4 +405,5 @@ def run_verification(seed: int = 0) -> dict:
     checks.append(check_pairtask_hs(rng))
     checks.append(check_cross_gram(rng))
     checks.append(check_factored_gram_product(rng))
+    checks.append(check_streamed_initial_state(rng))
     return {"checks": checks, "passed": all(c["pass"] for c in checks)}

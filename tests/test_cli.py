@@ -400,6 +400,7 @@ class TestCommands:
         assert "pairtask_hs_equivalence" in names
         assert "cross_gram_equivalence" in names
         assert "factored_gram_product" in names
+        assert "streamed_initial_state" in names
         assert all(c["pass"] for c in report["checks"])
 
     def test_determinism_byte_identical(self, tmp_path, ratings_file):

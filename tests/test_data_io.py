@@ -3,6 +3,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from selfrank.data_io import (
     PairTask,
@@ -612,6 +614,52 @@ def test_feature_norms_match_per_user_norm_loop():
         assert list(got) == list(want)
         for u in want:
             assert got[u].tobytes() == want[u].tobytes()
+
+
+def user_feature_map_split_reference(table, item_subset):
+    """user_feature_map with each user's fill from two np.split loops and a
+    1-D numpy mean per user, as it was computed before the grouped means."""
+    R, rated = _rating_block(table, list(item_subset))
+    in_subset = np.split(R[rated], np.cumsum(rated.sum(axis=1))[:-1])
+    per_user = np.bincount(table.user, minlength=len(table.users))
+    overall = np.split(table.value, np.cumsum(per_user)[:-1])
+    fill = np.array([
+        sub.mean() if sub.size else (every.mean() if every.size else 0.0)
+        for sub, every in zip(in_subset, overall)
+    ])[:, None]
+    V = np.where(rated, R, fill) - fill
+    norms = np.sqrt(np.matmul(V[:, None, :], V[:, :, None]))[:, 0]
+    np.divide(V, norms, out=V, where=norms > 0)
+    return dict(zip(table.users, V))
+
+
+@pytest.mark.parametrize("n_items", [7, 128, 129, 300])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    density=st.floats(0.0, 1.0),
+    spread=st.sampled_from([1e-9, 1.0, 3.7e5]),
+    subset_share=st.floats(0.0, 1.0),
+)
+def test_grouped_fill_matches_split_loop(n_items, seed, density, spread, subset_share):
+    """Real-valued ratings, rows up to 300 subset items (numpy's pairwise sum
+    works in blocks of 128), users with no subset rating and with none at all."""
+    rng = np.random.default_rng(seed)
+    n_users = 9
+    present = rng.random((n_users, n_items)) < density * rng.random((n_users, 1))
+    present[0] = True  # a user who rated every item
+    present[1] = False  # a declared user without ratings
+    subset = rng.permutation(n_items)[: max(1, round(subset_share * n_items))]
+    present[2, subset] = False  # ratings outside the subset only
+    present[2, rng.integers(n_items)] = True
+    values = rng.standard_normal((n_users, n_items)) * spread + rng.uniform(-5, 5)
+    ratings = {(u, i): float(values[u, i]) for u, i in zip(*np.nonzero(present))}
+    table = RatingsTable(users=list(range(n_users)), items=list(range(n_items)), ratings=ratings)
+    got = user_feature_map(table, subset.tolist())
+    want = user_feature_map_split_reference(table, subset.tolist())
+    assert list(got) == list(want)
+    for u in want:
+        assert got[u].tobytes() == want[u].tobytes()
 
 
 def _assert_same_ratings(got, want):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,7 +11,7 @@ from selfrank.decoding import fas_greedy
 from selfrank.errors import DivergenceError, InvalidInputError
 from selfrank.evaluation import decode_queries
 from selfrank.kernels import KernelSpec
-from selfrank.learners import TrainConfig, _stop, fit_lowrank_mtl, init_factors, mtl_weights
+from selfrank.learners import TrainConfig, _stop, fit_lowrank_mtl, halving_search, init_factors, mtl_weights
 from selfrank.ranking import (
     PairTaskData,
     build_pair_task_data,
@@ -18,6 +19,7 @@ from selfrank.ranking import (
     fit_rank_lowrank,
     halving_step_search_rank,
 )
+from selfrank.verify import stacked_pair_task_data
 
 
 @pytest.fixture(scope="module")
@@ -111,16 +113,17 @@ class TestSharedInitialState:
         tasks, feats, _ = small_problem
         data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
         draws, probes = [], []
+        projected_draw = PairTaskData.projected_draw
 
-        def counted_init(n, cfg, count=2):
+        def counted_draw(self, cfg):
             draws.append((cfg.rank, cfg.seed, cfg.init_scale))
-            return init_factors(n, cfg, count)
+            return projected_draw(self, cfg)
 
-        def counted_fit(data, cfg):
+        def counted_fit(data, cfg, **kwargs):
             probes.append(cfg.step)
-            return fit_rank_lowrank(data, cfg)
+            return fit_rank_lowrank(data, cfg, **kwargs)
 
-        monkeypatch.setattr("selfrank.ranking.init_factors", counted_init)
+        monkeypatch.setattr(PairTaskData, "projected_draw", counted_draw)
         monkeypatch.setattr("selfrank.ranking.fit_rank_lowrank", counted_fit)
         base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1, tol=0.0)
         step = halving_step_search_rank(data, base, start=100.0)
@@ -390,6 +393,128 @@ class TestResumedFit:
         model.objective_trace.append(0.0)
         for later in (cfg, replace(cfg, max_iters=25)):
             assert_same_fit(fit_rank_lowrank(data, later), self.reference(fresh, later))
+
+
+def whole_draw_projection(data, cfg):
+    """(S^T M, rows N_t^T z_t) for init_factors' whole n x r draws: the start as
+    the trainer projected it before the draw was streamed."""
+    n = data.n_rows
+    M, N = init_factors(n, cfg)
+    S_T = csc_array((np.ones(n), data.row_user, np.arange(n + 1)), shape=(len(data.users), n))
+    return S_T @ M, np.add.reduceat(data.z[:, None] * N, data.starts, axis=0)
+
+
+class TestStreamedInitialState:
+    """The initial factors are drawn and projected in row blocks, bit-equal to whole draws."""
+
+    @pytest.mark.parametrize("block", [1, 2, 7, 40, "n", "n+3"])
+    @pytest.mark.parametrize("rank", [1, 3, 20])
+    @pytest.mark.parametrize("scale", [None, 0.25])
+    def test_matches_whole_draw(self, small_problem, monkeypatch, block, rank, scale):
+        tasks, feats, data = small_problem
+        n = data.n_rows
+        monkeypatch.setattr(ranking, "PAIR_BLOCK_ROWS", {"n": n, "n+3": n + 3}.get(block, block))
+        cfg = TrainConfig(lam=0.1, rank=rank, step=0.1, max_iters=5, seed=rank, init_scale=scale)
+        fresh = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        A0, W0, KA0, pw0 = fresh.initial_state(cfg)
+        A, W = whole_draw_projection(fresh, cfg)
+        assert A0.tobytes() == A.tobytes() and W0.tobytes() == W.tobytes()
+        KA, pw = fresh.forward(A, W)
+        assert KA0.tobytes() == KA.tobytes() and pw0.tobytes() == pw.tobytes()
+
+    @pytest.mark.parametrize("block", [1, 5, 64, 100, 4096])
+    def test_blocks_cut_at_task_starts(self, monkeypatch, block):
+        monkeypatch.setattr(ranking, "PAIR_BLOCK_ROWS", block)
+        data = stacked_pair_task_data(np.random.default_rng(block), [3, 1, 70, 2, 64, 64, 9, 130, 1])
+        blocks = data._task_blocks()
+        assert [lo for lo, _, _ in blocks[1:]] == [hi for _, hi, _ in blocks[:-1]]
+        assert (blocks[0][0], blocks[-1][1]) == (0, data.n_rows)
+        for lo, hi, tasks in blocks:
+            assert (lo, hi) == (data.starts[tasks.start], data.starts[tasks.start] + data.task_sizes[tasks].sum())
+            # the most whole tasks within a block, or one longer task
+            assert hi - lo <= block or tasks.stop - tasks.start == 1
+            assert tasks.stop == data.n_tasks or hi - lo + data.task_sizes[tasks.stop] > block
+
+    def test_transient_memory_stays_within_blocks(self):
+        """At 100,000 stacked rows and rank 20 one whole n x r draw is 16 MB; the
+        streamed start allocates a few blocks beyond what it keeps."""
+        data = stacked_pair_task_data(np.random.default_rng(0), [50] * 2000, users=1000, width=60)
+        cfg = TrainConfig(lam=0.1, rank=20, step=0.1, max_iters=5, seed=0)
+        tracemalloc.start()
+        try:
+            state = data.initial_state(cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.n_rows == 100_000 and len(state) == 4
+        assert peak - kept < 4_000_000
+
+
+class TestProbeStopsAtFirstRise:
+    """A step-search probe ends at its first rise; the search and fits stay the same."""
+
+    @pytest.mark.parametrize(
+        "rank, lam, start", [(1, 0.1, 100.0), (2, 1.0, 1.0), (3, 0.01, 10.0), (5, 0.1, 0.5), (3, 1.0, 0.4)]
+    )
+    def test_same_step_as_full_probes(self, small_problem, rank, lam, start):
+        tasks, feats, _ = small_problem
+        new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        base = TrainConfig(lam=lam, rank=rank, step=1.0, max_iters=60, seed=1, tol=0.0)
+        full = new_data()
+        want = halving_search(lambda probe: fit_rank_lowrank(full, probe), base, start, 10, 60)
+        data = new_data()
+        step = halving_step_search_rank(data, base, start=start)
+        assert step == want
+        assert data._end[0] == full._end[0] and data._end[2] == full._end[2]  # the accepted probe
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(data._end[1], full._end[1]))
+        cfg = replace(base, step=step)
+        assert_same_fit(fit_rank_lowrank(data, cfg), fit_rank_lowrank(new_data(), cfg))
+
+    @pytest.mark.parametrize("rank, lam, step", [(2, 0.1, 0.78), (3, 0.1, 0.2), (5, 1.0, 0.1), (2, 1.0, 0.78)])
+    def test_rejected_probe_ends_at_its_first_rise(self, small_problem, rank, lam, step):
+        tasks, feats, _ = small_problem
+        new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        cfg = TrainConfig(lam=lam, rank=rank, step=step, max_iters=10, seed=1, tol=0.0)
+        full = fit_rank_lowrank(new_data(), cfg)
+        rises = np.flatnonzero(np.diff(full.objective_trace) > 0)
+        assert rises.size and full.stop_reason == "max_iters"
+        first = int(rises[0]) + 1
+        probe = fit_rank_lowrank(new_data(), cfg, stop_on_rise=True)
+        assert (probe.iters_run, probe.stop_reason) == (first, "rise")
+        assert probe.objective_trace == full.objective_trace[: first + 1]
+        # a probe does not continue past its rise from a longer fit's end state
+        data = new_data()
+        fit_rank_lowrank(data, cfg)
+        again = fit_rank_lowrank(data, cfg, stop_on_rise=True)
+        assert (again.iters_run, again.objective_trace) == (first, probe.objective_trace)
+        # and a fit continues from a probe's end state to its own end
+        data = new_data()
+        fit_rank_lowrank(data, cfg, stop_on_rise=True)
+        assert_same_fit(fit_rank_lowrank(data, cfg), full)
+
+    def test_search_probes_stop_at_first_rise(self, small_problem, monkeypatch):
+        tasks, feats, _ = small_problem
+        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        probes = []
+
+        def counted_fit(data, cfg, **kwargs):
+            try:
+                model = fit_rank_lowrank(data, cfg, **kwargs)
+            except DivergenceError:
+                probes.append((cfg.step, "diverged"))
+                raise
+            probes.append((cfg.step, model.stop_reason, model.iters_run, model.objective_trace))
+            return model
+
+        monkeypatch.setattr(ranking, "fit_rank_lowrank", counted_fit)
+        base = TrainConfig(lam=1.0, rank=2, step=1.0, max_iters=60, seed=1, tol=0.0)
+        step = halving_step_search_rank(data, base, start=100.0)
+        assert probes[-1][:3] == (step, "max_iters", 10)
+        rejected = [p for p in probes[:-1] if p[1] != "diverged"]
+        assert rejected
+        for _, reason, iters, trace in rejected:  # descending up to one last rise
+            assert reason == "rise" and iters == len(trace) - 1 <= 10
+            assert np.all(np.diff(trace[:-1]) <= 0) and trace[-1] > trace[-2]
 
 
 class TestHsRankModel:
