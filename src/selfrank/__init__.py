@@ -6,7 +6,6 @@ alone, and run learning-to-rank experiments with feedback-arc-set decoding.
 """
 
 from .data_io import (
-    PairTask,
     PairTaskSet,
     RatingsTable,
     SplitTable,

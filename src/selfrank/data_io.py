@@ -13,8 +13,7 @@ A PairTaskSet holds the co-rated item pairs of an item subset as columns
 too: per task the document pair (a, b) and its row count, and per stacked
 row a user code (a position in the table's sorted users) and the rating
 difference z, with rows sorted by task, then by user. build_pair_tasks
-reads them off one pairs x users co-rating mask; `tasks` is a read-only
-PairTask view built from the columns on demand.
+reads them off one pairs x users co-rating mask.
 """
 
 from __future__ import annotations
@@ -323,17 +322,6 @@ def split_per_user(
     return SplitTable(train=train, val=val, test=test)
 
 
-@dataclass(frozen=True)
-class PairTask:
-    """One document pair (by index into the item subset) with its co-ratings."""
-
-    a: int
-    b: int
-    pair: tuple
-    query_ids: tuple
-    z: np.ndarray  # rating(item a) - rating(item b) per query
-
-
 @dataclass(frozen=True, eq=False)
 class PairTaskSet:
     """All co-rated document pairs of an item subset, as columns.
@@ -343,8 +331,7 @@ class PairTaskSet:
     the co-rating of user `users[user[i]]` (`users` is the rating table's
     sorted user list) with z[i] = rating(item a) - rating(item b). Tasks are
     in (a, b) order and each task's rows in user order, so the result does not
-    depend on source order. The columns are read-only; `tasks` is a
-    read-only PairTask view built from them on demand.
+    depend on source order. The columns are read-only.
     """
 
     items: list
@@ -370,18 +357,6 @@ class PairTaskSet:
     @property
     def total_samples(self) -> int:
         return len(self.z)
-
-    @property
-    def tasks(self) -> tuple[PairTask, ...]:
-        """One PairTask per task, in task order, built on each access."""
-        items, users = self.items, self.users
-        query_ids = [users[k] for k in self.user.tolist()]
-        tasks, lo = [], 0
-        for a, b, size in zip(self.a.tolist(), self.b.tolist(), self.sizes.tolist()):
-            rows = slice(lo, lo + size)
-            tasks.append(PairTask(a, b, (items[a], items[b]), tuple(query_ids[rows]), self.z[rows]))
-            lo += size
-        return tuple(tasks)
 
 
 def _rating_block(table: RatingsTable, items: list) -> tuple[np.ndarray, np.ndarray]:

@@ -105,30 +105,46 @@ def fas_greedy(t: Tournament) -> Ordering:
     the current best gain (at first 0) by more than 1e-15; the round applies
     the last move that became best.
 
-    The gains of a round come from one O(n^2) numpy pass of cumulative sums
-    over the strictly lower triangle L of the reordered weights, each added in
-    scan order. L holds both directions because the upper triangle is its
-    exact negation: column p of L accumulated downward gives the moves of
-    docs[p] down, and row p of L accumulated from the right gives its moves
-    up. Entries that are no legal move add only zeros and stay 0.0, which the
-    rule never accepts. The result is locally optimal under adjacent
-    transpositions: no swap of neighbouring documents decreases the
-    contradicted weight.
+    A move's gain is a cumulative sum over the strictly lower triangle L of
+    the reordered weights, added in scan order. L holds both directions
+    because the upper triangle is its exact negation: row p of L accumulated
+    from the right gives the moves of docs[p] up (its up chain), and column p
+    accumulated downward its moves down (its down chain). Entries that are no
+    legal move add only zeros and stay 0.0, which the rule never accepts.
+
+    The gains are kept from one round to the next. Say only positions lo..hi
+    hold new documents: the span of the last move, or the positions a sweep
+    changed joined with a move whose gains are still pending. An up chain
+    reads its own row of L left of the diagonal and a down chain its own
+    column below it, so the up chains of positions < lo and the down chains
+    of positions > hi read nothing that moved. The other up chains change
+    only from q = hi down, and the other down chains only from q = lo on.
+    Both changed parts read one block of L, rows lo.. and columns ..hi, and
+    each is accumulated on from the unchanged gain just before it. Every
+    gain is then the same additions in the same order as a full pass, bit
+    for bit. The first round is the block lo = 0, hi = n-1. Only the
+    adjacent pairs inside the block can have turned into improving swaps.
+    The result is locally optimal under adjacent transpositions: no swap of
+    neighbouring documents decreases the contradicted weight.
     """
     w = t.weights
     n = t.size
     rows = w.tolist()
     lower = triangle(n)[0]
+    up_lower, down_lower = lower[:, ::-1], lower.T
     # gains[p] = [up[p] | down[p]]: up[p, k] is the gain of moving docs[p] up
     # to q = n-1-k, down[p, q] of moving it down to q. Row-major order is the
-    # scan order.
-    gains = np.empty((n, 2 * n))
+    # scan order. Entries that are no legal move are never written: 0.0.
+    gains = np.zeros((n, 2 * n))
     up, down, scan = gains[:, :n], gains[:, n:], gains.ravel()
     docs = np.argsort(-w.sum(axis=1), kind="stable").tolist()  # Borda, ties by index
+    lo, hi = 0, n - 1  # positions whose documents changed since the last gains
     while True:
         order = np.asarray(docs)
-        sub = w.take(order, axis=0).take(order, axis=1)
-        if (sub.diagonal(1) < 0).any():  # an adjacent swap improves: sweep first
+        block = w.take(order[lo:], axis=0).take(order[: hi + 1], axis=1)
+        # this diagonal of the block is L's subdiagonal from (lo, lo-1) to
+        # (hi+1, hi): the adjacent pairs that may have changed
+        if (block.diagonal(lo - 1) > 0).any():  # an adjacent swap improves: sweep first
             improved = True
             while improved:
                 improved = False
@@ -137,13 +153,20 @@ def fas_greedy(t: Tournament) -> Ordering:
                     if rows[u][v] < 0:  # swapping strictly reduces the objective
                         docs[p], docs[p + 1] = v, u
                         improved = True
+            moved = np.flatnonzero(order != docs)
+            lo, hi = min(lo, moved[0]), max(hi, moved[-1])
             continue
         # moving docs[p] to position q changes the objective by
-        # -sum(w[u, docs[j]]) over the positions it jumps across
-        low = np.where(lower, sub, 0.0)
-        np.cumsum(low[:, ::-1], axis=1, out=up)
-        np.cumsum(low.T, axis=1, out=down)
-        cand = np.flatnonzero(scan > 1e-15)  # only these can pass the rule
+        # -sum(w[u, docs[j]]) over the positions it jumps across; a chain's
+        # changed part is accumulated on from the column before it
+        k = n - 1 - hi
+        np.copyto(up[lo:, k:], block[:, ::-1], where=up_lower[lo:, k:])
+        chain = up[lo:, k - 1 if k else 0 :]
+        np.add.accumulate(chain, axis=1, out=chain)
+        np.copyto(down[: hi + 1, lo:], block.T, where=down_lower[: hi + 1, lo:])
+        chain = down[: hi + 1, lo - 1 if lo else 0 :]
+        np.add.accumulate(chain, axis=1, out=chain)
+        cand = (scan > 1e-15).nonzero()[0]  # only these can pass the rule
         best, move = 0.0, None
         for i, gain in zip(cand.tolist(), scan[cand].tolist()):
             if gain > best + 1e-15:
@@ -151,7 +174,9 @@ def fas_greedy(t: Tournament) -> Ordering:
         if move is None:
             break
         p, k = divmod(move, 2 * n)
-        docs.insert(n - 1 - k if k < n else k - n, docs.pop(p))
+        q = n - 1 - k if k < n else k - n
+        docs.insert(q, docs.pop(p))
+        lo, hi = (p, q) if p < q else (q, p)
     return Ordering.from_docs(docs)
 
 

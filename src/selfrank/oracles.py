@@ -2,7 +2,8 @@
 
 Everything here works on plain feature/output matrices, never on Gram
 matrices, so agreement with the kernelized learners is evidence rather than
-tautology.
+tautology. fas_greedy_reference is the loop form of the FAS decoder, the
+oracle of decoding.fas_greedy's array form.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decoding import Ordering, Tournament
 from .errors import DivergenceError, InvalidInputError, NumericalError
 
 
@@ -197,3 +199,42 @@ SQUARED_LOSS_V = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
 def squared_loss_embedding(ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=float)
     return np.stack([ys**2, ys, np.ones_like(ys)], axis=-1)
+
+
+def fas_greedy_reference(t: Tournament) -> Ordering:
+    """fas_greedy as plain loops: Borda start, adjacent sweeps, then per round
+    every insertion gain summed move by move and the margin rule applied in
+    scan order. decoding.fas_greedy must return the same positions."""
+    borda = t.weights.sum(axis=1)
+    docs = sorted(range(t.size), key=lambda j: (-borda[j], j))
+    w = t.weights
+    n = t.size
+    while True:
+        improved = True
+        while improved:
+            improved = False
+            for p in range(n - 1):
+                u, v = docs[p], docs[p + 1]
+                if w[u, v] < 0:
+                    docs[p], docs[p + 1] = v, u
+                    improved = True
+        order = np.asarray(docs)
+        sub = w[order[:, None], order[None, :]]
+        best = (0.0, None)
+        for p in range(n):
+            gain = 0.0
+            for q in range(p - 1, -1, -1):  # move up past position q
+                gain += sub[p, q]
+                if gain > best[0] + 1e-15:
+                    best = (gain, (p, q))
+            gain = 0.0
+            for q in range(p + 1, n):  # move down past position q
+                gain -= sub[p, q]
+                if gain > best[0] + 1e-15:
+                    best = (gain, (p, q))
+        if best[1] is None:
+            break
+        p, q = best[1]
+        doc = docs.pop(p)
+        docs.insert(q, doc)
+    return Ordering.from_docs(docs)

@@ -30,6 +30,7 @@ from .oracles import (
     ExplicitProblem,
     explicit_descending_step,
     explicit_gd,
+    fas_greedy_reference,
     nuclear_norm,
     prox_nuclear,
     svt,
@@ -209,6 +210,45 @@ def check_fas(rng, tournaments=300, max_docs=7) -> list[dict]:
         _check("fas_greedy_never_undercuts_exact", undercut, 1e-12),
         _check("fas_greedy_match_shortfall", 1.0 - matches / tournaments, 0.1),
     ]
+
+
+def _gaussian(rng, n):
+    return rng.standard_normal((n, n))
+
+
+def _integer_ties(rng, n):
+    return rng.integers(-2, 3, size=(n, n)).astype(float)
+
+
+def _tiny(rng, n):
+    return rng.standard_normal((n, n)) * 1e-17  # no insertion gain passes the 1e-15 margin
+
+
+def _near_margin(rng, n):
+    # gains of about 1e-15: the margin decides between near-tied moves
+    return rng.standard_normal((n, n)) * 1e-17 * n
+
+
+def _low_rank(rng, n):
+    # U V^T with r = 2 plus small noise: like the model's tournaments, it takes
+    # tens of insertion rounds at n = 60
+    U, V = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
+    return U @ V.T + 0.05 * rng.standard_normal((n, n))
+
+
+# Random tournament weights (rng, n) -> n x n, one family per kind of tie or margin.
+TOURNAMENT_FAMILIES = (_gaussian, _integer_ties, _tiny, _near_margin, _low_rank)
+
+
+def check_fas_loop_equivalence(rng, max_docs=24, per_size=4) -> dict:
+    """fas_greedy must return the loop oracle's positions on `per_size`
+    tournaments of every family for each n = 1..max_docs."""
+    mismatches = 0
+    for family in TOURNAMENT_FAMILIES:
+        for n in np.repeat(np.arange(1, max_docs + 1), per_size).tolist():
+            t = Tournament(family(rng, n))
+            mismatches += not np.array_equal(fas_greedy(t).positions, fas_greedy_reference(t).positions)
+    return _check("fas_greedy_loop_equivalence", float(mismatches), 0.0)
 
 
 def check_decode_finite(rng, instances=50) -> dict:
@@ -398,6 +438,7 @@ def run_verification(seed: int = 0) -> dict:
     checks.append(check_svt(rng))
     checks.append(check_ista_descent(rng))
     checks += check_fas(rng)
+    checks.append(check_fas_loop_equivalence(rng))
     checks.append(check_decode_finite(rng))
     checks.append(check_mtl_reduction(rng))
     checks.append(check_trace_norm_domination(rng))

@@ -1,5 +1,6 @@
 import math
 import warnings
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfrank.data_io import (
-    PairTask,
     RatingsTable,
     _rating_block,
     build_pair_tasks,
@@ -264,12 +264,33 @@ class TestSplitPerUser:
             split_per_user(_table({(1, 1): 1.0}), fractions=(0.5, 0.5, 0.5))
 
 
+class PairTask(NamedTuple):
+    """One document pair (by index into the item subset) with its co-ratings."""
+
+    a: int
+    b: int
+    pair: tuple
+    query_ids: tuple
+    z: np.ndarray  # rating(item a) - rating(item b) per query
+
+
+def pair_task_view(tasks) -> list[PairTask]:
+    """A PairTaskSet's columns as one PairTask per task, in task order."""
+    items, users = tasks.items, tasks.users
+    query_ids = [users[k] for k in tasks.user.tolist()]
+    view, lo = [], 0
+    for a, b, size in zip(tasks.a.tolist(), tasks.b.tolist(), tasks.sizes.tolist()):
+        view.append(PairTask(a, b, (items[a], items[b]), tuple(query_ids[lo : lo + size]), tasks.z[lo : lo + size]))
+        lo += size
+    return view
+
+
 class TestBuildPairTasks:
     def test_single_co_rating(self):
         table = _table({(1, "a"): 4.0, (1, "b"): 2.0})
-        tasks = build_pair_tasks(table, ["a", "b"])
-        assert len(tasks.tasks) == 1
-        t = tasks.tasks[0]
+        tasks = pair_task_view(build_pair_tasks(table, ["a", "b"]))
+        assert len(tasks) == 1
+        t = tasks[0]
         assert t.pair == ("a", "b")
         np.testing.assert_array_equal(t.z, [2.0])
         assert t.query_ids == (1,)
@@ -277,12 +298,12 @@ class TestBuildPairTasks:
     def test_uncovered_pairs_skipped(self):
         table = _table({(1, "a"): 4.0, (1, "b"): 2.0, (2, "c"): 5.0})
         tasks = build_pair_tasks(table, ["a", "b", "c"])
-        assert [t.pair for t in tasks.tasks] == [("a", "b")]
+        assert [t.pair for t in pair_task_view(tasks)] == [("a", "b")]
 
     def test_tied_ratings_keep_zero_difference(self):
         table = _table({(1, "a"): 3.0, (1, "b"): 3.0})
         tasks = build_pair_tasks(table, ["a", "b"])
-        np.testing.assert_array_equal(tasks.tasks[0].z, [0.0])
+        np.testing.assert_array_equal(pair_task_view(tasks)[0].z, [0.0])
 
     def test_subset_too_small(self):
         table = _table({(1, "a"): 1.0})
@@ -297,10 +318,10 @@ class TestBuildPairTasks:
     def test_independent_of_insertion_order(self):
         r1 = {(1, "a"): 4.0, (2, "a"): 1.0, (1, "b"): 2.0, (2, "b"): 5.0}
         r2 = dict(reversed(list(r1.items())))
-        t1 = build_pair_tasks(_table(r1), ["a", "b"])
-        t2 = build_pair_tasks(_table(r2), ["a", "b"])
-        assert [t.pair for t in t1.tasks] == [t.pair for t in t2.tasks]
-        for a, b in zip(t1.tasks, t2.tasks):
+        t1 = pair_task_view(build_pair_tasks(_table(r1), ["a", "b"]))
+        t2 = pair_task_view(build_pair_tasks(_table(r2), ["a", "b"]))
+        assert [t.pair for t in t1] == [t.pair for t in t2]
+        for a, b in zip(t1, t2):
             assert a.query_ids == b.query_ids
             np.testing.assert_array_equal(a.z, b.z)
 
@@ -330,8 +351,9 @@ def build_pair_tasks_reference(table, item_subset):
 
 def _assert_same_tasks(got, items, want):
     assert got.items == items
-    assert len(got.tasks) == len(want)
-    for g, w in zip(got.tasks, want):
+    got_tasks = pair_task_view(got)
+    assert len(got_tasks) == len(want)
+    for g, w in zip(got_tasks, want):
         assert (g.a, g.b, g.pair) == (w.a, w.b, w.pair)
         assert [type(v) for v in (g.a, g.b, *g.pair)] == [type(v) for v in (w.a, w.b, *w.pair)]
         assert g.query_ids == w.query_ids

@@ -19,7 +19,9 @@ from selfrank.evaluation import decode_queries
 from selfrank.kernels import KernelSpec
 from selfrank.learners import TrainConfig
 from selfrank.losses import zero_one
+from selfrank.oracles import fas_greedy_reference
 from selfrank.ranking import build_pair_task_data, fit_rank_lowrank
+from selfrank.verify import TOURNAMENT_FAMILIES
 
 
 # 0 over 1 and 1 over 2 by 1.0, 2 over 0 by 0.5
@@ -80,68 +82,7 @@ class TestDecodeFinite:
             assert chosen == labels[int(np.argmin(sums))]
 
 
-def fas_greedy_reference(t: Tournament) -> Ordering:
-    """The loop form of fas_greedy's insertion scan, kept as its bitwise reference."""
-    borda = t.weights.sum(axis=1)
-    docs = sorted(range(t.size), key=lambda j: (-borda[j], j))
-    w = t.weights
-    n = t.size
-    while True:
-        improved = True
-        while improved:
-            improved = False
-            for p in range(n - 1):
-                u, v = docs[p], docs[p + 1]
-                if w[u, v] < 0:
-                    docs[p], docs[p + 1] = v, u
-                    improved = True
-        order = np.asarray(docs)
-        sub = w[order[:, None], order[None, :]]
-        best = (0.0, None)
-        for p in range(n):
-            gain = 0.0
-            for q in range(p - 1, -1, -1):  # move up past position q
-                gain += sub[p, q]
-                if gain > best[0] + 1e-15:
-                    best = (gain, (p, q))
-            gain = 0.0
-            for q in range(p + 1, n):  # move down past position q
-                gain -= sub[p, q]
-                if gain > best[0] + 1e-15:
-                    best = (gain, (p, q))
-        if best[1] is None:
-            break
-        p, q = best[1]
-        doc = docs.pop(p)
-        docs.insert(q, doc)
-    return Ordering.from_docs(docs)
-
-
-def _gaussian(rng, n):
-    return rng.standard_normal((n, n))
-
-
-def _integer_ties(rng, n):
-    return rng.integers(-2, 3, size=(n, n)).astype(float)
-
-
-def _tiny(rng, n):
-    return rng.standard_normal((n, n)) * 1e-17  # no insertion gain passes the 1e-15 margin
-
-
-def _near_margin(rng, n):
-    # gains of about 1e-15: the margin decides between near-tied moves
-    return rng.standard_normal((n, n)) * 1e-17 * n
-
-
-def _low_rank(rng, n):
-    # U V^T with r = 2 plus small noise: like the model's tournaments, it takes
-    # tens of insertion rounds at n = 60
-    U, V = rng.standard_normal((n, 2)), rng.standard_normal((n, 2))
-    return U @ V.T + 0.05 * rng.standard_normal((n, n))
-
-
-@pytest.mark.parametrize("weights", [_gaussian, _integer_ties, _tiny, _near_margin, _low_rank])
+@pytest.mark.parametrize("weights", TOURNAMENT_FAMILIES)
 def test_fas_greedy_matches_loop_reference(weights):
     rng = np.random.default_rng(8)
     for n in range(1, 65):
@@ -151,20 +92,53 @@ def test_fas_greedy_matches_loop_reference(weights):
         )
 
 
-def test_fas_greedy_matches_loop_reference_on_fitted_tournaments():
-    table = simulate_movielens_table(n_users=150, n_items=80, seed=5)
-    items = top_items(table, 30)
-    split = split_per_user(table, seed=5)
+def fitted_tournaments(n_users, top, seed):
+    """One tournament per training user of a rank-5 fit on a simulated table."""
+    table = simulate_movielens_table(n_users=n_users, n_items=80, seed=seed)
+    items = top_items(table, top)
+    split = split_per_user(table, seed=seed)
     tasks = build_pair_tasks(split.train, items)
     features = user_feature_map(split.train, items)
     data = build_pair_task_data(tasks, features, KernelSpec("linear"))
-    model = fit_rank_lowrank(data, TrainConfig(lam=1e-3, rank=5, step=0.05, max_iters=20, seed=5))
+    model = fit_rank_lowrank(data, TrainConfig(lam=1e-3, rank=5, step=0.05, max_iters=20, seed=seed))
     X = np.vstack([features[u] for u in data.users])
-    tournaments = decode_queries(tasks, model.tournament_weights(X), decode=lambda t: t)
-    for user, t in zip(data.users, tournaments):
+    return zip(data.users, decode_queries(tasks, model.tournament_weights(X), decode=lambda t: t))
+
+
+def test_fas_greedy_matches_loop_reference_on_fitted_tournaments():
+    for user, t in fitted_tournaments(150, 30, 5):
         np.testing.assert_array_equal(
             fas_greedy(t).positions, fas_greedy_reference(t).positions, err_msg=f"user {user}"
         )
+
+
+def test_fas_greedy_matches_loop_reference_on_fitted_top60_tournaments():
+    # at n = 60 a decode takes tens of insertion rounds with sweeps between
+    # moves, so most rounds recompute only part of the gains
+    for user, t in fitted_tournaments(60, 60, 6):
+        np.testing.assert_array_equal(
+            fas_greedy(t).positions, fas_greedy_reference(t).positions, err_msg=f"user {user}"
+        )
+
+
+def test_fas_greedy_sweep_after_a_move():
+    # The Borda start [4, 3, 2, 0, 1, 5, 6, 7] is swept to [4, 3, 0, 2, 5, 1, 6, 7].
+    # The move 5 -> 0 then leaves docs 5 and 6 adjacent with w[5, 6] < 0, a pair
+    # the moved doc is not in, so a sweep over positions 5..6 follows while the
+    # move's positions 0..5 still wait for new gains; the next move is 4 -> 0.
+    upper = np.array([
+        [0, -1, 1, -2, -2, 2, 2, 1],
+        [0, 0, -3, 1, 3, -1, 0, 0],
+        [0, 0, 0, -2, 2, 1, 2, -3],
+        [0, 0, 0, 0, -1, -3, 2, 2],
+        [0, 0, 0, 0, 0, 2, 3, 1],
+        [0, 0, 0, 0, 0, 0, -1, 2],
+        [0, 0, 0, 0, 0, 0, 0, 3],
+        [0, 0, 0, 0, 0, 0, 0, 0],
+    ], dtype=float)
+    t = Tournament(upper)
+    np.testing.assert_array_equal(fas_greedy(t).positions, fas_greedy_reference(t).positions)
+    np.testing.assert_array_equal(fas_greedy(t).docs_by_rank(), [2, 1, 4, 3, 0, 6, 5, 7])
 
 
 class TestFasGreedy:

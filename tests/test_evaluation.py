@@ -50,12 +50,12 @@ class PerfectModel:
 
     def tournament_weights(self, X):
         assert X.shape[0] == len(self.queries)
-        W = np.zeros((len(self.tasks.tasks), X.shape[0]))
+        W = np.zeros((self.tasks.n_tasks, X.shape[0]))
         items = self.tasks.items
         for qi, user in enumerate(self.queries):
-            for t, task in enumerate(self.tasks.tasks):
-                ra = self.table.ratings.get((user, items[task.a]))
-                rb = self.table.ratings.get((user, items[task.b]))
+            for t, (a, b) in enumerate(zip(self.tasks.a.tolist(), self.tasks.b.tolist())):
+                ra = self.table.ratings.get((user, items[a]))
+                rb = self.table.ratings.get((user, items[b]))
                 if ra is not None and rb is not None:
                     W[t, qi] = ra - rb
         return W
@@ -85,7 +85,7 @@ class TestEvaluateRanking:
         table, split = make_split(rng)
         tasks = build_pair_tasks(split.train, table.items)
         features = user_feature_map(split.train, table.items)
-        report = evaluate_ranking(ZeroModel(len(tasks.tasks)), split, tasks, features)
+        report = evaluate_ranking(ZeroModel(tasks.n_tasks), split, tasks, features)
         assert 0.0 <= report.mean <= 1.0
         assert report.std >= 0.0
 
@@ -101,7 +101,7 @@ class TestEvaluateRanking:
         )
         tasks = build_pair_tasks(split.train, items)
         features = user_feature_map(split.train, items)
-        report = evaluate_ranking(ZeroModel(len(tasks.tasks)), split, tasks, features)
+        report = evaluate_ranking(ZeroModel(tasks.n_tasks), split, tasks, features)
         assert report.n_queries == 1
         assert report.skipped == 1
 
@@ -131,7 +131,7 @@ class TestEvaluateRanking:
         table, split = make_split(rng)
         tasks = build_pair_tasks(split.train, table.items)
         features = user_feature_map(split.train, table.items)
-        model = ZeroModel(len(tasks.tasks))
+        model = ZeroModel(tasks.n_tasks)
         r1 = evaluate_ranking(model, split, tasks, features)
         # reverse user declaration order; scoring iterates the sorted users either way
         split.test.users = list(reversed(split.test.users))

@@ -551,7 +551,7 @@ class TestPairTaskData:
     def test_stacking_consistent(self, small_problem):
         tasks, _, data = small_problem
         assert data.n_rows == tasks.total_samples
-        assert data.n_tasks == len(tasks.tasks)
+        assert data.n_tasks == tasks.n_tasks
         np.testing.assert_array_equal(
             np.diff(data.starts), data.task_sizes[:-1]
         )
