@@ -38,9 +38,9 @@ from .errors import (
 )
 from .evaluation import (
     EvalReport,
-    GridSpec,
     evaluate_ranking,
     gen_synthetic_lowrank,
+    grid_cells,
     grid_search,
     synthetic_comparison,
 )

@@ -41,11 +41,10 @@ from .evaluation import (
     DEFAULT_ITERS,
     DEFAULT_LAMBDAS,
     DEFAULT_RANKS,
-    GridSpec,
     decode_queries,
     evaluate_ranking,
+    grid_cells,
     grid_search,
-    resolve_grid,
     synthetic_comparison,
 )
 from .kernels import KernelSpec
@@ -204,6 +203,7 @@ def _kernel_from(cfg: dict) -> KernelSpec:
 
 
 def _load_ranking_problem(cfg: dict):
+    """The configured split, ranked items, pair tasks, user features and their PairTaskData."""
     if cfg["data.ratings"] is None:
         raise ConfigError("data.ratings is required for this command")
     if cfg["loss.name"] != "pair_sign":
@@ -225,8 +225,8 @@ def _load_ranking_problem(cfg: dict):
     split = split_per_user(table, seed=int(cfg["seed"]))
     tasks = build_pair_tasks(split.train, items)
     features = user_feature_map(split.train, items)
-    kernel = _kernel_from(cfg)
-    return split, items, tasks, features, kernel
+    data = build_pair_task_data(tasks, features, _kernel_from(cfg))
+    return split, items, tasks, features, data
 
 
 def _train_model(cfg: dict, data, seed: int):
@@ -251,15 +251,14 @@ def _train_model(cfg: dict, data, seed: int):
 
 
 def cmd_train(cfg: dict) -> int:
-    split, items, tasks, features, kernel = _load_ranking_problem(cfg)
-    data = build_pair_task_data(tasks, features, kernel)
+    split, items, tasks, features, data = _load_ranking_problem(cfg)
     seed = int(cfg["seed"])
     model, train_cfg = _train_model(cfg, data, seed)
     checkpoint = {
         "schema_version": CHECKPOINT_SCHEMA,
         "config": cfg,
         "learner": cfg["learner"],
-        "kernel": kernel.to_config(),
+        "kernel": data.kernel.to_config(),
         "lambda": float(cfg["train.lambda"]),
         "seed": seed,
         **_data_fields(tasks, data),
@@ -306,8 +305,7 @@ def _checkpoint_problem(cfg: dict, command: str):
     """The configured problem and the model its checkpoint holds, built from arrays alone."""
     if cfg["checkpoint"] is None:
         raise ConfigError(f"{command} requires a checkpoint path")
-    split, items, tasks, features, kernel = _load_ranking_problem(cfg)
-    data = build_pair_task_data(tasks, features, kernel)
+    split, items, tasks, features, data = _load_ranking_problem(cfg)
     with open(cfg["checkpoint"], "r", encoding="utf-8") as fh:
         ck = json.load(fh)
     schema = ck.get("schema_version")
@@ -362,28 +360,17 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_grid(cfg: dict) -> int:
-    split, items, tasks, features, kernel = _load_ranking_problem(cfg)
-    data = build_pair_task_data(tasks, features, kernel)
-    seed = int(cfg["seed"])
-    if cfg["learner"] == "lowrank":
-        steps = None if cfg["grid.steps"] == "auto" else tuple(cfg["grid.steps"])
-        grid, step_by_rank = resolve_grid(
-            data,
-            lambdas=tuple(cfg["grid.lambdas"]),
-            ranks=tuple(cfg["grid.ranks"]),
-            steps=steps,
-            iters=tuple(cfg["grid.iters"]),
-            seed=seed,
-        )
-    else:
-        grid = GridSpec(
-            lambdas=tuple(cfg["grid.lambdas"]), ranks=(1,), steps=(1.0,), iters=(1,)
-        )
-        step_by_rank = {}
-    best, report, table = grid_search(
-        grid, split, tasks, features, kernel, cfg["learner"],
-        seed=seed, step_by_rank=step_by_rank or None,
+    split, items, tasks, features, data = _load_ranking_problem(cfg)
+    cells = grid_cells(
+        data,
+        cfg["learner"],
+        lambdas=cfg["grid.lambdas"],
+        ranks=cfg["grid.ranks"],
+        steps=None if cfg["grid.steps"] == "auto" else cfg["grid.steps"],
+        iters=cfg["grid.iters"],
+        seed=int(cfg["seed"]),
     )
+    best, report, table = grid_search(cells, data, split, tasks, features)
     _write_json(cfg, "grid_table.json", {"config": cfg, "cells": table})
     path = _write_json(
         cfg,

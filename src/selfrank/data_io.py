@@ -18,7 +18,6 @@ reads them off one pairs x users co-rating mask.
 
 from __future__ import annotations
 
-import bisect
 import csv
 import math
 import warnings
@@ -82,24 +81,6 @@ class RatingsTable:
 
     def __len__(self) -> int:
         return len(self.value)
-
-    def rating(self, user, item, default=None):
-        """The rating of (user, item), or default; a search on the sorted code columns."""
-        u, i = _position(self.users, user), _position(self.items, item)
-        if u is None or i is None:
-            return default
-        lo, hi = np.searchsorted(self.user, [u, u + 1])  # the user's rows are contiguous
-        k = lo + int(np.searchsorted(self.item[lo:hi], i))
-        return float(self.value[k]) if k < hi and self.item[k] == i else default
-
-
-def _position(ids: list, key) -> int | None:
-    """The position of key among the sorted ids, or None for an absent or incomparable key."""
-    try:
-        k = bisect.bisect_left(ids, key)
-    except TypeError:
-        return None
-    return k if k < len(ids) and ids[k] == key else None
 
 
 def _by_pair(user: np.ndarray, item: np.ndarray, value: np.ndarray, n_items: int) -> tuple:

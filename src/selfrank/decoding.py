@@ -140,7 +140,7 @@ def fas_greedy(t: Tournament) -> Ordering:
     docs = np.argsort(-w.sum(axis=1), kind="stable").tolist()  # Borda, ties by index
     lo, hi = 0, n - 1  # positions whose documents changed since the last gains
     while True:
-        order = np.asarray(docs)
+        order = np.asarray(docs, dtype=np.intp)
         block = w.take(order[lo:], axis=0).take(order[: hi + 1], axis=1)
         # this diagonal of the block is L's subdiagonal from (lo, lo-1) to
         # (hi+1, hi): the adjacent pairs that may have changed

@@ -14,30 +14,10 @@ from .learners import TrainConfig, fit_hs, fit_lowrank, halving_step_search
 from .losses import RatingVector, pairwise_rank_loss
 from .ranking import (
     PairTaskData,
-    build_pair_task_data,
     fit_rank_hs,
     fit_rank_lowrank,
     halving_step_search_rank,
 )
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Hyperparameter grid; cells enumerate in the declared nesting order."""
-
-    lambdas: tuple
-    ranks: tuple
-    steps: tuple
-    iters: tuple
-
-    def __post_init__(self):
-        for name in ("lambdas", "ranks", "steps", "iters"):
-            values = tuple(getattr(self, name))
-            if not values:
-                raise InvalidInputError(f"grid list {name} must be nonempty")
-            if any(not v > 0 for v in values):
-                raise InvalidInputError(f"grid list {name} must be positive, got {values}")
-            object.__setattr__(self, name, values)
 
 
 DEFAULT_LAMBDAS = tuple(np.logspace(-4, 0, 7).tolist())
@@ -137,70 +117,68 @@ def decode_queries(pair_tasks: PairTaskSet, W: np.ndarray, *, decode) -> list[Or
     return orderings
 
 
-def resolve_grid(
+def grid_cells(
     data: PairTaskData,
+    learner: str,
     lambdas=DEFAULT_LAMBDAS,
     ranks=DEFAULT_RANKS,
     steps=None,
     iters=DEFAULT_ITERS,
     seed: int = 0,
-) -> tuple[GridSpec, dict]:
-    """Fill in steps by halving search on the training data when absent.
+) -> list[dict]:
+    """The grid's cells in nesting order (lambda, rank, step, iters).
 
-    The safe step depends on the rank, so the search runs once per rank (ten
-    probe iterations from 0.1, halving until they descend). Returns the grid
-    plus a rank -> step map that grid_search applies over grid.steps.
+    An hs cell is its lambda alone, so hs reads only lambdas. With steps None
+    each distinct rank gets the step of a halving search on data (ten probe
+    iterations at the smallest lambda, from 0.1), since the safe step depends
+    on the rank, and each low-rank cell uses its rank's step.
     """
-    step_by_rank: dict = {}
-    if steps is None:
-        for rank in ranks:
-            probe = TrainConfig(
-                lam=float(min(lambdas)), rank=int(rank), step=1.0, max_iters=10, seed=seed
-            )
-            step_by_rank[int(rank)] = halving_step_search_rank(data, probe)
-        steps = (step_by_rank[int(max(ranks))],)
-    grid = GridSpec(
-        lambdas=tuple(lambdas), ranks=tuple(ranks), steps=tuple(steps), iters=tuple(iters)
-    )
-    return grid, step_by_rank
+    if learner not in ("lowrank", "hs"):
+        raise InvalidInputError(f"learner must be lowrank or hs, got {learner!r}")
+    named = [("lambdas", lambdas)]
+    if learner == "lowrank":
+        named += [("ranks", ranks), ("steps", steps), ("iters", iters)]
+    for name, values in named:
+        if values is None:  # steps left to the search
+            continue
+        if not len(values):
+            raise InvalidInputError(f"grid list {name} must be nonempty")
+        if any(not v > 0 for v in values):
+            raise InvalidInputError(f"grid list {name} must be positive, got {tuple(values)}")
+    if learner == "hs":
+        return [{"learner": "hs", "lambda": float(lam)} for lam in lambdas]
+    steps_of = {
+        rank: steps if steps is not None else (halving_step_search_rank(
+            data, TrainConfig(lam=float(min(lambdas)), rank=rank, step=1.0, max_iters=10, seed=seed)
+        ),)
+        for rank in dict.fromkeys(map(int, ranks))
+    }
+    return [
+        {"learner": "lowrank", "lambda": float(lam), "rank": int(rank),
+         "step": float(step), "iters": int(it), "seed": int(seed)}
+        for lam in lambdas
+        for rank in ranks
+        for step in steps_of[int(rank)]
+        for it in iters
+    ]
 
 
 def grid_search(
-    grid: GridSpec,
+    cells: list[dict],
+    data: PairTaskData,
     split: SplitTable,
     pair_tasks: PairTaskSet,
     features: dict,
-    kernel: KernelSpec,
-    learner_kind: str,
-    seed: int = 0,
     decode=fas_greedy,
-    step_by_rank: dict | None = None,
 ):
-    """Validation-loss grid search for either learner kind.
+    """Fit every cell on data and score it on the validation table.
 
     Returns (best config dict, best cell's validation EvalReport, full table).
     A low-rank cell's row also records its fit's iters_run and stop_reason
     ("tol" or "max_iters"). Diverging cells are recorded as failed rather than
     aborting the search;
-    ties in validation mean break toward the earlier grid cell. When
-    step_by_rank (from resolve_grid) is given it replaces grid.steps.
+    ties in validation mean break toward the earlier grid cell.
     """
-    if learner_kind not in ("lowrank", "hs"):
-        raise InvalidInputError(f"learner_kind must be lowrank or hs, got {learner_kind!r}")
-    data = build_pair_task_data(pair_tasks, features, kernel)
-    if learner_kind == "lowrank":
-        cells = [
-            {"learner": "lowrank", "lambda": float(lam), "rank": int(rank),
-             "step": float(step), "iters": int(it), "seed": int(seed)}
-            for lam in grid.lambdas
-            for rank in grid.ranks
-            for step in (
-                (step_by_rank[int(rank)],) if step_by_rank else grid.steps
-            )
-            for it in grid.iters
-        ]
-    else:
-        cells = [{"learner": "hs", "lambda": float(lam)} for lam in grid.lambdas]
     table = []
     best = None
     best_report = None
@@ -221,7 +199,7 @@ def grid_search(
             "n_queries": report.n_queries,
             "skipped": report.skipped,
         }
-        if learner_kind == "lowrank":
+        if cell["learner"] == "lowrank":
             row.update(iters_run=model.iters_run, stop_reason=model.stop_reason)
         table.append(row)
         if best is None or report.mean < best_report.mean:

@@ -218,7 +218,7 @@ def fas_greedy_reference(t: Tournament) -> Ordering:
                 if w[u, v] < 0:
                     docs[p], docs[p + 1] = v, u
                     improved = True
-        order = np.asarray(docs)
+        order = np.asarray(docs, dtype=np.intp)
         sub = w[order[:, None], order[None, :]]
         best = (0.0, None)
         for p in range(n):

@@ -73,7 +73,6 @@ class PairTaskData:
     users: list
     U: np.ndarray  # distinct user features, one row per user
     kernel: KernelSpec
-    pairs: list[tuple[int, int]]  # document index pairs, one per task
     row_user: np.ndarray  # user index per stacked row
     starts: np.ndarray  # first stacked row of each task
     task_sizes: np.ndarray
@@ -87,7 +86,7 @@ class PairTaskData:
 
     @property
     def n_tasks(self) -> int:
-        return len(self.pairs)
+        return len(self.task_sizes)
 
     @cached_property
     def K_u(self) -> np.ndarray:
@@ -227,7 +226,6 @@ def build_pair_task_data(
         users=users,
         U=U,
         kernel=kernel,
-        pairs=list(zip(tasks.a.tolist(), tasks.b.tolist())),
         row_user=(np.cumsum(present) - 1)[tasks.user],
         starts=starts,
         task_sizes=tasks.sizes,

@@ -29,8 +29,8 @@ from selfrank.evaluation import (
     DEFAULT_LAMBDAS,
     evaluate_ranking,
     fit_cell,
+    grid_cells,
     grid_search,
-    resolve_grid,
     synthetic_comparison,
 )
 from selfrank.kernels import KernelSpec
@@ -278,13 +278,9 @@ def test_c08_ranking_directional():
         split = split_per_user(sub, seed=0)
         tasks = build_pair_tasks(split.train, items)
         feats = user_feature_map(split.train, items)
-        kernel = KernelSpec("linear")
-        data = build_pair_task_data(tasks, feats, kernel)
-        grid, step_by_rank = resolve_grid(data, seed=0)
-        best_tn, _, _ = grid_search(
-            grid, split, tasks, feats, kernel, "lowrank", seed=0, step_by_rank=step_by_rank
-        )
-        best_hs, _, _ = grid_search(grid, split, tasks, feats, kernel, "hs", seed=0)
+        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        best_tn, _, _ = grid_search(grid_cells(data, "lowrank", seed=0), data, split, tasks, feats)
+        best_hs, _, _ = grid_search(grid_cells(data, "hs"), data, split, tasks, feats)
         test_tn = evaluate_ranking(fit_cell(data, best_tn), split, tasks, feats, on="test")
         test_hs = evaluate_ranking(fit_cell(data, best_hs), split, tasks, feats, on="test")
     elapsed = time.time() - t0

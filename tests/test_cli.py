@@ -250,8 +250,8 @@ class TestCommands:
         cfg = load_config(None, base_overrides(ratings_file, ["learner=hs"]), out, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            split, _, tasks, features, kernel = _load_ranking_problem(cfg)
-        model = fit_rank_hs(build_pair_task_data(tasks, features, kernel), cfg["train.lambda"])
+            split, _, tasks, features, data = _load_ranking_problem(cfg)
+        model = fit_rank_hs(data, cfg["train.lambda"])
         report = evaluate_ranking(model, split, tasks, features, on="test")
         assert json.load(open(f"{out}/eval_report.json"))["per_query"] == report.per_query
 
@@ -314,6 +314,24 @@ class TestCommands:
         ok_means = [row["mean"] for row in table["cells"] if row["status"] == "ok"]
         assert best["validation"]["mean"] == min(ok_means)
 
+    @pytest.mark.parametrize("learner", ["lowrank", "hs"])
+    def test_grid_builds_one_problem(self, tmp_path, ratings_file, monkeypatch, learner):
+        """The step search and every grid cell share the one PairTaskData the command builds."""
+        built = []
+        init = PairTaskData.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(len(built))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(PairTaskData, "__init__", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rc = run("grid", overrides=base_overrides(ratings_file, [f"learner={learner}"]),
+                     out=str(tmp_path / "grid"), seed=0)
+        assert rc == 0
+        assert len(built) == 1
+
     def test_grid_cells_record_why_the_fit_stopped(self, tmp_path, ratings_file):
         """Each low-rank cell records iters_run and stop_reason. The 2000-iteration
         cells resume from their 100-iteration siblings; every row must agree with
@@ -324,11 +342,11 @@ class TestCommands:
             warnings.simplefilter("ignore")
             assert run("grid", overrides=overrides, out=out, seed=0) == 0
             cfg = load_config(None, overrides, out, 0)
-            split, _, tasks, features, kernel = _load_ranking_problem(cfg)
+            split, _, tasks, features, data = _load_ranking_problem(cfg)
         reasons = {}
         for row in json.load(open(f"{out}/grid_table.json"))["cells"]:
             cell = row["config"]
-            fresh = fit_cell(build_pair_task_data(tasks, features, kernel), cell)
+            fresh = fit_cell(build_pair_task_data(tasks, features, data.kernel), cell)
             assert (row["iters_run"], row["stop_reason"]) == (fresh.iters_run, fresh.stop_reason)
             reasons[cell["lambda"], cell["iters"]] = row["stop_reason"]
         assert reasons == {

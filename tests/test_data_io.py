@@ -31,7 +31,7 @@ class TestParseMovielens:
         path = tmp_path / "u.data"
         path.write_text("1\t5\t3\t881250949\n")
         table = parse_movielens(path)
-        assert table.rating(1, 5) == 3.0
+        assert table.ratings[(1, 5)] == 3.0
         assert table.users == [1] and table.items == [5]
 
     def test_empty_file(self, tmp_path):
@@ -164,8 +164,8 @@ class TestParseCsv:
         path = tmp_path / "r.csv"
         path.write_text("user,item,rating\n1,10,4.5\nu2,i7,2\n")
         table = parse_ratings_csv(path)
-        assert table.rating("1", "10") == 4.5
-        assert table.rating("u2", "i7") == 2.0
+        assert table.ratings[("1", "10")] == 4.5
+        assert table.ratings[("u2", "i7")] == 2.0
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -240,8 +240,8 @@ class TestSplitPerUser:
         ratings = {(1, 0): 1.0, (1, 1): 2.0, (2, 0): 3.0, (2, 1): 1.0, (2, 2): 2.0}
         with pytest.warns(UserWarning, match="placing all in train"):
             split = split_per_user(_table(ratings))
-        assert split.train.rating(1, 0) == 1.0
-        assert split.train.rating(1, 1) == 2.0
+        assert split.train.ratings[(1, 0)] == 1.0
+        assert split.train.ratings[(1, 1)] == 2.0
 
     def test_partition_per_user(self):
         rng = np.random.default_rng(0)
@@ -429,16 +429,15 @@ def build_pair_task_data_reference(tasks, features, kernel):
     users = sorted({q for t in tasks for q in t.query_ids})
     index = {u: k for k, u in enumerate(users)}
     U = np.vstack([np.asarray(features[u], dtype=float) for u in users])
-    row_user, sizes, z_parts, pairs = [], [], [], []
+    row_user, sizes, z_parts = [], [], []
     for t in tasks:
-        pairs.append((t.a, t.b))
         row_user.extend(index[q] for q in t.query_ids)
         sizes.append(len(t.query_ids))
         z_parts.append(t.z)
     sizes = np.asarray(sizes, dtype=int)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     return PairTaskData(
-        users=users, U=U, kernel=kernel, pairs=pairs, row_user=np.asarray(row_user, dtype=int),
+        users=users, U=U, kernel=kernel, row_user=np.asarray(row_user, dtype=int),
         starts=starts, task_sizes=sizes, z=np.concatenate(z_parts).astype(float),
     )
 
@@ -457,8 +456,6 @@ def _assert_same_table(got, want):
 def _assert_same_pair_task_data(got, want):
     assert got.users == want.users
     assert [type(u) for u in got.users] == [type(u) for u in want.users]
-    assert got.pairs == want.pairs
-    assert {type(v) for pair in got.pairs for v in pair} <= {int}
     for name in ("U", "row_user", "starts", "task_sizes", "z"):
         _assert_same_array(getattr(got, name), getattr(want, name))
 
@@ -737,32 +734,6 @@ def test_columnar_ingestion_matches_loop_reference(tmp_path):
     _assert_same_ingestion(table, list(range(6)), list(range(4)), ratings, 4, 1)
     R, rated = _rating_block(table, [1, 0])
     assert rated[2, 0] and np.isnan(R[2, 0])
-
-
-def _all_pairs_agree(table):
-    want = dict(table.ratings)
-    for u in table.users:
-        for i in table.items:
-            got, expected = table.rating(u, i, "miss"), want.get((u, i), "miss")
-            assert got == expected or (math.isnan(got) and math.isnan(expected))
-
-
-def test_rating_agrees_with_the_mapping():
-    table = simulate_movielens_table(n_users=60, n_items=40, seed=4)
-    assert len(table) < len(table.users) * len(table.items)  # some pairs are absent
-    _all_pairs_agree(table)
-    u, i = table.users[0], table.items[0]
-    for user, item in [(max(table.users) + 1, i), (-1, i), (u, max(table.items) + 1),
-                       (str(u), i), (u, str(i)), (u, None), ([u], i)]:
-        assert table.rating(user, item) is None
-        assert table.rating(user, item, default=-1.0) == -1.0
-    ratings = {("u1", "b"): 2.0, ("u1", "a"): 4.5, ("u3", "a"): float("nan"), ("u2", "c"): 1.0}
-    table = RatingsTable(users=["u1", "u2", "u3", "u4"], items=["a", "b", "c"], ratings=ratings)
-    _all_pairs_agree(table)
-    assert table.rating("u4", "a") is None and table.rating(1, "a") is None
-    assert table.rating("u0", "a") is None and table.rating("u1", "z") is None
-    empty = RatingsTable(users=[1], items=[2], ratings={})
-    assert empty.rating(1, 2) is None
 
 
 def test_write_movielens_matches_mapping_writer(tmp_path):

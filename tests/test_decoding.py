@@ -92,6 +92,13 @@ def test_fas_greedy_matches_loop_reference(weights):
         )
 
 
+@pytest.mark.parametrize("decode", [fas_greedy, fas_greedy_reference, fas_exact])
+def test_fas_decoders_order_zero_documents(decode):
+    ordering = decode(Tournament(np.zeros((0, 0))))
+    assert ordering.positions.shape == (0,) and ordering.positions.dtype.kind == "i"
+    assert ordering.docs_by_rank().tolist() == []
+
+
 def fitted_tournaments(n_users, top, seed):
     """One tournament per training user of a rank-5 fit on a simulated table."""
     table = simulate_movielens_table(n_users=n_users, n_items=80, seed=seed)

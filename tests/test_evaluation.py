@@ -5,16 +5,15 @@ from selfrank.data_io import RatingsTable, SplitTable, build_pair_tasks, user_fe
 from selfrank.errors import InvalidInputError, NumericalError
 from selfrank.evaluation import (
     EvalReport,
-    GridSpec,
     evaluate_ranking,
     gen_synthetic_lowrank,
+    grid_cells,
     grid_search,
-    resolve_grid,
     synthetic_comparison,
 )
 from selfrank.kernels import KernelSpec, gram
 from selfrank.learners import TrainConfig, fit_lowrank
-from selfrank.ranking import build_pair_task_data
+from selfrank.ranking import build_pair_task_data, halving_step_search_rank
 
 
 def make_split(rng, n_users=15, n_items=6, p=0.9):
@@ -140,85 +139,122 @@ class TestEvaluateRanking:
         assert r1.mean == r2.mean
 
 
-class TestGridSearch:
-    def _setup(self, seed=3):
-        rng = np.random.default_rng(seed)
-        table, split = make_split(rng, n_users=20)
-        tasks = build_pair_tasks(split.train, table.items)
-        features = user_feature_map(split.train, table.items)
-        return split, tasks, features
+def _grid_problem(seed=3):
+    rng = np.random.default_rng(seed)
+    table, split = make_split(rng, n_users=20)
+    tasks = build_pair_tasks(split.train, table.items)
+    features = user_feature_map(split.train, table.items)
+    return split, tasks, features, build_pair_task_data(tasks, features, KernelSpec("linear"))
 
+
+class TestGridSearch:
     def test_single_cell_returned(self):
-        split, tasks, features = self._setup()
-        grid = GridSpec(lambdas=(0.1,), ranks=(2,), steps=(1e-3,), iters=(50,))
-        best, report, table = grid_search(
-            grid, split, tasks, features, KernelSpec("linear"), "lowrank"
-        )
+        split, tasks, features, data = _grid_problem()
+        cells = grid_cells(data, "lowrank", lambdas=(0.1,), ranks=(2,), steps=(1e-3,), iters=(50,))
+        best, report, table = grid_search(cells, data, split, tasks, features)
         assert best["lambda"] == 0.1 and best["rank"] == 2
         assert len(table) == 1 and table[0]["status"] == "ok"
 
     def test_diverging_cell_contained(self):
-        split, tasks, features = self._setup()
-        grid = GridSpec(lambdas=(0.1,), ranks=(2,), steps=(1e3, 1e-3), iters=(50,))
-        best, report, table = grid_search(
-            grid, split, tasks, features, KernelSpec("linear"), "lowrank"
-        )
+        split, tasks, features, data = _grid_problem()
+        cells = grid_cells(data, "lowrank", lambdas=(0.1,), ranks=(2,), steps=(1e3, 1e-3), iters=(50,))
+        best, report, table = grid_search(cells, data, split, tasks, features)
         statuses = [row["status"] for row in table]
         assert any(s.startswith("failed") for s in statuses)
         assert best["step"] == 1e-3
 
     def test_best_has_minimal_validation_mean(self):
-        split, tasks, features = self._setup()
-        grid = GridSpec(lambdas=(1e-3, 1e-1, 10.0), ranks=(2,), steps=(1e-3,), iters=(60,))
-        best, report, table = grid_search(
-            grid, split, tasks, features, KernelSpec("linear"), "lowrank"
-        )
+        split, tasks, features, data = _grid_problem()
+        cells = grid_cells(data, "lowrank", lambdas=(1e-3, 1e-1, 10.0), ranks=(2,), steps=(1e-3,), iters=(60,))
+        best, report, table = grid_search(cells, data, split, tasks, features)
         means = [row["mean"] for row in table if row["status"] == "ok"]
         assert report.mean == min(means)
 
     def test_ties_break_to_earlier_grid_cell(self):
-        split, tasks, features = self._setup()
+        split, tasks, features, data = _grid_problem()
         # duplicated lambda -> identical validation means; first cell must win
-        grid = GridSpec(lambdas=(0.05, 0.05), ranks=(1,), steps=(1.0,), iters=(1,))
-        best, report, table = grid_search(
-            grid, split, tasks, features, KernelSpec("linear"), "hs"
-        )
+        cells = grid_cells(data, "hs", lambdas=(0.05, 0.05))
+        best, report, table = grid_search(cells, data, split, tasks, features)
         assert table[0]["mean"] == table[1]["mean"]
         assert best is table[0]["config"]
 
     def test_hs_grid(self):
-        split, tasks, features = self._setup()
-        grid = GridSpec(lambdas=(1e-3, 1e-1), ranks=(1,), steps=(1.0,), iters=(1,))
-        best, report, table = grid_search(
-            grid, split, tasks, features, KernelSpec("linear"), "hs"
-        )
+        split, tasks, features, data = _grid_problem()
+        cells = grid_cells(data, "hs", lambdas=(1e-3, 1e-1))
+        best, report, table = grid_search(cells, data, split, tasks, features)
         assert best["learner"] == "hs"
         assert len(table) == 2
 
     def test_unknown_learner_rejected(self):
-        split, tasks, features = self._setup()
-        grid = GridSpec(lambdas=(0.1,), ranks=(2,), steps=(1e-3,), iters=(10,))
-        with pytest.raises(InvalidInputError):
-            grid_search(grid, split, tasks, features, KernelSpec("linear"), "boost")
-
-    def test_resolve_grid_finds_per_rank_steps(self):
-        split, tasks, features = self._setup()
-        data = build_pair_task_data(tasks, features, KernelSpec("linear"))
-        grid, step_by_rank = resolve_grid(
-            data, lambdas=(0.01,), ranks=(2, 4), iters=(30,), seed=0
-        )
-        assert set(step_by_rank) == {2, 4}
-        assert all(s > 0 for s in step_by_rank.values())
+        _, _, _, data = _grid_problem()
+        with pytest.raises(InvalidInputError, match="learner must be lowrank or hs"):
+            grid_cells(data, "boost", lambdas=(0.1,), ranks=(2,), steps=(1e-3,), iters=(10,))
 
 
-class TestGridSpec:
-    def test_empty_list_rejected(self):
-        with pytest.raises(InvalidInputError):
-            GridSpec(lambdas=(), ranks=(1,), steps=(0.1,), iters=(10,))
+VALID_GRID = dict(lambdas=(0.1,), ranks=(1,), steps=(0.1,), iters=(10,))
+# (learner, grid list it checks)
+GRID_LISTS = [("lowrank", "lambdas"), ("lowrank", "ranks"), ("lowrank", "steps"), ("lowrank", "iters"),
+              ("hs", "lambdas")]
 
-    def test_nonpositive_rejected(self):
-        with pytest.raises(InvalidInputError):
-            GridSpec(lambdas=(0.1,), ranks=(0,), steps=(0.1,), iters=(10,))
+
+class TestGridCells:
+    def test_nesting_order_with_explicit_steps(self):
+        _, _, _, data = _grid_problem()
+        cells = grid_cells(data, "lowrank", lambdas=(0.1, 0.01), ranks=(3, 2), steps=(1e-3, 1e-2),
+                           iters=(20, 10), seed=4)
+        assert [(c["lambda"], c["rank"], c["step"], c["iters"]) for c in cells] == [
+            (lam, rank, step, it)
+            for lam in (0.1, 0.01) for rank in (3, 2) for step in (1e-3, 1e-2) for it in (20, 10)
+        ]
+        assert cells[0] == {"learner": "lowrank", "lambda": 0.1, "rank": 3, "step": 1e-3,
+                            "iters": 20, "seed": 4}
+        assert all(type(c["rank"]) is int and type(c["step"]) is float for c in cells)
+
+    def test_one_searched_step_per_rank(self):
+        _, _, _, data = _grid_problem()
+        cells = grid_cells(data, "lowrank", lambdas=(0.1, 0.01), ranks=(2, 4), iters=(30, 60), seed=0)
+        assert [(c["lambda"], c["rank"], c["iters"]) for c in cells] == [
+            (lam, rank, it) for lam in (0.1, 0.01) for rank in (2, 4) for it in (30, 60)
+        ]
+        for rank in (2, 4):
+            probe = TrainConfig(lam=0.01, rank=rank, step=1.0, max_iters=10, seed=0)
+            want = halving_step_search_rank(_grid_problem()[3], probe)  # on a fresh problem
+            assert {c["step"] for c in cells if c["rank"] == rank} == {want}
+
+    def test_duplicate_ranks(self, monkeypatch):
+        _, _, _, data = _grid_problem()
+        searched = []
+
+        def search(data, cfg):
+            searched.append(cfg.rank)
+            return 0.01 * cfg.rank
+
+        monkeypatch.setattr("selfrank.evaluation.halving_step_search_rank", search)
+        cells = grid_cells(data, "lowrank", lambdas=(0.1,), ranks=(2, 3, 2), iters=(10,))
+        assert searched == [2, 3]
+        assert [(c["rank"], c["step"]) for c in cells] == [(2, 0.02), (3, 0.03), (2, 0.02)]
+
+    def test_hs_ignores_ranks_steps_and_iters(self, monkeypatch):
+        _, _, _, data = _grid_problem()
+        monkeypatch.setattr("selfrank.evaluation.halving_step_search_rank", None)  # never searched
+        cells = grid_cells(data, "hs", lambdas=(1e-3, 1e-1), ranks=(), steps=None, iters=(0,))
+        assert cells == [{"learner": "hs", "lambda": 1e-3}, {"learner": "hs", "lambda": 1e-1}]
+
+    @pytest.mark.parametrize("learner, name", GRID_LISTS)
+    def test_empty_list_rejected(self, learner, name):
+        _, _, _, data = _grid_problem()
+        with pytest.raises(InvalidInputError, match=f"grid list {name} must be nonempty"):
+            grid_cells(data, learner, **{**VALID_GRID, name: ()})
+
+    @pytest.mark.parametrize("learner, name", GRID_LISTS)
+    def test_nonpositive_rejected(self, learner, name):
+        _, _, _, data = _grid_problem()
+        grid = {**VALID_GRID, name: (*VALID_GRID[name], 0)}
+        with pytest.raises(InvalidInputError, match=f"grid list {name} must be positive"):
+            grid_cells(data, learner, **grid)
+        if name != "steps":  # the lists are checked before any step search
+            with pytest.raises(InvalidInputError, match=f"grid list {name} must be positive"):
+                grid_cells(data, learner, **{**grid, "steps": None})
 
 
 class TestGenSynthetic:
