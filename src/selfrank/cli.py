@@ -3,8 +3,11 @@
 Every artifact is a JSON document embedding the resolved configuration that
 produced it, written with sorted keys so identical (command, config, seed)
 runs are byte-identical. Exit codes: 0 success, 2 bad configuration or
-input data, 3 divergence or another numerical failure (every grid cell
-failed, no descending step found), 4 verification failure.
+input data (among them a path key that names no file or a directory, a
+config or checkpoint file that is not a UTF-8 JSON object, and a ratings or
+features file that is not UTF-8 text), 3 divergence or another numerical
+failure (every grid cell failed, no descending step found), 4 verification
+failure.
 """
 
 from __future__ import annotations
@@ -150,16 +153,8 @@ def load_config(config_path: str | None, overrides: list[str], out: str | None, 
     """Merge file config, --set overrides, and flag shortcuts; validate keys, values and paths."""
     cfg = {k: v for k, (v, _) in KNOWN_KEYS.items()}
     if config_path is not None:
-        if not os.path.exists(config_path):
-            raise ConfigError(f"config file not found: {config_path}")
-        with open(config_path, "r", encoding="utf-8") as fh:
-            try:
-                loaded = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(loaded, dict):
-            raise ConfigError("config must be a flat JSON object")
-        for key, value in loaded.items():
+        _check_file(config_path, "config file")
+        for key, value in _json_object(config_path, "config").items():
             if key not in KNOWN_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = value
@@ -181,17 +176,36 @@ def load_config(config_path: str | None, overrides: list[str], out: str | None, 
         if not check(cfg[key]):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
     for key, (_, is_path) in KNOWN_KEYS.items():
-        if is_path and cfg[key] is not None and not os.path.exists(str(cfg[key])):
-            raise ConfigError(f"path for {key!r} does not exist: {cfg[key]}")
+        if is_path and cfg[key] is not None:
+            _check_file(str(cfg[key]), f"path for {key!r}")
     return cfg
+
+
+def _check_file(path: str, what: str) -> None:
+    if not os.path.exists(path):
+        raise ConfigError(f"{what} does not exist: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} is not a file: {path}")
+
+
+def _json_object(path: str, what: str) -> dict:
+    """The JSON object a UTF-8 file holds; a ConfigError naming `what` and the cause otherwise."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            value = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, or UnicodeDecodeError for bytes that are not UTF-8
+        raise ConfigError(f"{what} {path} is not UTF-8 JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def _write_json(cfg: dict, name: str, payload: dict) -> str:
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], name)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        # One string: json.dump would write each of the indenting encoder's chunks.
+        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return path
 
 
@@ -306,8 +320,7 @@ def _checkpoint_problem(cfg: dict, command: str):
     if cfg["checkpoint"] is None:
         raise ConfigError(f"{command} requires a checkpoint path")
     split, items, tasks, features, data = _load_ranking_problem(cfg)
-    with open(cfg["checkpoint"], "r", encoding="utf-8") as fh:
-        ck = json.load(fh)
+    ck = _json_object(cfg["checkpoint"], "checkpoint")
     schema = ck.get("schema_version")
     if schema == 1:
         raise ConfigError(

@@ -116,11 +116,30 @@ def parse_movielens(path) -> RatingsTable:
     must hold three tabs, the fields convert a column at a time, and
     finiteness and duplicates are checked on the columns. Blank lines are
     skipped but counted. A rejected file is rescanned line by line for the
-    error of its first bad line.
+    error of its first bad line. Only the file's bytes are kept past the
+    read, and each boundary array only while the column cut reads it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()  # newlines translated as in line-by-line reading
-    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = fh.read().encode("utf-8")  # newlines translated as in line-by-line reading
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+    columns = _rating_columns(np.frombuffer(raw, dtype=np.uint8))
+    if columns is None:
+        raise _first_bad_line(raw)
+    table = _from_ids(*columns)
+    repeated = (np.diff(table.user) == 0) & (np.diff(table.item) == 0)
+    if not np.isfinite(table.value).all() or repeated.any():
+        raise _first_bad_line(raw)
+    return table
+
+
+def _rating_columns(data: np.ndarray) -> tuple | None:
+    """The user, item and rating columns of a file's bytes; None when a line is malformed.
+
+    A line is malformed unless it is blank or holds three tabs and its first
+    three fields convert.
+    """
     ends = np.flatnonzero(data == ord("\n"))
     if data.size and data[-1] != ord("\n"):
         ends = np.append(ends, data.size)  # a last line without a newline
@@ -129,23 +148,19 @@ def parse_movielens(path) -> RatingsTable:
     starts, ends = starts[filled], ends[filled]
     tabs = np.flatnonzero(data == ord("\t"))
     if tabs.size != 3 * starts.size:
-        raise _first_bad_line(text)
+        return None
     # With three tabs per rating line in all, every line holds three exactly
     # when the k-th three tabs lie in the k-th line for every k (pigeonhole).
     t = tabs.reshape(-1, 3)
     if np.any(t[:, 0] < starts) or np.any(t[:, 2] >= ends):
-        raise _first_bad_line(text)
+        return None
+    del ends  # each boundary array is freed as soon as the cut no longer reads it
     try:
         user = _column(data, starts, t[:, 0], int)
-        item = _column(data, t[:, 0] + 1, t[:, 1], int)
-        value = _column(data, t[:, 1] + 1, t[:, 2], float)
+        del starts
+        return user, _column(data, t[:, 0] + 1, t[:, 1], int), _column(data, t[:, 1] + 1, t[:, 2], float)
     except (ValueError, OverflowError):
-        raise _first_bad_line(text) from None
-    table = _from_ids(user, item, value)
-    repeated = (np.diff(table.user) == 0) & (np.diff(table.item) == 0)
-    if not np.isfinite(value).all() or repeated.any():
-        raise _first_bad_line(text)
-    return table
+        return None
 
 
 def _column(data: np.ndarray, lo: np.ndarray, hi: np.ndarray, convert) -> np.ndarray:
@@ -158,21 +173,27 @@ def _column(data: np.ndarray, lo: np.ndarray, hi: np.ndarray, convert) -> np.nda
     width = hi - lo
     plain = (width >= 1) & (width <= 15)
     number = np.zeros(len(lo), dtype=np.int64)
+    at = np.empty_like(number)  # each field's j-th byte, or the tab after a field of j bytes or fewer
     for j in range(min(int(width.max(initial=0)), 15)):
         inside = plain & (j < width)
-        digit = data[np.where(inside, lo + j, 0)] - ord("0")  # non-digits wrap above 9
+        np.minimum(np.add(lo, j, out=at), hi, out=at)
+        digit = data[at] - ord("0")  # non-digits wrap above 9
         plain &= ~inside | (digit <= 9)
-        number = np.where(inside, number * 10 + digit, number)
-    out = number.astype(np.int64 if convert is int else float)
+        np.multiply(number, 10, out=number, where=inside)
+        np.add(number, digit, out=number, where=inside)
+    out = number.astype(np.int64 if convert is int else float, copy=False)
     for k in np.flatnonzero(~plain).tolist():
         out[k] = convert(data[lo[k]:hi[k]].tobytes().decode("utf-8"))
     return out
 
 
-def _first_bad_line(text: str) -> RatingsParseError:
-    """The error of the first line a line-by-line reading of a rejected file stops at."""
+def _first_bad_line(raw: bytes) -> RatingsParseError:
+    """The error of the first line a line-by-line reading of a rejected file stops at.
+
+    raw is the file's UTF-8 text with its newlines translated, as read.
+    """
     seen = set()
-    for line_no, line in enumerate(text.split("\n"), start=1):
+    for line_no, line in enumerate(raw.decode("utf-8").split("\n"), start=1):
         if not line:
             continue
         parts = line.split("\t")
@@ -196,56 +217,74 @@ def parse_ratings_csv(path) -> RatingsTable:
     """Parse a generic ratings CSV with header `user,item,rating`."""
     user_ids, item_ids, values = [], [], []
     seen = set()
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip().lower() for h in header[:3]] != ["user", "item", "rating"]:
-            raise RatingsParseError(1, f"expected header user,item,rating, got {header!r}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise RatingsParseError(line_no, f"expected 3 fields, got {len(row)}")
-            user = row[0].strip()
-            item = row[1].strip()
-            try:
-                value = float(row[2])
-            except ValueError:
-                raise RatingsParseError(line_no, f"non-numeric rating {row[2]!r}") from None
-            if not math.isfinite(value):
-                raise RatingsParseError(line_no, f"non-finite rating {row[2]!r}")
-            if (user, item) in seen:
-                raise DuplicateRatingError(line_no, f"duplicate rating for user {user}, item {item}")
-            seen.add((user, item))
-            user_ids.append(user)
-            item_ids.append(item)
-            values.append(value)
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if header is None or [h.strip().lower() for h in header[:3]] != ["user", "item", "rating"]:
+        raise RatingsParseError(1, f"expected header user,item,rating, got {header!r}")
+    for line_no, row in rows:
+        if len(row) != 3:
+            raise RatingsParseError(line_no, f"expected 3 fields, got {len(row)}")
+        user = row[0].strip()
+        item = row[1].strip()
+        try:
+            value = float(row[2])
+        except ValueError:
+            raise RatingsParseError(line_no, f"non-numeric rating {row[2]!r}") from None
+        if not math.isfinite(value):
+            raise RatingsParseError(line_no, f"non-finite rating {row[2]!r}")
+        if (user, item) in seen:
+            raise DuplicateRatingError(line_no, f"duplicate rating for user {user}, item {item}")
+        seen.add((user, item))
+        user_ids.append(user)
+        item_ids.append(item)
+        values.append(value)
     return _from_ids(user_ids, item_ids, np.array(values, dtype=float))
 
 
 def parse_user_features_csv(path) -> dict:
     """Parse `user,f1,...,fd` rows into a user -> feature-vector map."""
     feats: dict = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or header[0].strip().lower() != "user":
-            raise RatingsParseError(1, f"expected header starting with `user`, got {header!r}")
-        dim = len(header) - 1
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != dim + 1:
-                raise RatingsParseError(line_no, f"expected {dim + 1} fields, got {len(row)}")
-            user = row[0].strip()
-            try:
-                values = [float(v) for v in row[1:]]
-            except ValueError:
-                raise RatingsParseError(line_no, "non-numeric feature value") from None
-            if not all(math.isfinite(v) for v in values):
-                raise RatingsParseError(line_no, "non-finite feature value")
-            feats[user] = np.array(values)
+    rows = _csv_rows(path)
+    _, header = next(rows, (1, None))
+    if not header or header[0].strip().lower() != "user":
+        raise RatingsParseError(1, f"expected header starting with `user`, got {header!r}")
+    dim = len(header) - 1
+    for line_no, row in rows:
+        if len(row) != dim + 1:
+            raise RatingsParseError(line_no, f"expected {dim + 1} fields, got {len(row)}")
+        user = row[0].strip()
+        try:
+            values = [float(v) for v in row[1:]]
+        except ValueError:
+            raise RatingsParseError(line_no, "non-numeric feature value") from None
+        if not all(math.isfinite(v) for v in values):
+            raise RatingsParseError(line_no, "non-finite feature value")
+        feats[user] = np.array(values)
     return feats
+
+
+def _csv_rows(path):
+    """(line number, fields) of a UTF-8 CSV file's header row, then of each non-empty row."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            for line_no, row in enumerate(csv.reader(fh), start=1):
+                if row or line_no == 1:
+                    yield line_no, row
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> RatingsParseError:
+    """The error for a file that is not UTF-8 text, naming it and its first line that does not decode."""
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines()  # no UTF-8 sequence holds a CR or LF byte
+    for line_no, line in enumerate(lines, start=1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            byte = line[exc.start]
+            return RatingsParseError(line_no, f"{path} is not UTF-8 text: {exc.reason} (byte {byte:#04x})")
+    raise AssertionError("a file that decodes line by line failed to decode whole")
 
 
 def write_movielens(table: RatingsTable, path) -> None:

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import DivergenceError, InvalidInputError, NumericalError
 
@@ -83,7 +82,14 @@ class MtlFactorSet:
 
 
 def ridge_cho_factor(K: np.ndarray, lam: float):
-    """Cholesky factor of K + n lam I, retried once with a 1e-12 trace-scaled jitter."""
+    """Cholesky factor of K + n lam I, retried once with a 1e-12 trace-scaled jitter.
+
+    scipy.linalg, with the LAPACK it maps, is imported here and in
+    ridge_cho_solve only, on first use, so a run that solves no ridge
+    system never loads it.
+    """
+    from scipy.linalg import cho_factor
+
     n = K.shape[0]
     system = K + n * lam * np.eye(n)
     try:
@@ -94,6 +100,13 @@ def ridge_cho_factor(K: np.ndarray, lam: float):
             return cho_factor(system + jitter * np.eye(n))
         except np.linalg.LinAlgError as exc:
             raise NumericalError(f"Cholesky factorization failed despite jitter {jitter:.3e}") from exc
+
+
+def ridge_cho_solve(factor, v: np.ndarray) -> np.ndarray:
+    """The solution of the ridge system whose ridge_cho_factor factor is given."""
+    from scipy.linalg import cho_solve
+
+    return cho_solve(factor, v)
 
 
 class HsModel:
@@ -110,7 +123,7 @@ class HsModel:
         self._cho = ridge_cho_factor(K_X, self.lam)
 
     def solve(self, v: np.ndarray) -> np.ndarray:
-        return cho_solve(self._cho, v)
+        return ridge_cho_solve(self._cho, v)
 
 
 def fit_hs(K_X: np.ndarray, lam: float) -> HsModel:

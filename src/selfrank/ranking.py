@@ -42,14 +42,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.sparse import csc_array
 
 from .data_io import PairTaskSet
 from .errors import DivergenceError, InvalidInputError, NumericalError
 # gram and cross_vector stay ranking attributes: perfbench's tracer patches them.
 from .kernels import KernelSpec, cross_gram, cross_vector, gram  # noqa: F401
-from .learners import TrainConfig, _row_slices, _stop, halving_search, init_scale, ridge_cho_factor
+from .learners import (
+    TrainConfig, _row_slices, _stop, halving_search, init_scale, ridge_cho_factor,
+    ridge_cho_solve,
+)
 
 # Stacked rows per block of the pair-score pass (PairTaskData.forward): at rank
 # 10 its two gathered blocks take 2 x 4096 x 10 floats (655 KB), well inside a
@@ -405,5 +407,5 @@ def fit_rank_hs(data: PairTaskData, lam: float) -> HsRankModel:
             factor = ridge_cho_factor(data.K_u[np.ix_(rows, rows)], lam)
         except NumericalError as exc:
             raise NumericalError(f"task {t}: {exc}") from exc
-        beta[b] = cho_solve(factor, data.z[b])
+        beta[b] = ridge_cho_solve(factor, data.z[b])
     return HsRankModel(data=data, beta=beta)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 
+import numpy as np
 import pytest
 
+import selfrank
 from selfrank.cli import _load_ranking_problem, load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
@@ -11,6 +16,23 @@ from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 
 # JSON values a checkpoint's number arrays must reject: a string, null, NaN and a bool
 BAD_NUMBERS = ("x", None, float("nan"), True)
+
+# Runs low-rank train, eval and decode, then hs train, in one fresh interpreter
+# and prints after each whether scipy.linalg has been imported.
+SCIPY_LINALG_PROBE = """
+import json, sys, warnings
+from selfrank.cli import run
+warnings.simplefilter("ignore")
+overrides, out = json.loads(sys.argv[1]), sys.argv[2]
+loaded = {}
+for command in ("train", "eval", "decode"):
+    extra = [] if command == "train" else [f"checkpoint={out}/lowrank/checkpoint.json"]
+    assert run(command, overrides=overrides + extra, out=f"{out}/lowrank") == 0
+    loaded[command] = "scipy.linalg" in sys.modules
+assert run("train", overrides=overrides + ["learner=hs"], out=f"{out}/hs") == 0
+loaded["hs train"] = "scipy.linalg" in sys.modules
+print(json.dumps(loaded))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +63,22 @@ class TestConfig:
     def test_missing_path_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ["data.ratings=/nonexistent/file"], None, None)
+
+    @pytest.mark.parametrize("key", ["data.ratings", "data.features", "checkpoint"])
+    def test_directory_path_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match=f"^path for '{key}' is not a file: "):
+            load_config(None, [f"{key}={tmp_path}"], None, None)
+
+    @pytest.mark.parametrize("content, message", [
+        (b'{"items.top": 7', "config .* is not UTF-8 JSON: Expecting"),
+        (b'{"items.top": "\xff"}', "config .* is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[7]", "config must be a JSON object, got list"),
+    ])
+    def test_config_file_must_hold_a_json_object(self, tmp_path, content, message):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            load_config(str(path), [], None, None)
 
     def test_config_file_merging(self, tmp_path, ratings_file):
         cfg_path = tmp_path / "cfg.json"
@@ -132,6 +170,31 @@ class TestCommands:
         assert rc == 2
         assert f"line 4: expected 4 tab-separated fields, got {fields[0]}" in capsys.readouterr().err
 
+    def test_directory_for_a_file_exits_2(self, tmp_path, ratings_file, capsys):
+        out = str(tmp_path / "out")
+        assert run("train", overrides=base_overrides(str(tmp_path)), out=out) == 2
+        assert "config error: path for 'data.ratings' is not a file" in capsys.readouterr().err
+        assert run("eval", overrides=base_overrides(ratings_file, [f"checkpoint={tmp_path}"]), out=out) == 2
+        assert "config error: path for 'checkpoint' is not a file" in capsys.readouterr().err
+        assert run("train", config_path=str(tmp_path), out=out) == 2
+        assert "config error: config file is not a file" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("file, text, extra", [
+        ("u.data", b"1\t5\t3\t0\n2\t6\t4\t\xff\n", []),
+        ("r.csv", b"user,item,rating\n1,5,3\n\xff,6,4\n", ["data.format=csv"]),
+        ("f.csv", b"user,f1\n1,0.5\n\xff,1\n", None),
+    ])
+    def test_non_utf8_input_exits_2(self, tmp_path, ratings_file, capsys, file, text, extra):
+        """A byte that is not UTF-8 in a ratings or features file is an input error naming the file."""
+        path = tmp_path / file
+        path.write_bytes(text)
+        overrides = [f"data.ratings={ratings_file}", f"data.features={path}"] if extra is None else [
+            f"data.ratings={path}", *extra
+        ]
+        assert run("train", overrides=overrides, out=str(tmp_path / "out")) == 2
+        line = 2 if file == "u.data" else 3
+        assert f"input error: line {line}: {path} is not UTF-8 text" in capsys.readouterr().err
+
     def test_divergent_step_exits_3(self, tmp_path, ratings_file):
         rc = run(
             "train",
@@ -218,6 +281,19 @@ class TestCommands:
                 assert rc == 2
                 assert f"field {field!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content, message", [
+        (b"{not json", "is not UTF-8 JSON: Expecting property name"),
+        (b'{"learner": "\xff"}', "is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff"),
+        (b"[1, 2]", "checkpoint must be a JSON object, got list"),
+    ])
+    def test_corrupt_checkpoint_exits_2(self, tmp_path, ratings_file, capsys, content, message):
+        path = tmp_path / "checkpoint.json"
+        path.write_bytes(content)
+        for command in ("eval", "decode"):
+            rc = run(command, overrides=base_overrides(ratings_file, [f"checkpoint={path}"]), out=str(tmp_path))
+            assert rc == 2
+            assert message in capsys.readouterr().err
+
     def test_schema_1_checkpoint_exits_2(self, tmp_path, ratings_file, capsys):
         path = tmp_path / "v1.json"
         path.write_text(json.dumps({"schema_version": 1, "learner": "lowrank"}))
@@ -254,6 +330,34 @@ class TestCommands:
         model = fit_rank_hs(data, cfg["train.lambda"])
         report = evaluate_ranking(model, split, tasks, features, on="test")
         assert json.load(open(f"{out}/eval_report.json"))["per_query"] == report.per_query
+
+    def test_only_hs_loads_scipy_linalg(self, tmp_path, ratings_file):
+        """Low-rank train, eval and decode run without importing scipy.linalg; hs
+        train imports it, and its beta is scipy's Cholesky solution of each
+        task's ridge system (K_t + n_t lam I) beta_t = z_t."""
+        src = os.path.dirname(os.path.dirname(selfrank.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_LINALG_PROBE, json.dumps(base_overrides(ratings_file)), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded == {"train": False, "eval": False, "decode": False, "hs train": True}
+
+        from scipy.linalg import cho_factor, cho_solve
+
+        cfg = load_config(None, base_overrides(ratings_file, ["learner=hs"]), None, None)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            data = _load_ranking_problem(cfg)[-1]
+        lam, want, lo = cfg["train.lambda"], [], 0
+        for n in data.task_sizes.tolist():
+            rows = data.row_user[lo:lo + n]
+            system = data.K_u[np.ix_(rows, rows)] + n * lam * np.eye(n)
+            want += cho_solve(cho_factor(system), data.z[lo:lo + n]).tolist()
+            lo += n
+        ck = json.loads((tmp_path / "hs" / "checkpoint.json").read_text())
+        assert ck["beta"] == want
 
     def test_hs_checkpoint_without_valid_beta_exits_2(self, tmp_path, ratings_file, capsys):
         out = str(tmp_path / "hs")

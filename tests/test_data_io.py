@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 import warnings
 from typing import NamedTuple
 
@@ -158,6 +160,50 @@ class TestParseMovielens:
         assert again.items == table.items
         assert again.ratings == table.ratings
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("bad", ["2\t6\t4", "2\t6\tfour\t0", "2\t6\tnan\t0", "1\t5\t4\t0"])
+    @pytest.mark.parametrize("where", ["middle", "last", "last without newline"])
+    def test_rejections_match_a_line_reader(self, tmp_path, newline, bad, where):
+        """The column checks name the line and error a line-by-line reader stops at."""
+        lines = ["1\t5\t3\t0", "", "3\t7\t2\t0", bad]
+        if where == "middle":
+            lines.append("4\t8\t1\t0")
+        text = newline.join(lines) + ("" if where == "last without newline" else newline)
+        path = tmp_path / "u.data"
+        path.write_bytes(text.encode("utf-8"))
+        with pytest.raises(RatingsParseError) as want:
+            parse_movielens_reference(path)
+        with pytest.raises(type(want.value), match=f"^{re.escape(str(want.value))}$") as err:
+            parse_movielens(path)
+        assert err.value.line_no == want.value.line_no == 4
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_not_utf8_names_file_and_line(self, tmp_path, newline):
+        path = tmp_path / "u.data"
+        path.write_bytes(newline.join(["1\t5\t3\t0", "", "2\t6\t4\t0\xff", ""]).encode("latin-1"))
+        with pytest.raises(RatingsParseError, match=f"^line 3: {re.escape(str(path))} is not UTF-8 text") as err:
+            parse_movielens(path)
+        assert err.value.line_no == 3
+
+    def test_transient_memory_of_a_full_size_parse(self, tmp_path):
+        """Only the bytes of the text outlive its read, and the boundaries only the cut.
+
+        On the 943-user, seed-0 table (0.94 MiB of text, 2.03 MiB kept) the
+        parse allocates at most 7.8 MiB above its start, against 11.2 MiB
+        while the decoded text and every boundary array lived to the end.
+        """
+        path = tmp_path / "u.data"
+        write_movielens(simulate_movielens_table(n_users=943, n_items=1682, seed=0), path)
+        parse_movielens(path)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            parse_movielens(path)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.0 * 2**20
+
 
 class TestParseCsv:
     def test_basic(self, tmp_path):
@@ -200,6 +246,22 @@ class TestParseCsv:
         with pytest.raises(RatingsParseError) as err:
             parse_user_features_csv(path)
         assert err.value.line_no == 3
+
+    @pytest.mark.parametrize("parse, text", [
+        (parse_ratings_csv, b"user,item,rating\r\n1,10,4\r\n\xff,10,3\r\n"),
+        (parse_user_features_csv, b"user,f1\n1,0.5\n2,\xe9\n"),
+    ])
+    def test_not_utf8_names_file_and_line(self, tmp_path, parse, text):
+        path = tmp_path / "r.csv"
+        path.write_bytes(text)
+        with pytest.raises(RatingsParseError, match=f"^line 3: {re.escape(str(path))} is not UTF-8 text"):
+            parse(path)
+
+    def test_features_csv_blank_header_reports_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("\nuser,f1\n1,0.5\n")
+        with pytest.raises(RatingsParseError, match="^line 1: expected header starting with `user`, got \\[\\]$"):
+            parse_user_features_csv(path)
 
     def test_features_csv_resolves_integer_table_ids(self):
         table = _table({(1, "a"): 4.0, (1, "b"): 2.0})
