@@ -44,28 +44,21 @@ from .evaluation import (
     grid_search,
     synthetic_comparison,
 )
-from .kernels import KernelSpec, check_gram, cross_gram, cross_vector, gram, kernel_eval
+from .kernels import KernelSpec, cross_gram, cross_vector, gram, kernel_eval
 from .learners import (
     FactorPair,
-    HsModel,
     MtlFactorSet,
     TrainConfig,
     factorized_objective,
-    fit_hs,
     fit_lowrank,
     fit_lowrank_mtl,
     halving_step_search,
-    hs_weights,
     lowrank_step,
-    lowrank_weights,
-    mtl_weights,
 )
 from .losses import (
     RatingVector,
     SelfLoss,
-    get_loss,
     loss_eval,
-    output_gram,
     pair_sign,
     pairwise_rank_loss,
     squared,

@@ -50,7 +50,7 @@ from .evaluation import (
     grid_search,
     synthetic_comparison,
 )
-from .kernels import KernelSpec
+from .kernels import KERNEL_KINDS, KernelSpec
 from .learners import TrainConfig
 from .ranking import (
     HsRankModel,
@@ -65,41 +65,6 @@ from .verify import run_verification
 COMMANDS = ("train", "eval", "grid", "decode", "synth", "verify")
 CHECKPOINT_SCHEMA = 2
 
-# key -> (default, is_path). Unknown keys are rejected outright.
-KNOWN_KEYS = {
-    "data.ratings": (None, True),
-    "data.format": ("movielens", False),
-    "data.features": (None, True),
-    "kernel.kind": ("linear", False),
-    "kernel.bandwidth": (None, False),
-    "loss.name": ("pair_sign", False),
-    "learner": ("lowrank", False),
-    "train.lambda": (0.01, False),
-    "train.rank": (5, False),
-    "train.step": ("auto", False),
-    "train.iters": (1000, False),
-    "train.tol": (1e-9, False),
-    "train.init_scale": (None, False),
-    "grid.lambdas": (list(DEFAULT_LAMBDAS), False),
-    "grid.ranks": (list(DEFAULT_RANKS), False),
-    "grid.steps": ("auto", False),
-    "grid.iters": (list(DEFAULT_ITERS), False),
-    "items.top": (30, False),
-    "users.max": (None, False),
-    "seed": (0, False),
-    "out": ("out", False),
-    "checkpoint": (None, True),
-    "synth.n": (100, False),
-    "synth.d": (20, False),
-    "synth.tasks": (20, False),
-    "synth.rank": (2, False),
-    "synth.noise": (0.1, False),
-    "synth.seeds": (10, False),
-    "synth.lambdas": ([1e-3, 1e-2, 1e-1], False),
-    "synth.ranks": ([2, 5], False),
-    "synth.iters": (1500, False),
-}
-
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -113,56 +78,83 @@ def _list_of(check):
     return lambda v: isinstance(v, list) and len(v) > 0 and all(check(x) for x in v)
 
 
+def _one_of(*values):
+    return (lambda v: v in values), " or ".join(f'"{v}"' for v in values)
+
+
+def _is_out_dir(v) -> bool:
+    """A path artifacts can be written under: an existing directory, or a path
+    not made yet whose nearest existing ancestor is a directory."""
+    if not isinstance(v, str) or v == "":
+        return False
+    path = os.path.abspath(v)
+    while not os.path.exists(path):
+        path = os.path.dirname(path)
+    return os.path.isdir(path)
+
+
+_is_positive_list = _list_of(lambda x: _is_number(x) and x > 0)
+
 _INTEGER = (_is_int, "an integer")
+_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
 _NUMBER = (_is_number, "a finite number")
 _OPTIONAL_NUMBER = (lambda v: v is None or _is_number(v), "null or a finite number")
+_OPTIONAL_PATH = (lambda v: v is None or isinstance(v, str), "null or a path")
 
-# key -> (check, what the value must be). Every key the commands convert with
-# int() or float() is checked, so a malformed value exits 2 naming its key.
-VALUE_CHECKS = {
-    "kernel.bandwidth": _OPTIONAL_NUMBER,
-    "train.lambda": _NUMBER,
-    "train.rank": _INTEGER,
-    "train.step": (lambda v: v == "auto" or (_is_number(v) and v > 0), '"auto" or a positive number'),
-    "train.iters": _INTEGER,
-    "train.tol": _NUMBER,
-    "train.init_scale": _OPTIONAL_NUMBER,
-    "grid.lambdas": (_list_of(_is_number), "a non-empty list of finite numbers"),
-    "grid.ranks": (_list_of(_is_int), "a non-empty list of integers"),
+# key -> (default, check, what the value must be, is_path). Unknown keys are
+# rejected outright, and every value is checked before a command runs, so a
+# malformed one exits 2 naming its key; a path must also name a file.
+CONFIG_KEYS = {
+    "data.ratings": (None, *_OPTIONAL_PATH, True),
+    "data.format": ("movielens", *_one_of("movielens", "csv"), False),
+    "data.features": (None, *_OPTIONAL_PATH, True),
+    "kernel.kind": ("linear", *_one_of(*KERNEL_KINDS), False),
+    "kernel.bandwidth": (None, *_OPTIONAL_NUMBER, False),
+    "loss.name": ("pair_sign", *_one_of("pair_sign"), False),  # the ranking pipeline's loss
+    "learner": ("lowrank", *_one_of("lowrank", "hs"), False),
+    "train.lambda": (0.01, *_NUMBER, False),
+    "train.rank": (5, *_INTEGER, False),
+    "train.step": ("auto", lambda v: v == "auto" or (_is_number(v) and v > 0), '"auto" or a positive number', False),
+    "train.iters": (1000, *_INTEGER, False),
+    "train.tol": (1e-9, *_NUMBER, False),
+    "train.init_scale": (None, *_OPTIONAL_NUMBER, False),
+    "grid.lambdas": (list(DEFAULT_LAMBDAS), _list_of(_is_number), "a non-empty list of finite numbers", False),
+    "grid.ranks": (list(DEFAULT_RANKS), _list_of(_is_int), "a non-empty list of integers", False),
     "grid.steps": (
-        lambda v: v == "auto" or _list_of(lambda x: _is_number(x) and x > 0)(v),
-        '"auto" or a non-empty list of positive numbers',
+        "auto", lambda v: v == "auto" or _is_positive_list(v), '"auto" or a non-empty list of positive numbers', False,
     ),
-    "grid.iters": (_list_of(_is_int), "a non-empty list of integers"),
-    "items.top": (lambda v: _is_int(v) and v >= 2, "an integer >= 2"),
-    "users.max": (lambda v: v is None or (_is_int(v) and v >= 1), "null or an integer >= 1"),
-    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "synth.n": _INTEGER,
-    "synth.d": _INTEGER,
-    "synth.tasks": _INTEGER,
-    "synth.rank": _INTEGER,
-    "synth.noise": _NUMBER,
-    "synth.seeds": _INTEGER,
-    "synth.lambdas": (_list_of(_is_number), "a non-empty list of finite numbers"),
-    "synth.ranks": (_list_of(_is_int), "a non-empty list of integers"),
-    "synth.iters": _INTEGER,
+    "grid.iters": (list(DEFAULT_ITERS), _list_of(_is_int), "a non-empty list of integers", False),
+    "items.top": (30, lambda v: _is_int(v) and v >= 2, "an integer >= 2", False),
+    "users.max": (None, lambda v: v is None or (_is_int(v) and v >= 1), "null or an integer >= 1", False),
+    "seed": (0, lambda v: _is_int(v) and v >= 0, "an integer >= 0", False),
+    "out": ("out", _is_out_dir, "a path that is or can become a directory", False),
+    "checkpoint": (None, *_OPTIONAL_PATH, True),
+    "synth.n": (100, *_COUNT, False),
+    "synth.d": (20, *_COUNT, False),
+    "synth.tasks": (20, *_COUNT, False),
+    "synth.rank": (2, *_COUNT, False),
+    "synth.noise": (0.1, lambda v: _is_number(v) and v >= 0, "a finite number >= 0", False),
+    "synth.seeds": (10, *_COUNT, False),
+    "synth.lambdas": ([1e-3, 1e-2, 1e-1], _is_positive_list, "a non-empty list of positive numbers", False),
+    "synth.ranks": ([2, 5], _list_of(lambda x: _is_int(x) and x >= 1), "a non-empty list of integers >= 1", False),
+    "synth.iters": (1500, *_COUNT, False),
 }
 
 
 def load_config(config_path: str | None, overrides: list[str], out: str | None, seed: int | None) -> dict:
     """Merge file config, --set overrides, and flag shortcuts; validate keys, values and paths."""
-    cfg = {k: v for k, (v, _) in KNOWN_KEYS.items()}
+    cfg = {key: default for key, (default, *_) in CONFIG_KEYS.items()}
     if config_path is not None:
         _check_file(config_path, "config file")
         for key, value in _json_object(config_path, "config").items():
-            if key not in KNOWN_KEYS:
+            if key not in CONFIG_KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             cfg[key] = value
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, raw = item.partition("=")
-        if key not in KNOWN_KEYS:
+        if key not in CONFIG_KEYS:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             cfg[key] = json.loads(raw)
@@ -172,12 +164,11 @@ def load_config(config_path: str | None, overrides: list[str], out: str | None, 
         cfg["out"] = out
     if seed is not None:
         cfg["seed"] = int(seed)
-    for key, (check, what) in VALUE_CHECKS.items():
+    for key, (_, check, what, is_path) in CONFIG_KEYS.items():
         if not check(cfg[key]):
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
-    for key, (_, is_path) in KNOWN_KEYS.items():
         if is_path and cfg[key] is not None:
-            _check_file(str(cfg[key]), f"path for {key!r}")
+            _check_file(cfg[key], f"path for {key!r}")
     return cfg
 
 
@@ -209,28 +200,12 @@ def _write_json(cfg: dict, name: str, payload: dict) -> str:
     return path
 
 
-def _kernel_from(cfg: dict) -> KernelSpec:
-    try:
-        return KernelSpec(kind=cfg["kernel.kind"], bandwidth=cfg["kernel.bandwidth"])
-    except InvalidInputError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
 def _load_ranking_problem(cfg: dict):
     """The configured split, ranked items, pair tasks, user features and their PairTaskData."""
     if cfg["data.ratings"] is None:
         raise ConfigError("data.ratings is required for this command")
-    if cfg["loss.name"] != "pair_sign":
-        raise ConfigError(
-            f"the ranking pipeline requires loss.name=pair_sign, got {cfg['loss.name']!r}"
-        )
-    fmt = cfg["data.format"]
-    if fmt == "movielens":
-        table = parse_movielens(cfg["data.ratings"])
-    elif fmt == "csv":
-        table = parse_ratings_csv(cfg["data.ratings"])
-    else:
-        raise ConfigError(f"data.format must be movielens or csv, got {fmt!r}")
+    parse = parse_movielens if cfg["data.format"] == "movielens" else parse_ratings_csv
+    table = parse(cfg["data.ratings"])
     if cfg["data.features"] is not None:
         table.user_features = parse_user_features_csv(cfg["data.features"])
     if cfg["users.max"] is not None:
@@ -239,15 +214,13 @@ def _load_ranking_problem(cfg: dict):
     split = split_per_user(table, seed=int(cfg["seed"]))
     tasks = build_pair_tasks(split.train, items)
     features = user_feature_map(split.train, items)
-    data = build_pair_task_data(tasks, features, _kernel_from(cfg))
+    data = build_pair_task_data(tasks, features, KernelSpec.from_config(cfg))
     return split, items, tasks, features, data
 
 
 def _train_model(cfg: dict, data, seed: int):
     if cfg["learner"] == "hs":
         return fit_rank_hs(data, float(cfg["train.lambda"])), None
-    if cfg["learner"] != "lowrank":
-        raise ConfigError(f"learner must be lowrank or hs, got {cfg['learner']!r}")
     base = TrainConfig(
         lam=float(cfg["train.lambda"]),
         rank=int(cfg["train.rank"]),
@@ -272,7 +245,6 @@ def cmd_train(cfg: dict) -> int:
         "schema_version": CHECKPOINT_SCHEMA,
         "config": cfg,
         "learner": cfg["learner"],
-        "kernel": data.kernel.to_config(),
         "lambda": float(cfg["train.lambda"]),
         "seed": seed,
         **_data_fields(tasks, data),
@@ -291,8 +263,9 @@ def cmd_train(cfg: dict) -> int:
 
 
 def _data_fields(tasks, data) -> dict:
-    """The data a checkpoint is bound to, in the checkpoint's JSON form."""
+    """The kernel and data a checkpoint is bound to, in the checkpoint's JSON form."""
     return {
+        "kernel": data.kernel.to_config(),
         "items": tasks.items,
         "pairs": [[tasks.items[a], tasks.items[b]] for a, b in zip(tasks.a.tolist(), tasks.b.tolist())],
         "users": data.users,

@@ -367,16 +367,8 @@ class PairTaskSet:
             column.flags.writeable = False
 
     @property
-    def n_docs(self) -> int:
-        return len(self.items)
-
-    @property
     def n_tasks(self) -> int:
         return len(self.sizes)
-
-    @property
-    def total_samples(self) -> int:
-        return len(self.z)
 
 
 def _rating_block(table: RatingsTable, items: list) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ from .data_io import PairTaskSet, SplitTable, _rating_block
 from .decoding import Ordering, Tournament, fas_greedy
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .kernels import KernelSpec, gram
-from .learners import TrainConfig, fit_hs, fit_lowrank, halving_step_search
+from .learners import TrainConfig, fit_lowrank, halving_step_search, ridge_cho_factor, ridge_cho_solve
 from .losses import RatingVector, pairwise_rank_loss
 from .ranking import (
     PairTaskData,
@@ -295,8 +295,7 @@ def synthetic_comparison(
                     best_tn = (val, G_hat, {"lambda": lam, "rank": rank, "step": step})
         best_hs = None
         for lam in lambdas:
-            model = fit_hs(K, lam)
-            G_hat = Y_tr.T @ model.solve(X_tr)
+            G_hat = Y_tr.T @ ridge_cho_solve(ridge_cho_factor(K, lam), X_tr)
             val = surrogate_risk(G_hat, X_val, Y_val)
             if best_hs is None or val < best_hs[0]:
                 best_hs = (val, G_hat, {"lambda": lam})

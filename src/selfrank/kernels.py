@@ -192,22 +192,3 @@ def cross_gram(P, X, spec: KernelSpec) -> np.ndarray:
     if spec.kind == "gaussian":
         return np.exp(-d2 / (2.0 * spec.bandwidth**2))
     return np.exp(-np.sqrt(d2) / spec.bandwidth)
-
-
-def check_gram(K: np.ndarray, eps: float = 1e-10) -> None:
-    """Validate the Gram-matrix invariants; raises InvalidInputError on failure.
-
-    Checks exact symmetry and that the smallest eigenvalue is >= -eps * trace.
-    Intended for small n (eigendecomposition cost).
-    """
-    K = np.asarray(K)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise InvalidInputError(f"gram matrix must be square, got {K.shape}")
-    if not np.array_equal(K, K.T):
-        raise InvalidInputError("gram matrix is not exactly symmetric")
-    w = np.linalg.eigvalsh(K)
-    bound = -eps * float(np.trace(K))
-    if w[0] < bound:
-        raise InvalidInputError(
-            f"gram matrix is not PSD: min eigenvalue {w[0]:.3e} < {bound:.3e}"
-        )

@@ -76,18 +76,17 @@ class MtlFactorSet:
     iters_run: int
     objective_trace: list[float] = field(default_factory=list)
 
-    @property
-    def T(self) -> int:
-        return len(self.N_per_task)
-
 
 def ridge_cho_factor(K: np.ndarray, lam: float):
-    """Cholesky factor of K + n lam I, retried once with a 1e-12 trace-scaled jitter.
+    """Cholesky factor of K + n lam I (lam > 0), retried once with a 1e-12
+    trace-scaled jitter.
 
     scipy.linalg, with the LAPACK it maps, is imported here and in
     ridge_cho_solve only, on first use, so a run that solves no ridge
     system never loads it.
     """
+    if not lam > 0:
+        raise InvalidInputError(f"lam must be > 0, got {lam}")
     from scipy.linalg import cho_factor
 
     n = K.shape[0]
@@ -107,36 +106,6 @@ def ridge_cho_solve(factor, v: np.ndarray) -> np.ndarray:
     from scipy.linalg import cho_solve
 
     return cho_solve(factor, v)
-
-
-class HsModel:
-    """Closed-form ridge weights through a cached Cholesky factorization."""
-
-    def __init__(self, K_X: np.ndarray, lam: float):
-        K_X = np.asarray(K_X, dtype=float)
-        if K_X.ndim != 2 or K_X.shape[0] != K_X.shape[1]:
-            raise InvalidInputError(f"K_X must be square, got {K_X.shape}")
-        if not lam > 0:
-            raise InvalidInputError(f"lam must be > 0, got {lam}")
-        self.n = K_X.shape[0]
-        self.lam = float(lam)
-        self._cho = ridge_cho_factor(K_X, self.lam)
-
-    def solve(self, v: np.ndarray) -> np.ndarray:
-        return ridge_cho_solve(self._cho, v)
-
-
-def fit_hs(K_X: np.ndarray, lam: float) -> HsModel:
-    """Factor (K_X + n lam I) once for repeated weight solves."""
-    return HsModel(K_X, lam)
-
-
-def hs_weights(model: HsModel, v_x: np.ndarray) -> np.ndarray:
-    """Solve (K_X + n lam I) alpha = v_x."""
-    v_x = np.asarray(v_x, dtype=float)
-    if v_x.shape[0] != model.n:
-        raise InvalidInputError(f"v_x has length {v_x.shape[0]}, expected {model.n}")
-    return model.solve(v_x)
 
 
 def factorized_objective(M, N, K_X, K_Y, lam: float) -> float:
@@ -234,16 +203,6 @@ def fit_lowrank(
             if _stop(trace[-2], obj, cfg.tol):
                 break
     return FactorPair(M=M, N=N, iters_run=iters, objective_trace=trace)
-
-
-def lowrank_weights(fp: FactorPair, v_x: np.ndarray) -> np.ndarray:
-    """alpha(x) = N M^T v_x."""
-    v_x = np.asarray(v_x, dtype=float)
-    if v_x.shape[0] != fp.M.shape[0]:
-        raise InvalidInputError(
-            f"v_x has length {v_x.shape[0]}, expected {fp.M.shape[0]}"
-        )
-    return fp.N @ (fp.M.T @ v_x)
 
 
 def halving_search(
@@ -384,13 +343,3 @@ def fit_lowrank_mtl(
         iters_run=iters,
         objective_trace=trace,
     )
-
-
-def mtl_weights(ms: MtlFactorSet, v_x: np.ndarray) -> list[np.ndarray]:
-    """Per-task weights alpha_t = N_t M^T v_x over the stacked cross vector."""
-    v_x = np.asarray(v_x, dtype=float)
-    n = sum(ms.task_sizes)
-    if v_x.shape[0] != n:
-        raise InvalidInputError(f"v_x has length {v_x.shape[0]}, expected {n}")
-    core = ms.M.T @ v_x
-    return [N_t @ core for N_t in ms.N_per_task]

@@ -14,7 +14,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import KernelSpec, gram
+from .kernels import KernelSpec
 
 
 @dataclass(frozen=True)
@@ -49,8 +49,7 @@ zero_one = SelfLoss(
     output_kernel=KernelSpec("delta"),
 )
 
-# Smooth loss on a compact set; the abel kernel realizes its embedding, while the
-# explicit polynomial feature map is exercised only in oracle tests.
+# Smooth loss on a compact set; the abel kernel realizes its embedding.
 squared = SelfLoss(
     name="squared",
     evaluate=lambda y, yp: (float(y) - float(yp)) ** 2,
@@ -65,17 +64,6 @@ pair_sign = SelfLoss(
     validate=_check_real,
 )
 
-LOSSES = {loss.name: loss for loss in (zero_one, squared, pair_sign)}
-
-
-def get_loss(name: str) -> SelfLoss:
-    try:
-        return LOSSES[name]
-    except KeyError:
-        raise InvalidInputError(
-            f"unknown loss {name!r}; available: {sorted(LOSSES)}"
-        ) from None
-
 
 def loss_eval(loss: SelfLoss, y, yp) -> float:
     """Evaluate loss(y, y') after validating both arguments."""
@@ -89,15 +77,6 @@ def loss_eval(loss: SelfLoss, y, yp) -> float:
     if not np.isfinite(value):
         raise InvalidInputError(f"loss {loss.name} returned non-finite value {value}")
     return value
-
-
-def output_gram(outputs, loss: SelfLoss) -> np.ndarray:
-    """Gram matrix of the outputs under the loss's output kernel."""
-    if len(outputs) == 0:
-        raise InvalidInputError("output_gram requires a nonempty output list")
-    for y in outputs:
-        loss.validate(y)
-    return gram(list(outputs), loss.output_kernel)
 
 
 @dataclass(frozen=True)

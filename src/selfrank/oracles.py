@@ -191,16 +191,6 @@ def explicit_descending_step(
     raise NumericalError(f"no descending step found after {max_halvings} halvings")
 
 
-# Explicit embedding realizing the squared loss, used only to cross-check the
-# kernel machinery: (y - y')^2 = <psi(y), V psi(y')> with psi(y) = (y^2, y, 1).
-SQUARED_LOSS_V = np.array([[0.0, 0.0, 1.0], [0.0, -2.0, 0.0], [1.0, 0.0, 0.0]])
-
-
-def squared_loss_embedding(ys) -> np.ndarray:
-    ys = np.asarray(ys, dtype=float)
-    return np.stack([ys**2, ys, np.ones_like(ys)], axis=-1)
-
-
 def fas_greedy_reference(t: Tournament) -> Ordering:
     """fas_greedy as plain loops: Borda start, adjacent sweeps, then per round
     every insertion gain summed move by move and the margin rule applied in

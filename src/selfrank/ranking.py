@@ -300,17 +300,12 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     E_T = E.T
     inv_nt = 1.0 / data.task_sizes.astype(float)
     inv_Tnt = (inv_nt / T)[:, None]
-    z2_per_task = _segment_sum(z * z, data.starts)
     shrink = 1.0 - cfg.lam * cfg.step
 
     def objective(A, W, KA, pw):
-        # residual_t = ||z_t||^2 - 2 z_t.(P_t w_t) + ||P_t w_t||^2, all segment sums
-        res = (
-            z2_per_task
-            - 2.0 * _segment_sum(z * pw, data.starts)
-            + _segment_sum(pw * pw, data.starts)
-        )
-        data_term = float(np.sum(np.maximum(res, 0.0) * inv_nt) / T)
+        # The residuals e = pw - z go into E, whose products the next update takes.
+        e = np.subtract(pw, z, out=E.data)
+        data_term = float(np.sum(_segment_sum(e * e, data.starts) * inv_nt) / T)
         pen = float(np.sum(A * KA)) + float(np.sum(W * W))
         return data_term + cfg.lam * pen
 
@@ -323,11 +318,11 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     else:
         (A, W, KA, pw), trace = resumed
         trace = list(trace)
+        np.subtract(pw, z, out=E.data)  # no objective call fills E before the first update
     iters = len(trace) - 1
     stop = _halt(trace[-2], trace[-1], cfg.tol, stop_on_rise) if iters > 0 else None
     with np.errstate(over="ignore", invalid="ignore"):
         while stop is None and iters < cfg.max_iters:
-            np.subtract(pw, z, out=E.data)
             A = shrink * A - cfg.step * (E @ (W * inv_Tnt))  # W is still the old W here
             W = shrink * W - cfg.step * (inv_nt[:, None] * (E_T @ KA))
             KA, pw = data.forward(A, W)
@@ -397,9 +392,7 @@ class HsRankModel:
 
 
 def fit_rank_hs(data: PairTaskData, lam: float) -> HsRankModel:
-    """Closed-form per-task coefficients: beta_t = (K_t + n_t lam I)^-1 z_t."""
-    if not lam > 0:
-        raise InvalidInputError(f"lam must be > 0, got {lam}")
+    """Closed-form per-task coefficients: beta_t = (K_t + n_t lam I)^-1 z_t, lam > 0."""
     beta = np.empty(data.n_rows)
     for t, b in enumerate(_row_slices(data.task_sizes)):
         rows = data.row_user[b]

@@ -17,13 +17,13 @@ from .kernels import KernelSpec, cross_gram, cross_vector, gram
 from .learners import (
     TrainConfig,
     _row_slices,
-    fit_hs,
     fit_lowrank,
     fit_lowrank_mtl,
     halving_step_search,
-    hs_weights,
     init_factors,
     lowrank_step,
+    ridge_cho_factor,
+    ridge_cho_solve,
 )
 from .losses import zero_one
 from .oracles import (
@@ -108,9 +108,9 @@ def check_hs_normal_equations(rng, queries=100) -> dict:
         X = rng.standard_normal((n, d))
         K = X @ X.T
         lam = float(rng.uniform(1e-3, 1.0))
-        model = fit_hs(K, lam)
+        factor = ridge_cho_factor(K, lam)
         v = rng.standard_normal(n)
-        alpha = hs_weights(model, v)
+        alpha = ridge_cho_solve(factor, v)
         resid = np.linalg.norm((K + n * lam * np.eye(n)) @ alpha - v) / max(np.linalg.norm(v), 1e-12)
         worst = max(worst, resid)
     return _check("hs_normal_equation_residual", worst, 1e-10)
@@ -315,16 +315,16 @@ def check_pairtask_reduced_state(rng) -> dict:
 
 
 def check_pairtask_hs(rng, queries=5, lam=0.2) -> dict:
-    """fit_rank_hs's weights C k_U(x) must match z_t^T alpha_t(x) from fit_hs and
-    hs_weights on each task's materialized block K_t (linear kernel: k_t(x) = U_t x)."""
+    """fit_rank_hs's weights C k_U(x) must match z_t^T alpha_t(x), the ridge solve
+    on each task's materialized block K_t (linear kernel: k_t(x) = U_t x)."""
     data = _random_pair_task_data(rng)
     X = rng.standard_normal((queries, data.U.shape[1]))
     got = fit_rank_hs(data, lam).tournament_weights(X)
     expected = np.empty_like(got)
     for t, b in enumerate(_row_slices(data.task_sizes)):
         rows = data.row_user[b]
-        model = fit_hs(data.K_u[np.ix_(rows, rows)], lam)
-        expected[t] = data.z[b] @ hs_weights(model, data.U[rows] @ X.T)
+        factor = ridge_cho_factor(data.K_u[np.ix_(rows, rows)], lam)
+        expected[t] = data.z[b] @ ridge_cho_solve(factor, data.U[rows] @ X.T)
     return _check("pairtask_hs_equivalence", np.linalg.norm(got - expected) / np.linalg.norm(expected), 1e-8)
 
 

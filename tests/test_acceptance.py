@@ -36,12 +36,12 @@ from selfrank.evaluation import (
 from selfrank.kernels import KernelSpec
 from selfrank.learners import (
     TrainConfig,
-    fit_hs,
     fit_lowrank,
     fit_lowrank_mtl,
     halving_step_search,
-    hs_weights,
     lowrank_step,
+    ridge_cho_factor,
+    ridge_cho_solve,
 )
 from selfrank.losses import zero_one
 from selfrank.oracles import (
@@ -130,9 +130,9 @@ def test_c03_hs_normal_equations():
         X = rng.standard_normal((n, d))
         K = X @ X.T
         lam = float(rng.uniform(1e-3, 1.0))
-        model = fit_hs(K, lam)
+        factor = ridge_cho_factor(K, lam)
         v = rng.standard_normal(n)
-        alpha = hs_weights(model, v)
+        alpha = ridge_cho_solve(factor, v)
         resid = np.linalg.norm((K + n * lam * np.eye(n)) @ alpha - v) / max(
             np.linalg.norm(v), 1e-12
         )

@@ -116,6 +116,20 @@ class TestConfig:
             (["grid.steps=[0.1, -1]"], "grid.steps"),
             (["grid.iters=100"], "grid.iters"),
             (["synth.seeds=ten"], "synth.seeds"),
+            (["synth.n=-100"], "synth.n"),
+            (["synth.d=0"], "synth.d"),
+            (["synth.tasks=0"], "synth.tasks"),
+            (["synth.rank=0"], "synth.rank"),
+            (["synth.iters=0"], "synth.iters"),
+            (["synth.seeds=-2"], "synth.seeds"),
+            (["synth.noise=-0.1"], "synth.noise"),
+            (["synth.lambdas=[0.1, 0]"], "synth.lambdas"),
+            (["synth.ranks=[2, 0]"], "synth.ranks"),
+            (["data.format=tsv"], "data.format"),
+            (["data.features=7"], "data.features"),
+            (["kernel.kind=poly"], "kernel.kind"),
+            (["loss.name=zero_one"], "loss.name"),
+            (["learner=svm"], "learner"),
         ],
     )
     def test_malformed_numeric_value_exits_2(self, tmp_path, ratings_file, capsys, overrides, key):
@@ -124,6 +138,18 @@ class TestConfig:
         rc = run("train", overrides=base_overrides(ratings_file, overrides), out=str(tmp_path))
         assert rc == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["number", "file", "under_file"])
+    def test_bad_out_exits_2(self, ratings_file, capsys, case):
+        if case == "number":
+            rc, value = run("train", overrides=base_overrides(ratings_file, ["out=5"])), 5
+        else:
+            value = ratings_file if case == "file" else os.path.join(ratings_file, "sub")
+            rc = run("train", overrides=base_overrides(ratings_file), out=value)
+        assert rc == 2
+        assert f"config error: out must be a path that is or can become a directory, got {value!r}" in (
+            capsys.readouterr().err
+        )
 
 
 class TestCommands:
@@ -263,6 +289,21 @@ class TestCommands:
                 )
                 assert rc == 2
                 assert f"checkpoint field {field!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "decode"])
+    @pytest.mark.parametrize("trained, configured", [
+        ([], ["kernel.kind=gaussian", "kernel.bandwidth=0.5"]),
+        (["kernel.kind=gaussian", "kernel.bandwidth=1.0"], ["kernel.kind=gaussian", "kernel.bandwidth=0.5"]),
+    ], ids=["kind", "bandwidth"])
+    def test_checkpoint_of_another_kernel_exits_2(self, tmp_path, ratings_file, capsys, command, trained, configured):
+        out = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file, trained), out=out) == 0
+        checkpoint = [f"checkpoint={out}/checkpoint.json"]
+        assert run(command, overrides=base_overrides(ratings_file, configured + checkpoint), out=out) == 2
+        assert "checkpoint field 'kernel' differs" in capsys.readouterr().err
+        assert not os.path.exists(f"{out}/eval_report.json") and not os.path.exists(f"{out}/orderings.json")
 
     def test_lowrank_checkpoint_with_bad_fields_exits_2(self, tmp_path, ratings_file, capsys):
         out = str(tmp_path / "run")

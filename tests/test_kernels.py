@@ -4,7 +4,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfrank.errors import InvalidInputError
-from selfrank.kernels import KernelSpec, check_gram, cross_gram, cross_vector, gram, kernel_eval
+from selfrank.kernels import KernelSpec, cross_gram, cross_vector, gram, kernel_eval
+
+
+def check_gram(K: np.ndarray, eps: float = 1e-10) -> None:
+    """Validate the Gram-matrix invariants; raises InvalidInputError on failure.
+
+    Checks exact symmetry and that the smallest eigenvalue is >= -eps * trace.
+    Intended for small n (eigendecomposition cost).
+    """
+    K = np.asarray(K)
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise InvalidInputError(f"gram matrix must be square, got {K.shape}")
+    if not np.array_equal(K, K.T):
+        raise InvalidInputError("gram matrix is not exactly symmetric")
+    w = np.linalg.eigvalsh(K)
+    bound = -eps * float(np.trace(K))
+    if w[0] < bound:
+        raise InvalidInputError(
+            f"gram matrix is not PSD: min eigenvalue {w[0]:.3e} < {bound:.3e}"
+        )
 
 
 class TestKernelEval:

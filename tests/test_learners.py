@@ -3,17 +3,14 @@ import pytest
 
 from selfrank.errors import DivergenceError, InvalidInputError, NumericalError
 from selfrank.learners import (
-    FactorPair,
     TrainConfig,
     factorized_objective,
-    fit_hs,
     fit_lowrank,
     fit_lowrank_mtl,
     halving_step_search,
-    hs_weights,
     lowrank_step,
-    lowrank_weights,
-    mtl_weights,
+    ridge_cho_factor,
+    ridge_cho_solve,
 )
 from selfrank.oracles import ExplicitProblem, explicit_gd, explicit_gd_multitask, nuclear_norm
 
@@ -45,37 +42,37 @@ class TestTrainConfig:
             TrainConfig(**kwargs)
 
 
+def ridge_weights(K, lam, v):
+    return ridge_cho_solve(ridge_cho_factor(K, lam), v)
+
+
 class TestFitHs:
     def test_scalar_closed_form(self):
-        model = fit_hs(ONE, 1.0)
-        np.testing.assert_allclose(hs_weights(model, np.array([1.0])), [0.5])
+        np.testing.assert_allclose(ridge_weights(ONE, 1.0, np.array([1.0])), [0.5])
 
     def test_large_lambda_shrinks_to_zero(self):
-        model = fit_hs(np.eye(3), 1e12)
-        alpha = hs_weights(model, np.ones(3))
+        alpha = ridge_weights(np.eye(3), 1e12, np.ones(3))
         assert np.all(np.abs(alpha) < 1e-11)
 
     def test_identity_kernel_halves_basis_vector(self):
-        model = fit_hs(np.eye(2), 0.5)
-        np.testing.assert_allclose(hs_weights(model, np.array([1.0, 0.0])), [0.5, 0.0])
+        np.testing.assert_allclose(ridge_weights(np.eye(2), 0.5, np.array([1.0, 0.0])), [0.5, 0.0])
 
     def test_zero_rhs_and_linearity(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((6, 3))
-        model = fit_hs(X @ X.T, 0.3)
-        np.testing.assert_array_equal(hs_weights(model, np.zeros(6)), np.zeros(6))
+        factor = ridge_cho_factor(X @ X.T, 0.3)
+        np.testing.assert_array_equal(ridge_cho_solve(factor, np.zeros(6)), np.zeros(6))
         v = rng.standard_normal(6)
-        np.testing.assert_allclose(hs_weights(model, 3.0 * v), 3.0 * hs_weights(model, v))
+        np.testing.assert_allclose(ridge_cho_solve(factor, 3.0 * v), 3.0 * ridge_cho_solve(factor, v))
 
     def test_matches_dense_direct_solve(self):
         rng = np.random.default_rng(1)
         A = rng.standard_normal((5, 5))
         K = A @ A.T
         lam = 0.2
-        model = fit_hs(K, lam)
         v = rng.standard_normal(5)
         expected = np.linalg.solve(K + 5 * lam * np.eye(5), v)
-        np.testing.assert_allclose(hs_weights(model, v), expected, rtol=1e-10)
+        np.testing.assert_allclose(ridge_weights(K, lam, v), expected, rtol=1e-10)
 
     def test_normal_equation_residual_bound(self):
         rng = np.random.default_rng(2)
@@ -84,24 +81,18 @@ class TestFitHs:
             X = rng.standard_normal((n, 4))
             K = X @ X.T
             lam = float(rng.uniform(1e-3, 1.0))
-            model = fit_hs(K, lam)
             v = rng.standard_normal(n)
-            alpha = hs_weights(model, v)
+            alpha = ridge_weights(K, lam, v)
             resid = np.linalg.norm((K + n * lam * np.eye(n)) @ alpha - v)
             assert resid <= 1e-10 * np.linalg.norm(v)
 
     def test_lambda_must_be_positive(self):
-        with pytest.raises(InvalidInputError):
-            fit_hs(np.eye(2), 0.0)
+        with pytest.raises(InvalidInputError, match=r"^lam must be > 0, got 0\.0$"):
+            ridge_cho_factor(np.eye(2), 0.0)
 
     def test_indefinite_matrix_fails_with_numerical_error(self):
         with pytest.raises(NumericalError):
-            fit_hs(-10.0 * np.eye(2), 1e-6)
-
-    def test_length_mismatch(self):
-        model = fit_hs(np.eye(3), 1.0)
-        with pytest.raises(InvalidInputError):
-            hs_weights(model, np.ones(4))
+            ridge_cho_factor(-10.0 * np.eye(2), 1e-6)
 
 
 class TestLowrankStep:
@@ -220,31 +211,6 @@ class TestFitLowrank:
             assert np.all(np.diff(fp.objective_trace) <= 0)
 
 
-class TestLowrankWeights:
-    def test_zero_vector(self):
-        fp = FactorPair(M=np.ones((4, 2)), N=np.ones((4, 2)), iters_run=0)
-        np.testing.assert_array_equal(lowrank_weights(fp, np.zeros(4)), np.zeros(4))
-
-    def test_rank_one_structure(self):
-        m = np.array([[1.0], [2.0]])
-        u = np.array([[3.0], [4.0]])
-        fp = FactorPair(M=m, N=u, iters_run=0)
-        v = np.array([1.0, 1.0])
-        np.testing.assert_allclose(lowrank_weights(fp, v), u[:, 0] * (m[:, 0] @ v))
-
-    def test_associativity_against_one_shot_product(self):
-        rng = np.random.default_rng(10)
-        M, N = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
-        v = rng.standard_normal(7)
-        fp = FactorPair(M=M, N=N, iters_run=0)
-        np.testing.assert_allclose(lowrank_weights(fp, v), (N @ M.T) @ v, rtol=1e-12)
-
-    def test_length_mismatch(self):
-        fp = FactorPair(M=np.ones((4, 2)), N=np.ones((4, 2)), iters_run=0)
-        with pytest.raises(InvalidInputError):
-            lowrank_weights(fp, np.zeros(5))
-
-
 class TestLossTrickEquivalence:
     """The kernel iterates must represent the explicit factors at every step."""
 
@@ -273,7 +239,7 @@ class TestLossTrickEquivalence:
                 assert np.linalg.norm(B_k - Y.T @ partial.N) <= 1e-8 * max(np.linalg.norm(B_k), 1e-12)
             # weights reproduce the explicit predictor
             x = rng.standard_normal(X.shape[1])
-            alpha = lowrank_weights(fp, X @ x)
+            alpha = fp.N @ (fp.M.T @ (X @ x))
             lhs = alpha @ Y
             rhs = x @ traj[-1][0] @ traj[-1][1].T
             scale = max(np.linalg.norm(rhs), 1e-12)
@@ -370,46 +336,3 @@ class TestFitLowrankMtl:
     def test_block_shape_validation(self):
         with pytest.raises(InvalidInputError):
             fit_lowrank_mtl([np.ones((3, 5))], [np.eye(3)], TrainConfig(lam=0.1, rank=1, step=0.1, max_iters=1))
-
-
-class TestMtlWeights:
-    def _fitted(self, rng):
-        sizes = [4, 6]
-        Xb = [rng.standard_normal((m, 3)) for m in sizes]
-        Yb = [rng.standard_normal((m, 1)) for m in sizes]
-        Xstack = np.vstack(Xb)
-        blocks = [Xt @ Xstack.T for Xt in Xb]
-        grams = [Yt @ Yt.T for Yt in Yb]
-        cfg = TrainConfig(lam=0.2, rank=2, step=0.01, max_iters=10, seed=8, tol=0.0)
-        return fit_lowrank_mtl(blocks, grams, cfg), Xstack
-
-    def test_zero_vector_gives_zero_weights(self):
-        rng = np.random.default_rng(18)
-        ms, Xstack = self._fitted(rng)
-        for alpha in mtl_weights(ms, np.zeros(Xstack.shape[0])):
-            np.testing.assert_array_equal(alpha, np.zeros_like(alpha))
-
-    def test_scaling_is_linear(self):
-        rng = np.random.default_rng(19)
-        ms, Xstack = self._fitted(rng)
-        v = rng.standard_normal(Xstack.shape[0])
-        for a1, a2 in zip(mtl_weights(ms, v), mtl_weights(ms, 2.5 * v)):
-            np.testing.assert_allclose(a2, 2.5 * a1, rtol=1e-12)
-
-    def test_t1_weights_match_lowrank_weights(self):
-        rng = np.random.default_rng(20)
-        n, r = 10, 2
-        X = rng.standard_normal((n, 4))
-        Y = rng.standard_normal((n, 3))
-        K, KY = X @ X.T, Y @ Y.T
-        nu, lam = 0.02, 0.5
-        ms = fit_lowrank_mtl([K], [KY], TrainConfig(lam=lam, rank=r, step=nu, max_iters=30, seed=9, tol=0.0))
-        fp = fit_lowrank(K, KY, TrainConfig(lam=lam * n, rank=r, step=nu / n, max_iters=30, seed=9, tol=0.0))
-        v = rng.standard_normal(n)
-        np.testing.assert_allclose(mtl_weights(ms, v)[0], lowrank_weights(fp, v), rtol=1e-8)
-
-    def test_length_mismatch(self):
-        rng = np.random.default_rng(21)
-        ms, Xstack = self._fitted(rng)
-        with pytest.raises(InvalidInputError):
-            mtl_weights(ms, np.zeros(3))

@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 from selfrank.errors import InvalidInputError
 from selfrank.losses import (
     RatingVector,
-    get_loss,
     loss_eval,
-    output_gram,
     pair_sign,
     pairwise_rank_loss,
     squared,
@@ -41,27 +39,6 @@ class TestLossEval:
     def test_pair_sign_antisymmetric_in_candidate(self):
         for z in (-3.0, 0.0, 1.7):
             assert loss_eval(pair_sign, +1, z) + loss_eval(pair_sign, -1, z) == 0.0
-
-    def test_get_loss(self):
-        assert get_loss("zero_one") is zero_one
-        with pytest.raises(InvalidInputError):
-            get_loss("hinge")
-
-
-class TestOutputGram:
-    def test_zero_one_distinct_labels_identity(self):
-        np.testing.assert_array_equal(output_gram(["a", "b", "c"], zero_one), np.eye(3))
-
-    def test_pair_sign_outer_product(self):
-        K = output_gram([1.0, -2.0], pair_sign)
-        np.testing.assert_array_equal(K, [[1.0, -2.0], [-2.0, 4.0]])
-
-    def test_zero_one_equal_labels_all_ones(self):
-        np.testing.assert_array_equal(output_gram(["a", "a"], zero_one), np.ones((2, 2)))
-
-    def test_empty_rejected(self):
-        with pytest.raises(InvalidInputError):
-            output_gram([], zero_one)
 
 
 class TestRatingVector:

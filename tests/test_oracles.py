@@ -2,14 +2,11 @@ import numpy as np
 import pytest
 
 from selfrank.errors import DivergenceError, InvalidInputError
-from selfrank.losses import squared
 from selfrank.oracles import (
-    SQUARED_LOSS_V,
     ExplicitProblem,
     explicit_descending_step,
     explicit_gd,
     prox_nuclear,
-    squared_loss_embedding,
     svt,
 )
 
@@ -154,18 +151,3 @@ class TestVariationalConsistency:
                 + (lam_n / 2) * (np.sum(A**2) + np.sum(B**2))
             )
             assert abs(F_fact - trace[-1]) <= 0.01 * abs(trace[-1])
-
-
-class TestSquaredLossEmbedding:
-    def test_embedding_realizes_squared_loss(self):
-        rng = np.random.default_rng(10)
-        for _ in range(50):
-            y, yp = rng.uniform(-5, 5, size=2)
-            lhs = squared_loss_embedding(y) @ SQUARED_LOSS_V @ squared_loss_embedding(yp)
-            assert lhs == pytest.approx(squared.evaluate(y, yp), rel=1e-12, abs=1e-12)
-
-    def test_embedding_gram_is_psd(self):
-        ys = np.linspace(-2, 2, 9)
-        Psi = squared_loss_embedding(ys)
-        w = np.linalg.eigvalsh(Psi @ Psi.T)
-        assert w[0] >= -1e-10 * np.trace(Psi @ Psi.T)

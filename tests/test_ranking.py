@@ -11,7 +11,7 @@ from selfrank.decoding import fas_greedy
 from selfrank.errors import DivergenceError, InvalidInputError
 from selfrank.evaluation import decode_queries
 from selfrank.kernels import KernelSpec
-from selfrank.learners import TrainConfig, _stop, fit_lowrank_mtl, halving_search, init_factors, mtl_weights
+from selfrank.learners import TrainConfig, _stop, fit_lowrank_mtl, halving_search, init_factors
 from selfrank.ranking import (
     PairTaskData,
     build_pair_task_data,
@@ -83,7 +83,7 @@ class TestStructuredTrainerEquivalence:
         rng = np.random.default_rng(0)
         x = rng.standard_normal(4)
         v = (data.U @ x)[data.row_user]
-        alphas = mtl_weights(ms, v)
+        alphas = [N_t @ (ms.M.T @ v) for N_t in ms.N_per_task]  # alpha_t = N_t M^T v
         expected = np.array(
             [
                 a @ data.z[data.starts[t] : data.starts[t] + data.task_sizes[t]]
@@ -196,7 +196,6 @@ def unblocked_fit(data, cfg, product=factored_product):
     inv_nt = 1.0 / data.task_sizes.astype(float)
     inv_Tnt = (inv_nt / T)[:, None]
     seg = lambda values: np.add.reduceat(values, data.starts, axis=0)
-    z2_per_task = seg(z * z)
     shrink = 1.0 - cfg.lam * cfg.step
 
     def forward(A, W):
@@ -205,8 +204,8 @@ def unblocked_fit(data, cfg, product=factored_product):
         return KA, np.einsum("ij,ij->i", P, np.take(W, row_task, axis=0))
 
     def objective(A, W, KA, pw):
-        res = z2_per_task - 2.0 * seg(z * pw) + seg(pw * pw)
-        data_term = float(np.sum(np.maximum(res, 0.0) * inv_nt) / T)
+        e = np.subtract(pw, z, out=E.data)
+        data_term = float(np.sum(seg(e * e) * inv_nt) / T)
         return data_term + cfg.lam * (float(np.sum(A * KA)) + float(np.sum(W * W)))
 
     A, W = data.initial_state(cfg)[:2]
@@ -214,7 +213,6 @@ def unblocked_fit(data, cfg, product=factored_product):
     trace = [objective(A, W, KA, pw)]
     iters, stopped = 0, False
     while not stopped and iters < cfg.max_iters:
-        np.subtract(pw, z, out=E.data)
         A = shrink * A - cfg.step * (E @ (W * inv_Tnt))
         W = shrink * W - cfg.step * (inv_nt[:, None] * (E.T @ KA))
         KA, pw = forward(A, W)
@@ -550,7 +548,7 @@ class TestPairTaskData:
 
     def test_stacking_consistent(self, small_problem):
         tasks, _, data = small_problem
-        assert data.n_rows == tasks.total_samples
+        assert data.n_rows == len(tasks.z)
         assert data.n_tasks == tasks.n_tasks
         np.testing.assert_array_equal(
             np.diff(data.starts), data.task_sizes[:-1]
