@@ -35,7 +35,7 @@ class RatingsTable:
     users and items are sorted, and the rows are distinct (user, item) pairs
     sorted by user, then item, so every derived structure is independent of
     source order. The columns are read-only. The constructor validates and
-    converts a (user, item) -> rating mapping over declared ids.
+    converts a (user, item) -> rating mapping of finite ratings over declared ids.
     """
 
     def __init__(self, users, items, ratings, user_features=None):
@@ -49,6 +49,9 @@ class RatingsTable:
             codes.append((user_pos[u], item_pos[i]))
         code = np.array(codes, dtype=np.intp).reshape(len(codes), 2)
         value = np.fromiter(ratings.values(), dtype=float, count=len(codes))
+        finite = np.isfinite(value)
+        if not finite.all():
+            raise InvalidInputError(f"non-finite rating for pair {list(ratings)[int(np.argmin(finite))]!r}")
         columns = _by_pair(code[:, 0], code[:, 1], value, len(items))
         self._assign(users, items, *columns, user_features)
 
@@ -374,9 +377,8 @@ class PairTaskSet:
 def _rating_block(table: RatingsTable, items: list) -> tuple[np.ndarray, np.ndarray]:
     """Dense (users x items) ratings and presence mask, rows in table.users order.
 
-    One scatter of the table's columns. Presence is its own mask, so a stored
-    rating counts as present whatever its value; absent entries hold 0.0.
-    Items the table does not declare stay absent.
+    One scatter of the table's columns; absent entries hold 0.0. Items the
+    table does not declare stay absent.
     """
     item_pos = {i: k for k, i in enumerate(table.items)}
     col = np.full(len(table.items), -1, dtype=np.intp)  # table item code -> block column

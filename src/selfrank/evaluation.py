@@ -82,9 +82,7 @@ def evaluate_ranking(
     """
     table = getattr(split, on)
     n_docs = len(pair_tasks.items)
-    R, rated = _rating_block(table, pair_tasks.items)
-    present = rated & ~np.isnan(R)  # a stored NaN counts as unrated here
-    values = np.where(present, R, 0.0)
+    values, present = _rating_block(table, pair_tasks.items)
     enough = present.sum(axis=1) >= 2
     rows = [k for k, u in enumerate(table.users) if enough[k] and u in features]
     queries = [table.users[k] for k in rows]

@@ -27,7 +27,7 @@ KERNEL_KINDS = ("linear", "gaussian", "abel", "delta")
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """A kernel identified by kind and, for gaussian/abel, a bandwidth.
+    """A kernel identified by kind and, for gaussian/abel, a bandwidth (None for the others).
 
     kinds:
       linear    k(a, b) = <a, b>
@@ -42,11 +42,10 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
-        if self.kind in ("gaussian", "abel"):
-            if self.bandwidth is None or not self.bandwidth > 0:
-                raise InvalidInputError(
-                    f"{self.kind} kernel requires bandwidth > 0, got {self.bandwidth!r}"
-                )
+        if self.kind in ("linear", "delta"):
+            object.__setattr__(self, "bandwidth", None)  # they ignore it, so to_config records none
+        elif self.bandwidth is None or not self.bandwidth > 0:
+            raise InvalidInputError(f"{self.kind} kernel requires bandwidth > 0, got {self.bandwidth!r}")
 
     def to_config(self) -> dict:
         cfg = {"kernel.kind": self.kind}

@@ -15,11 +15,18 @@ Two regularization routes for the least-squares surrogate problem:
   hand-checkable as written. A multitask variant handles per-task datasets with
   missing data through per-task kernel blocks, keeping explicit 1/(T n_t)
   weights because task sizes differ.
+
+Every factor trainer (fit_lowrank, fit_lowrank_mtl and the pair-task
+ranking.fit_rank_lowrank) is an update and an objective handed to one loop,
+descend, which owns the divergence guard, the stop rule (halt) and the
+iteration count; halving_search judges each step-search probe by the reason
+descend gives for its end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -63,6 +70,7 @@ class FactorPair:
     M: np.ndarray
     N: np.ndarray
     iters_run: int
+    stop_reason: str  # "tol", "rise" (a step-search probe) or "max_iters"
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -72,8 +80,8 @@ class MtlFactorSet:
 
     M: np.ndarray
     N_per_task: list[np.ndarray]
-    task_sizes: list[int]
     iters_run: int
+    stop_reason: str
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -108,6 +116,17 @@ def ridge_cho_solve(factor, v: np.ndarray) -> np.ndarray:
     return cho_solve(factor, v)
 
 
+def _residual(P, Q, N, K_Y) -> float:
+    """tr((I - K_X M N^T) K_Y (I - N M^T K_X)) through P = K_X M and Q = K_Y N."""
+    res = float(np.trace(K_Y)) - 2.0 * float(np.sum(P * Q)) + float(np.sum((N.T @ Q) * (P.T @ P)))
+    return max(res, 0.0)  # trace expansion can dip epsilon-negative at interpolation
+
+
+def _gradients(P, Q, N) -> tuple[np.ndarray, np.ndarray]:
+    """The data parts of the M and N updates, through P = K_X M and Q = K_Y N."""
+    return P @ (N.T @ Q) - Q, N @ (P.T @ P) - P
+
+
 def factorized_objective(M, N, K_X, K_Y, lam: float) -> float:
     """Kernel-form objective of the factorized trace-norm problem.
 
@@ -120,12 +139,8 @@ def factorized_objective(M, N, K_X, K_Y, lam: float) -> float:
         raise InvalidInputError(f"M {M.shape} and N {N.shape} must share shape")
     P = K_X @ M
     Q = K_Y @ N
-    residual = float(np.trace(K_Y)) - 2.0 * float(np.sum(P * Q)) + float(
-        np.sum((N.T @ Q) * (P.T @ P))
-    )
-    residual = max(residual, 0.0)  # trace expansion can dip epsilon-negative at interpolation
     penalty = lam * (float(np.sum(M * P)) + float(np.sum(N * Q)))
-    return residual + penalty
+    return _residual(P, Q, N, K_Y) + penalty
 
 
 def lowrank_step(M, N, K_X, K_Y, lam: float, step: float):
@@ -137,12 +152,9 @@ def lowrank_step(M, N, K_X, K_Y, lam: float, step: float):
         raise InvalidInputError(
             f"shape mismatch: M {M.shape}, N {N.shape}, K_X {K_X.shape}, K_Y {K_Y.shape}"
         )
-    P = K_X @ M
-    Q = K_Y @ N
+    grad_M, grad_N = _gradients(K_X @ M, K_Y @ N, N)
     shrink = 1.0 - lam * step
-    M_next = shrink * M - step * (P @ (N.T @ Q) - Q)
-    N_next = shrink * N - step * (N @ (P.T @ P) - P)
-    return M_next, N_next
+    return shrink * M - step * grad_M, shrink * N - step * grad_N
 
 
 def init_scale(n: int, cfg: TrainConfig) -> float:
@@ -150,16 +162,53 @@ def init_scale(n: int, cfg: TrainConfig) -> float:
     return cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(n * cfg.rank)
 
 
-def init_factors(n: int, cfg: TrainConfig, count: int = 2) -> list[np.ndarray]:
-    """Seeded i.i.d. normal n x r factor matrices, drawn one after another from
+def init_factors(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Seeded i.i.d. normal n x r factors M and N, drawn one after the other from
     default_rng(cfg.seed) and scaled by init_scale(n, cfg)."""
     scale = init_scale(n, cfg)
     rng = np.random.default_rng(cfg.seed)
-    return [scale * rng.standard_normal((n, cfg.rank)) for _ in range(count)]
+    M = scale * rng.standard_normal((n, cfg.rank))
+    return M, scale * rng.standard_normal((n, cfg.rank))
 
 
-def _stop(prev: float, curr: float, tol: float) -> bool:
-    return abs(curr - prev) / max(prev, 1e-12) < tol
+def halt(prev: float, curr: float, tol: float, on_rise: bool) -> str | None:
+    """Why a descent ends at the iterate prev -> curr: "rise" (on_rise and the
+    objective rose), "tol" (the relative change fell under tol), or None when it
+    goes on."""
+    if on_rise and curr > prev:
+        return "rise"
+    return "tol" if abs(curr - prev) / max(prev, 1e-12) < tol else None
+
+
+def descend(state, update, objective, cfg: TrainConfig, trace=None, stop_on_rise: bool = False):
+    """The descent loop of every factor trainer: (end state, trace, stop reason).
+
+    Each iteration is state = update(state), and the trace records
+    objective(state) at the start and after every update. The loop ends when
+    halt gives a reason ("rise" only with stop_on_rise, or "tol" under cfg.tol)
+    or after cfg.max_iters updates ("max_iters"), and raises DivergenceError(k)
+    at the first non-finite objective, k = 0 for the start. A trace passed in
+    is that of the descent up to `state`, its last iterate: the descent resumes
+    there without evaluating the objective again, as if it had never stopped.
+    """
+    if trace is None:
+        trace = [objective(state)]
+        if not np.isfinite(trace[0]):
+            raise DivergenceError(0)
+    else:
+        trace = list(trace)
+    iters = len(trace) - 1
+    stop = halt(trace[-2], trace[-1], cfg.tol, stop_on_rise) if iters > 0 else None
+    with np.errstate(over="ignore", invalid="ignore"):  # the guard reports divergence instead
+        while stop is None and iters < cfg.max_iters:
+            state = update(state)
+            obj = objective(state)
+            iters += 1
+            if not np.isfinite(obj):
+                raise DivergenceError(iters)
+            trace.append(obj)
+            stop = halt(trace[-2], obj, cfg.tol, stop_on_rise)
+    return state, trace, stop or "max_iters"
 
 
 def fit_lowrank(
@@ -167,61 +216,46 @@ def fit_lowrank(
     K_Y: np.ndarray,
     cfg: TrainConfig,
     init: tuple[np.ndarray, np.ndarray] | None = None,
+    stop_on_rise: bool = False,
 ) -> FactorPair:
-    """Gradient descent on the factorized objective in kernel form.
+    """Gradient descent on the factorized objective in kernel form, from `init`
+    (n x r factors M, N) or from init_factors.
 
-    Runs until max_iters or until the relative objective change drops below
-    cfg.tol; the trace records the objective at the initial point and after
-    every update. Raises DivergenceError on the first non-finite objective.
+    descend runs it: until max_iters, until the relative objective change
+    drops below cfg.tol or, with stop_on_rise, until the objective rises; the
+    trace records the objective at the initial point and after every update.
+    Raises DivergenceError on the first non-finite objective.
     """
     K_X = np.asarray(K_X, dtype=float)
     K_Y = np.asarray(K_Y, dtype=float)
     n = K_X.shape[0]
     if K_Y.shape != (n, n):
         raise InvalidInputError(f"K_X {K_X.shape} and K_Y {K_Y.shape} must be n x n alike")
-    if init is not None:
-        M = np.asarray(init[0], dtype=float).copy()
-        N = np.asarray(init[1], dtype=float).copy()
-        if M.ndim == 1:
-            M = M[:, None]
-        if N.ndim == 1:
-            N = N[:, None]
-    else:
-        M, N = init_factors(n, cfg)
-    trace = [factorized_objective(M, N, K_X, K_Y, cfg.lam)]
-    if not np.isfinite(trace[0]):
-        raise DivergenceError(0)
-    iters = 0
-    with np.errstate(over="ignore", invalid="ignore"):  # guard reports divergence instead
-        for k in range(1, cfg.max_iters + 1):
-            M, N = lowrank_step(M, N, K_X, K_Y, cfg.lam, cfg.step)
-            obj = factorized_objective(M, N, K_X, K_Y, cfg.lam)
-            if not np.isfinite(obj):
-                raise DivergenceError(k)
-            trace.append(obj)
-            iters = k
-            if _stop(trace[-2], obj, cfg.tol):
-                break
-    return FactorPair(M=M, N=N, iters_run=iters, objective_trace=trace)
+    (M, N), trace, stop = descend(
+        init if init is not None else init_factors(n, cfg),
+        lambda MN: lowrank_step(*MN, K_X, K_Y, cfg.lam, cfg.step),
+        lambda MN: factorized_objective(*MN, K_X, K_Y, cfg.lam),
+        cfg, stop_on_rise=stop_on_rise,
+    )
+    return FactorPair(M=M, N=N, iters_run=len(trace) - 1, stop_reason=stop, objective_trace=trace)
 
 
 def halving_search(
     fit, cfg: TrainConfig, start: float, probe_iters: int | None, max_halvings: int
 ) -> float:
-    """Halve the step from `start` until fit(probe) descends monotonically; a probe
-    is cfg with the step, tol 0 and probe_iters iterations (None: cfg.max_iters)."""
+    """Halve the step from `start` until fit(probe, stop_on_rise=True) neither
+    diverges nor stops at a rise; a probe is cfg with the step, tol 0 and
+    probe_iters iterations (None: cfg.max_iters). With tol 0 only a rise or
+    max_iters ends a probe, so a step is accepted exactly when its whole
+    probe descends monotonically."""
     step = start
+    probe = replace(cfg, tol=0.0, max_iters=probe_iters if probe_iters is not None else cfg.max_iters)
     for _ in range(max_halvings):
-        probe = replace(
-            cfg, step=step, tol=0.0,
-            max_iters=probe_iters if probe_iters is not None else cfg.max_iters,
-        )
         try:
-            descends = bool(np.all(np.diff(fit(probe).objective_trace) <= 0))
+            if fit(replace(probe, step=step), stop_on_rise=True).stop_reason != "rise":
+                return step
         except DivergenceError:
-            descends = False
-        if descends:
-            return step
+            pass
         step *= 0.5
     raise NumericalError(f"no descending step found after {max_halvings} halvings")
 
@@ -243,9 +277,7 @@ def halving_step_search(
     for the whole run must probe the whole run. When the eventual fit starts
     from explicit factors, pass the same `init` here.
     """
-    return halving_search(
-        lambda probe: fit_lowrank(K_X, K_Y, probe, init=init), cfg, start, probe_iters, max_halvings
-    )
+    return halving_search(partial(fit_lowrank, K_X, K_Y, init=init), cfg, start, probe_iters, max_halvings)
 
 
 def _row_slices(task_sizes) -> list[slice]:
@@ -258,10 +290,7 @@ def _row_slices(task_sizes) -> list[slice]:
 
 
 def fit_lowrank_mtl(
-    cross_blocks: list[np.ndarray],
-    output_grams: list[np.ndarray],
-    cfg: TrainConfig,
-    init: tuple[np.ndarray, list[np.ndarray]] | None = None,
+    cross_blocks: list[np.ndarray], output_grams: list[np.ndarray], cfg: TrainConfig
 ) -> MtlFactorSet:
     """Multitask factorized descent over per-task kernel blocks.
 
@@ -287,59 +316,28 @@ def fit_lowrank_mtl(
                 f"inconsistent with n_t={task_sizes[t]}, n={n}"
             )
     slices = _row_slices(task_sizes)
-    if init is not None:
-        M = np.asarray(init[0], dtype=float).copy()
-        N_blocks = [np.asarray(N_t, dtype=float).copy() for N_t in init[1]]
-    else:
-        M, N = init_factors(n, cfg)
-        N_blocks = [N[s] for s in slices]
+    tasks = list(zip(slices, task_sizes, cross_blocks, output_grams))
+    shrink = 1.0 - cfg.lam * cfg.step
 
-    def objective(M, N_blocks):
-        P_blocks = [K_t @ M for K_t in cross_blocks]
-        Q_blocks = [KY_t @ N_t for KY_t, N_t in zip(output_grams, N_blocks)]
-        data = 0.0
-        pen = 0.0
-        for s, n_t, P_t, Q_t, N_t, KY_t in zip(
-            slices, task_sizes, P_blocks, Q_blocks, N_blocks, output_grams
-        ):
-            res = (
-                float(np.trace(KY_t))
-                - 2.0 * float(np.sum(P_t * Q_t))
-                + float(np.sum((N_t.T @ Q_t) * (P_t.T @ P_t)))
-            )
-            data += max(res, 0.0) / (T * n_t)
+    def objective(state):
+        M, N_blocks = state
+        data = pen = 0.0
+        for (s, n_t, K_t, KY_t), N_t in zip(tasks, N_blocks):
+            P_t, Q_t = K_t @ M, KY_t @ N_t
+            data += _residual(P_t, Q_t, N_t, KY_t) / (T * n_t)
             pen += float(np.sum(N_t * Q_t)) + float(np.sum(M[s] * P_t))
         return data + cfg.lam * pen
 
-    trace = [objective(M, N_blocks)]
-    if not np.isfinite(trace[0]):
-        raise DivergenceError(0)
-    shrink = 1.0 - cfg.lam * cfg.step
-    iters = 0
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, cfg.max_iters + 1):
-            P_blocks = [K_t @ M for K_t in cross_blocks]
-            M_corr = np.empty_like(M)
-            N_new = []
-            for s, n_t, P_t, N_t, KY_t in zip(
-                slices, task_sizes, P_blocks, N_blocks, output_grams
-            ):
-                Q_t = KY_t @ N_t
-                M_corr[s] = (P_t @ (N_t.T @ Q_t) - Q_t) / (T * n_t)
-                N_new.append(shrink * N_t - (cfg.step / n_t) * (N_t @ (P_t.T @ P_t) - P_t))
-            M = shrink * M - cfg.step * M_corr
-            N_blocks = N_new
-            obj = objective(M, N_blocks)
-            if not np.isfinite(obj):
-                raise DivergenceError(k)
-            trace.append(obj)
-            iters = k
-            if _stop(trace[-2], obj, cfg.tol):
-                break
-    return MtlFactorSet(
-        M=M,
-        N_per_task=N_blocks,
-        task_sizes=task_sizes,
-        iters_run=iters,
-        objective_trace=trace,
-    )
+    def update(state):
+        M, N_blocks = state
+        M_corr = np.empty_like(M)
+        N_next = []
+        for (s, n_t, K_t, KY_t), N_t in zip(tasks, N_blocks):
+            grad_M, grad_N = _gradients(K_t @ M, KY_t @ N_t, N_t)
+            M_corr[s] = grad_M / (T * n_t)
+            N_next.append(shrink * N_t - (cfg.step / n_t) * grad_N)
+        return shrink * M - cfg.step * M_corr, N_next
+
+    M, N = init_factors(n, cfg)
+    (M, N_blocks), trace, stop = descend((M, [N[s] for s in slices]), update, objective, cfg)
+    return MtlFactorSet(M=M, N_per_task=N_blocks, iters_run=len(trace) - 1, stop_reason=stop, objective_trace=trace)

@@ -39,18 +39,17 @@ PairTaskData keeps what its trainers share:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.sparse import csc_array
 
 from .data_io import PairTaskSet
-from .errors import DivergenceError, InvalidInputError, NumericalError
+from .errors import InvalidInputError, NumericalError
 # gram and cross_vector stay ranking attributes: perfbench's tracer patches them.
 from .kernels import KernelSpec, cross_gram, cross_vector, gram  # noqa: F401
 from .learners import (
-    TrainConfig, _row_slices, _stop, halving_search, init_scale, ridge_cho_factor,
-    ridge_cho_solve,
+    TrainConfig, _row_slices, descend, halt, halving_search, init_scale, ridge_cho_factor, ridge_cho_solve,
 )
 
 # Stacked rows per block of the pair-score pass (PairTaskData.forward): at rank
@@ -198,7 +197,7 @@ class PairTaskData:
         key, state, trace = self._end
         if key != _fit_key(cfg) or len(trace) - 1 > cfg.max_iters:
             return None
-        if any(_halt(prev, curr, cfg.tol, stop_on_rise) for prev, curr in zip(trace[:-2], trace[1:-1])):
+        if any(halt(prev, curr, cfg.tol, stop_on_rise) for prev, curr in zip(trace[:-2], trace[1:-1])):
             return None
         return state, trace
 
@@ -223,6 +222,9 @@ def build_pair_task_data(
     if missing:
         raise InvalidInputError(f"no features for users {missing[:5]!r}")
     U = np.vstack([np.asarray(features[u], dtype=float) for u in users])
+    finite = np.isfinite(U).all(axis=1)
+    if not finite.all():
+        raise InvalidInputError(f"non-finite features for user {users[int(np.argmin(finite))]!r}")
     starts = np.cumsum(tasks.sizes) - tasks.sizes
     return PairTaskData(
         users=users,
@@ -248,9 +250,8 @@ class LowRankRankModel:
     W: np.ndarray  # tasks x r: w_t = N_t^T z_t
     iters_run: int
     objective_trace: list[float]
-    # Why the fit ended: "tol" (the last relative change fell under cfg.tol),
-    # "rise" (a step-search probe's objective rose) or "max_iters"; None for a
-    # model loaded from a checkpoint, which omits it.
+    # Why the fit ended, as learners.descend gives it; None for a model loaded
+    # from a checkpoint, which omits it.
     stop_reason: str | None = None
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
@@ -288,9 +289,8 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     initial state. It leaves its own end state on data, read-only; the model
     holds copies.
 
-    With stop_on_rise (the step search's probes) the fit also ends at the
-    first iterate whose objective is above the one before, with stop_reason
-    "rise": that rise already rejects the probe's step.
+    learners.descend runs the iterations; with stop_on_rise (the step
+    search's probes) it also ends them at the first rise, stop_reason "rise".
     """
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
     z = data.z
@@ -302,51 +302,31 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     inv_Tnt = (inv_nt / T)[:, None]
     shrink = 1.0 - cfg.lam * cfg.step
 
-    def objective(A, W, KA, pw):
+    def objective(state):
+        A, W, KA, pw = state
         # The residuals e = pw - z go into E, whose products the next update takes.
         e = np.subtract(pw, z, out=E.data)
         data_term = float(np.sum(_segment_sum(e * e, data.starts) * inv_nt) / T)
         pen = float(np.sum(A * KA)) + float(np.sum(W * W))
         return data_term + cfg.lam * pen
 
-    resumed = data.end_state(cfg, stop_on_rise)
-    if resumed is None:
-        A, W, KA, pw = data.initial_state(cfg)
-        trace = [objective(A, W, KA, pw)]
-        if not np.isfinite(trace[0]):
-            raise DivergenceError(0)
-    else:
-        (A, W, KA, pw), trace = resumed
-        trace = list(trace)
-        np.subtract(pw, z, out=E.data)  # no objective call fills E before the first update
-    iters = len(trace) - 1
-    stop = _halt(trace[-2], trace[-1], cfg.tol, stop_on_rise) if iters > 0 else None
-    with np.errstate(over="ignore", invalid="ignore"):
-        while stop is None and iters < cfg.max_iters:
-            A = shrink * A - cfg.step * (E @ (W * inv_Tnt))  # W is still the old W here
-            W = shrink * W - cfg.step * (inv_nt[:, None] * (E_T @ KA))
-            KA, pw = data.forward(A, W)
-            obj = objective(A, W, KA, pw)
-            iters += 1
-            if not np.isfinite(obj):
-                raise DivergenceError(iters)
-            trace.append(obj)
-            stop = _halt(trace[-2], obj, cfg.tol, stop_on_rise)
-    for array in (A, W, KA, pw):
+    def update(state):
+        A, W, KA, _ = state
+        A = shrink * A - cfg.step * (E @ (W * inv_Tnt))  # W is still the old W here
+        W = shrink * W - cfg.step * (inv_nt[:, None] * (E_T @ KA))
+        return (A, W, *data.forward(A, W))
+
+    state, trace = data.end_state(cfg, stop_on_rise) or (data.initial_state(cfg), None)
+    if trace is not None:
+        np.subtract(state[3], z, out=E.data)  # no objective call fills E before the first update
+    state, trace, stop = descend(state, update, objective, cfg, trace, stop_on_rise)
+    for array in state:
         array.flags.writeable = False
-    data._end = _fit_key(cfg), (A, W, KA, pw), tuple(trace)
+    data._end = _fit_key(cfg), state, tuple(trace)
     return LowRankRankModel(
-        data=data, A=A.copy(), W=W.copy(), iters_run=iters, objective_trace=trace,
-        stop_reason=stop or "max_iters",
+        data=data, A=state[0].copy(), W=state[1].copy(), iters_run=len(trace) - 1, objective_trace=trace,
+        stop_reason=stop,
     )
-
-
-def _halt(prev: float, curr: float, tol: float, on_rise: bool) -> str | None:
-    """Why a fit ends at the iterate prev -> curr: "rise" (on_rise and the
-    objective rose), "tol", or None when it goes on."""
-    if on_rise and curr > prev:
-        return "rise"
-    return "tol" if _stop(prev, curr, tol) else None
 
 
 def _fit_key(cfg: TrainConfig) -> tuple:
@@ -361,14 +341,10 @@ def halving_step_search_rank(
     probe_iters: int | None = 10,
     max_halvings: int = 60,
 ) -> float:
-    """Halve from `start` until a probe of fit_rank_lowrank descends.
-
-    A probe stops at its first rise (stop_on_rise), which already rejects
-    its step, so the chosen step is that of probes run to probe_iters.
-    """
-    return halving_search(
-        lambda probe: fit_rank_lowrank(data, probe, stop_on_rise=True), cfg, start, probe_iters, max_halvings
-    )
+    """Halve from `start` until a probe of fit_rank_lowrank descends, by
+    learners.halving_search's rule. The probes call fit_rank_lowrank as this
+    module holds it at the call, which perfbench's tracer replaces."""
+    return halving_search(partial(fit_rank_lowrank, data), cfg, start, probe_iters, max_halvings)
 
 
 @dataclass
@@ -385,7 +361,7 @@ class HsRankModel:
     def __post_init__(self):
         d = self.data
         self.C = np.zeros((d.n_tasks, len(d.users)))
-        self.C[np.repeat(np.arange(d.n_tasks), d.task_sizes), d.row_user] = self.beta
+        self.C[d.row_task, d.row_user] = self.beta
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
         return self.C @ self.data.cross_kernel(queries)

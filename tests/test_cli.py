@@ -305,6 +305,17 @@ class TestCommands:
         assert "checkpoint field 'kernel' differs" in capsys.readouterr().err
         assert not os.path.exists(f"{out}/eval_report.json") and not os.path.exists(f"{out}/orderings.json")
 
+    def test_linear_checkpoint_binds_no_bandwidth(self, tmp_path, ratings_file):
+        """The linear kernel ignores kernel.bandwidth, so one set at train time binds nothing."""
+        out = str(tmp_path / "run")
+        checkpoint = [f"checkpoint={out}/checkpoint.json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file, ["kernel.bandwidth=0.5"]), out=out) == 0
+            for command in ("eval", "decode"):
+                assert run(command, overrides=base_overrides(ratings_file, checkpoint), out=out) == 0
+        assert os.path.exists(f"{out}/eval_report.json") and os.path.exists(f"{out}/orderings.json")
+
     def test_lowrank_checkpoint_with_bad_fields_exits_2(self, tmp_path, ratings_file, capsys):
         out = str(tmp_path / "run")
         with warnings.catch_warnings():
@@ -557,13 +568,29 @@ class TestCommands:
         assert run("verify", out=out) == 0
         report = json.load(open(f"{out}/verify_report.json"))
         assert report["passed"] is True
-        names = {c["name"] for c in report["checks"]}
-        assert "loss_trick_factor_equivalence" in names
-        assert "pairtask_reduced_state_equivalence" in names
-        assert "pairtask_hs_equivalence" in names
-        assert "cross_gram_equivalence" in names
-        assert "factored_gram_product" in names
-        assert "streamed_initial_state" in names
+        # Every check, in order, with its threshold: none may be dropped or loosened.
+        assert [(c["name"], c["threshold"]) for c in report["checks"]] == [
+            ("lowrank_hand_step", 1e-12),
+            ("loss_trick_factor_equivalence", 1e-08),
+            ("loss_trick_weight_equivalence", 1e-08),
+            ("hs_normal_equation_residual", 1e-10),
+            ("monotone_descent_max_rise", 0.0),
+            ("gram_balance_ratio", 0.001),
+            ("variational_objective_gap", 0.01),
+            ("svt_exactness", 1e-12),
+            ("ista_descent_max_rise", 1e-10),
+            ("fas_greedy_never_undercuts_exact", 1e-12),
+            ("fas_greedy_match_shortfall", 0.1),
+            ("fas_greedy_loop_equivalence", 0.0),
+            ("decode_finite_oracle_mismatches", 0.0),
+            ("mtl_t1_reduction", 1e-08),
+            ("trace_norm_domination_violation", 1e-10),
+            ("pairtask_reduced_state_equivalence", 1e-10),
+            ("pairtask_hs_equivalence", 1e-08),
+            ("cross_gram_equivalence", 1e-12),
+            ("factored_gram_product", 1e-12),
+            ("streamed_initial_state", 0.0),
+        ]
         assert all(c["pass"] for c in report["checks"])
 
     def test_determinism_byte_identical(self, tmp_path, ratings_file):

@@ -275,6 +275,16 @@ class TestRatingsTable:
         with pytest.raises(InvalidInputError):
             RatingsTable(users=[1], items=[2], ratings={(1, 3): 4.0})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_rating_rejected(self, bad):
+        """As the parsers do, the constructor refuses a rating no solver could use."""
+        ratings = {(u, i): float(u + i) for u in range(6) for i in range(4) if (u + i) % 5}
+        ratings[(2, 1)] = bad
+        with pytest.raises(InvalidInputError, match=r"^non-finite rating for pair \(2, 1\)$"):
+            RatingsTable(users=list(range(6)), items=list(range(4)), ratings=ratings)
+        with pytest.raises(InvalidInputError, match=r"^non-finite rating for pair \(1, 'a'\)$"):
+            _table({(1, "a"): bad, (1, "b"): 2.0, (2, "a"): 3.0, (2, "b"): 1.0})
+
 
 def _table(ratings):
     users = sorted({u for u, _ in ratings})
@@ -451,9 +461,6 @@ def _reference_cases(tmp_path):
     sparse = RatingsTable(users=[1, 2, 3, 4, 5], items=["a", "b", "c", "d", "x"], ratings=ratings)
     cases.append((sparse, ["d", "c", "b", "a"]))
     cases.append((sparse, ["c", "a"]))
-    # a stored NaN still counts as a rating
-    nan_table = _table({(1, "a"): float("nan"), (1, "b"): 2.0, (2, "a"): 3.0, (2, "b"): 1.0})
-    cases.append((nan_table, ["a", "b"]))
     # reversed insertion order
     reversed_table = _table(dict(reversed(list(small.ratings.items()))))
     cases.append((reversed_table, top_items(reversed_table, 20)))
@@ -744,7 +751,7 @@ def test_grouped_fill_matches_split_loop(n_items, seed, density, spread, subset_
 
 
 def _assert_same_ratings(got, want):
-    """Equal dicts, with values compared by their bytes so a stored NaN matches."""
+    """Equal dicts, with values compared by their bytes."""
     assert list(got) == sorted(want)
     assert [type(k) for key in got for k in key] == [type(k) for key in sorted(want) for k in key]
     assert np.array(list(got.values())).tobytes() == np.array([want[k] for k in got]).tobytes()
@@ -789,13 +796,6 @@ def test_columnar_ingestion_matches_loop_reference(tmp_path):
                (3, "d"): 4.0, (5, "d"): 1.0, (5, "c"): 2.0, (5, "b"): 3.0}
     table = RatingsTable(users=[5, 4, 3, 2, 1], items=["d", "c", "b", "a", "e"], ratings=ratings)
     _assert_same_ingestion(table, [1, 2, 3, 4, 5], ["a", "b", "c", "d", "e"], ratings, 3, 0)
-    # a stored NaN is a present rating all the way into the rating block
-    ratings = {(u, i): float(u + i) for u in range(6) for i in range(4) if (u + i) % 5}
-    ratings[(2, 1)] = float("nan")
-    table = RatingsTable(users=list(range(6)), items=list(range(4)), ratings=ratings)
-    _assert_same_ingestion(table, list(range(6)), list(range(4)), ratings, 4, 1)
-    R, rated = _rating_block(table, [1, 0])
-    assert rated[2, 0] and np.isnan(R[2, 0])
 
 
 def test_write_movielens_matches_mapping_writer(tmp_path):

@@ -66,6 +66,12 @@ class TestKernelEval:
         with pytest.raises(InvalidInputError):
             KernelSpec("polynomial")
 
+    @pytest.mark.parametrize("kind", ["linear", "delta"])
+    def test_kernels_without_bandwidth_drop_it(self, kind):
+        spec = KernelSpec(kind, 0.5)
+        assert spec == KernelSpec(kind) and spec.to_config() == {"kernel.kind": kind}
+        assert KernelSpec("gaussian", 0.5).to_config() == {"kernel.kind": "gaussian", "kernel.bandwidth": 0.5}
+
 
 class TestGram:
     def test_orthonormal_linear_is_identity(self):

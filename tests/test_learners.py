@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,15 @@ from selfrank.learners import (
     factorized_objective,
     fit_lowrank,
     fit_lowrank_mtl,
+    halt,
     halving_step_search,
     lowrank_step,
     ridge_cho_factor,
     ridge_cho_solve,
 )
 from selfrank.oracles import ExplicitProblem, explicit_gd, explicit_gd_multitask, nuclear_norm
+from selfrank.ranking import fit_rank_lowrank
+from selfrank.verify import stacked_pair_task_data
 
 ONE = np.array([[1.0]])
 
@@ -209,6 +214,77 @@ class TestFitLowrank:
             step = halving_step_search(K, KY, cfg, probe_iters=None)
             fp = fit_lowrank(K, KY, TrainConfig(lam=0.2, rank=3, step=step, max_iters=150, seed=0, tol=0.0))
             assert np.all(np.diff(fp.objective_trace) <= 0)
+
+
+    def test_rejected_probe_ends_at_its_first_rise(self):
+        rng = np.random.default_rng(10)
+        X, Y = random_problem(rng, n_max=20)
+        K, KY = X @ X.T, Y @ Y.T
+        cfg = TrainConfig(lam=0.2, rank=2, step=0.028, max_iters=10, seed=0, tol=0.0)
+        full = fit_lowrank(K, KY, cfg)
+        rises = np.flatnonzero(np.diff(full.objective_trace) > 0)
+        assert rises.size and full.stop_reason == "max_iters"
+        first = int(rises[0]) + 1
+        probe = fit_lowrank(K, KY, cfg, stop_on_rise=True)
+        assert (probe.iters_run, probe.stop_reason) == (first, "rise")
+        assert probe.objective_trace == full.objective_trace[: first + 1]
+
+
+def _kernel_problem(seed):
+    X, Y = random_problem(np.random.default_rng(seed), n_max=20)
+    return X @ X.T, Y @ Y.T
+
+
+def _mtl_problem(seed):
+    rng = np.random.default_rng(seed)
+    Xb = [rng.standard_normal((m, 3)) for m in (5, 8, 3)]
+    Yb = [rng.standard_normal((m, 2)) for m in (5, 8, 3)]
+    return [Xt @ np.vstack(Xb).T for Xt in Xb], [Yt @ Yt.T for Yt in Yb]
+
+
+# Each trainer on a fresh problem, as fit(cfg).
+TRAINERS = {
+    "fit_lowrank": lambda cfg: fit_lowrank(*_kernel_problem(20), cfg),
+    "fit_lowrank_mtl": lambda cfg: fit_lowrank_mtl(*_mtl_problem(21), cfg),
+    "fit_rank_lowrank": lambda cfg: fit_rank_lowrank(
+        stacked_pair_task_data(np.random.default_rng(22), [4, 7, 2, 9], users=12), cfg
+    ),
+}
+
+
+@pytest.mark.parametrize("trainer", TRAINERS)
+class TestDescend:
+    """The one descent loop behind the three factor trainers: divergence guard and stop rule."""
+
+    def test_divergence_names_the_first_non_finite_iterate(self, trainer):
+        fit = TRAINERS[trainer]
+        cfg = TrainConfig(lam=0.1, rank=2, step=200.0, max_iters=500, seed=3, tol=0.0)
+        with pytest.raises(DivergenceError) as err:
+            fit(cfg)
+        k = err.value.iterate
+        assert k >= 1
+        if k > 1:
+            before = fit(replace(cfg, max_iters=k - 1))
+            assert before.iters_run == k - 1 and np.isfinite(before.objective_trace).all()
+        with pytest.raises(DivergenceError) as again:
+            fit(replace(cfg, max_iters=k))
+        assert again.value.iterate == k
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as start:
+            fit(replace(cfg, init_scale=1e200))
+        assert start.value.iterate == 0
+
+    def test_stop_reasons(self, trainer):
+        fit = TRAINERS[trainer]
+        cfg = TrainConfig(lam=0.1, rank=2, step=0.01, max_iters=30, seed=3, tol=0.0)
+        capped = fit(cfg)
+        assert (capped.stop_reason, capped.iters_run) == ("max_iters", 30)
+        t = np.asarray(capped.objective_trace)
+        tol = float(np.median(np.abs(np.diff(t)) / t[:-1]))  # some relative change falls under it
+        stopped = fit(replace(cfg, tol=tol, max_iters=10_000))
+        trace = stopped.objective_trace
+        assert stopped.stop_reason == "tol" and 1 < stopped.iters_run < 30
+        assert trace == capped.objective_trace[: len(trace)]
+        assert [halt(p, c, tol, False) for p, c in zip(trace[:-1], trace[1:])] == [None] * (len(trace) - 2) + ["tol"]
 
 
 class TestLossTrickEquivalence:

@@ -8,10 +8,12 @@ from scipy.sparse import csc_array
 from selfrank import ranking
 from selfrank.data_io import RatingsTable, build_pair_tasks
 from selfrank.decoding import fas_greedy
-from selfrank.errors import DivergenceError, InvalidInputError
+from selfrank.errors import DivergenceError, InvalidInputError, NumericalError
 from selfrank.evaluation import decode_queries
 from selfrank.kernels import KernelSpec
-from selfrank.learners import TrainConfig, _stop, fit_lowrank_mtl, halving_search, init_factors
+from selfrank.learners import (
+    TrainConfig, fit_lowrank, fit_lowrank_mtl, halt, halving_step_search, init_factors,
+)
 from selfrank.ranking import (
     PairTaskData,
     build_pair_task_data,
@@ -218,7 +220,7 @@ def unblocked_fit(data, cfg, product=factored_product):
         KA, pw = forward(A, W)
         trace.append(objective(A, W, KA, pw))
         iters += 1
-        stopped = _stop(trace[-2], trace[-1], cfg.tol)
+        stopped = halt(trace[-2], trace[-1], cfg.tol, False) is not None
     return A, W, trace, iters, "tol" if stopped else "max_iters"
 
 
@@ -448,6 +450,21 @@ class TestStreamedInitialState:
         assert peak - kept < 4_000_000
 
 
+def full_probe_search(fit, cfg, start, probe_iters=10, max_halvings=60):
+    """The step search with every probe run to its end: halve from `start` until
+    a probe's whole trace never rises (np.diff <= 0) and it does not diverge."""
+    step = start
+    for _ in range(max_halvings):
+        probe = replace(cfg, step=step, tol=0.0, max_iters=probe_iters if probe_iters is not None else cfg.max_iters)
+        try:
+            if np.all(np.diff(fit(probe).objective_trace) <= 0):
+                return step
+        except DivergenceError:
+            pass
+        step *= 0.5
+    raise NumericalError(f"no descending step found after {max_halvings} halvings")
+
+
 class TestProbeStopsAtFirstRise:
     """A step-search probe ends at its first rise; the search and fits stay the same."""
 
@@ -459,7 +476,7 @@ class TestProbeStopsAtFirstRise:
         new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
         base = TrainConfig(lam=lam, rank=rank, step=1.0, max_iters=60, seed=1, tol=0.0)
         full = new_data()
-        want = halving_search(lambda probe: fit_rank_lowrank(full, probe), base, start, 10, 60)
+        want = full_probe_search(lambda probe: fit_rank_lowrank(full, probe), base, start)
         data = new_data()
         step = halving_step_search_rank(data, base, start=start)
         assert step == want
@@ -467,6 +484,19 @@ class TestProbeStopsAtFirstRise:
         assert all(a.tobytes() == b.tobytes() for a, b in zip(data._end[1], full._end[1]))
         cfg = replace(base, step=step)
         assert_same_fit(fit_rank_lowrank(data, cfg), fit_rank_lowrank(new_data(), cfg))
+
+    @pytest.mark.parametrize("with_init", [False, True])
+    @pytest.mark.parametrize("probe_iters", [10, None])
+    def test_generic_search_same_step_as_full_probes(self, with_init, probe_iters):
+        rng = np.random.default_rng(21)
+        for _ in range(4):
+            n, r = int(rng.integers(6, 30)), int(rng.integers(1, 4))
+            X, Y = rng.standard_normal((n, 4)), rng.standard_normal((n, 3))
+            K, KY = X @ X.T, Y @ Y.T
+            init = (rng.standard_normal((n, r)), rng.standard_normal((n, r))) if with_init else None
+            base = TrainConfig(lam=float(rng.uniform(0.01, 1.0)), rank=r, step=1.0, max_iters=60, seed=2, tol=0.0)
+            want = full_probe_search(lambda probe: fit_lowrank(K, KY, probe, init=init), base, 10.0, probe_iters)
+            assert halving_step_search(K, KY, base, start=10.0, probe_iters=probe_iters, init=init) == want
 
     @pytest.mark.parametrize("rank, lam, step", [(2, 0.1, 0.78), (3, 0.1, 0.2), (5, 1.0, 0.1), (2, 1.0, 0.78)])
     def test_rejected_probe_ends_at_its_first_rise(self, small_problem, rank, lam, step):
@@ -545,6 +575,14 @@ class TestPairTaskData:
         partial = dict(list(feats.items())[:2])
         with pytest.raises(InvalidInputError):
             build_pair_task_data(tasks, partial, KernelSpec("linear"))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, small_problem, bad):
+        tasks, feats, _ = small_problem
+        user = tasks.users[3]
+        broken = {**feats, user: np.array([0.5, bad, 1.0, 2.0])}
+        with pytest.raises(InvalidInputError, match=rf"^non-finite features for user {user!r}$"):
+            build_pair_task_data(tasks, broken, KernelSpec("linear"))
 
     def test_stacking_consistent(self, small_problem):
         tasks, _, data = small_problem
