@@ -110,14 +110,12 @@ CONFIG_KEYS = {
     "data.features": (None, *_OPTIONAL_PATH, True),
     "kernel.kind": ("linear", *_one_of(*KERNEL_KINDS), False),
     "kernel.bandwidth": (None, *_OPTIONAL_NUMBER, False),
-    "loss.name": ("pair_sign", *_one_of("pair_sign"), False),  # the ranking pipeline's loss
     "learner": ("lowrank", *_one_of("lowrank", "hs"), False),
     "train.lambda": (0.01, *_NUMBER, False),
     "train.rank": (5, *_INTEGER, False),
     "train.step": ("auto", lambda v: v == "auto" or (_is_number(v) and v > 0), '"auto" or a positive number', False),
     "train.iters": (1000, *_INTEGER, False),
     "train.tol": (1e-9, *_NUMBER, False),
-    "train.init_scale": (None, *_OPTIONAL_NUMBER, False),
     "grid.lambdas": (list(DEFAULT_LAMBDAS), _list_of(_is_number), "a non-empty list of finite numbers", False),
     "grid.ranks": (list(DEFAULT_RANKS), _list_of(_is_int), "a non-empty list of integers", False),
     "grid.steps": (
@@ -228,7 +226,6 @@ def _train_model(cfg: dict, data, seed: int):
         max_iters=int(cfg["train.iters"]),
         seed=seed,
         tol=float(cfg["train.tol"]),
-        init_scale=cfg["train.init_scale"],
     )
     step = cfg["train.step"]
     if step == "auto":
@@ -295,6 +292,8 @@ def _checkpoint_problem(cfg: dict, command: str):
     split, items, tasks, features, data = _load_ranking_problem(cfg)
     ck = _json_object(cfg["checkpoint"], "checkpoint")
     schema = ck.get("schema_version")
+    if type(schema) is not int:
+        raise ConfigError(f"checkpoint field 'schema_version' must be an integer, got {schema!r}")
     if schema == 1:
         raise ConfigError(
             "checkpoint schema 1 (stacked-row factors) is no longer supported; "

@@ -245,7 +245,7 @@ def parse_ratings_csv(path) -> RatingsTable:
 
 
 def parse_user_features_csv(path) -> dict:
-    """Parse `user,f1,...,fd` rows into a user -> feature-vector map."""
+    """Parse `user,f1,...,fd` rows into a user -> feature-vector map, one row per user."""
     feats: dict = {}
     rows = _csv_rows(path)
     _, header = next(rows, (1, None))
@@ -262,6 +262,8 @@ def parse_user_features_csv(path) -> dict:
             raise RatingsParseError(line_no, "non-numeric feature value") from None
         if not all(math.isfinite(v) for v in values):
             raise RatingsParseError(line_no, "non-finite feature value")
+        if user in feats:
+            raise RatingsParseError(line_no, f"duplicate features for user {user!r}")
         feats[user] = np.array(values)
     return feats
 
@@ -300,6 +302,10 @@ def write_movielens(table: RatingsTable, path) -> None:
             fh.write(f"{user}\t{item}\t{text}\t0\n")
 
 
+# Each user's train / validation / test shares of their ratings.
+SPLIT_FRACTIONS = (0.5, 0.2, 0.3)
+
+
 @dataclass
 class SplitTable:
     train: RatingsTable
@@ -307,19 +313,14 @@ class SplitTable:
     test: RatingsTable
 
 
-def split_per_user(
-    table: RatingsTable,
-    fractions: tuple[float, float, float] = (0.5, 0.2, 0.3),
-    seed: int = 0,
-) -> SplitTable:
-    """Partition each user's ratings into train/val/test by the given fractions.
+def split_per_user(table: RatingsTable, seed: int = 0) -> SplitTable:
+    """Partition each user's ratings into train/val/test by SPLIT_FRACTIONS.
 
     Counts use floor rounding with the remainder going to test. Users with
     fewer than 3 ratings fall back entirely to train (with a warning).
     Deterministic for a fixed seed.
     """
-    if len(fractions) != 3 or any(f <= 0 for f in fractions) or abs(sum(fractions) - 1.0) > 1e-12:
-        raise InvalidInputError(f"fractions must be three positives summing to 1, got {fractions}")
+    train_share, val_share, _ = SPLIT_FRACTIONS
     rng = np.random.default_rng(seed)
     counts = np.bincount(table.user, minlength=len(table.users))
     firsts = np.cumsum(counts) - counts  # a user's rows are contiguous and in item order
@@ -334,8 +335,8 @@ def split_per_user(
             rng.shuffle(order[lo:lo + m])
     # The first n_train of a user's shuffled rows go to train, the next n_val to
     # val, the rest to test; users with fewer than 3 ratings keep all in train.
-    n_train = np.where(counts < 3, counts, np.floor(fractions[0] * counts).astype(np.intp))
-    n_val = np.where(counts < 3, 0, np.floor(fractions[1] * counts).astype(np.intp))
+    n_train = np.where(counts < 3, counts, np.floor(train_share * counts).astype(np.intp))
+    n_val = np.where(counts < 3, 0, np.floor(val_share * counts).astype(np.intp))
     rank = np.arange(len(table)) - firsts[table.user]
     cut = n_train[table.user]
     bucket = np.empty(len(table), dtype=np.int8)  # 0 train, 1 val, 2 test
@@ -491,15 +492,14 @@ def simulate_movielens_table(
     n_users: int = 943,
     n_items: int = 1682,
     seed: int = 7,
-    latent_rank: int = 3,
-    noise: float = 0.35,
 ) -> RatingsTable:
     """A deterministic stand-in with Movielens-100k-like shape.
 
     Popularity-skewed item exposure, 1-5 integer ratings driven by a planted
-    low-rank user/item latent structure plus noise. Used by experiments when
-    no real ratings file is available.
+    rank-3 user/item latent structure plus Gaussian noise of scale 0.35. Used
+    by experiments when no real ratings file is available.
     """
+    latent_rank, noise = 3, 0.35
     rng = np.random.default_rng(seed)
     pop = 1.0 / (np.arange(n_items) + 25.0)
     pop /= pop.sum()

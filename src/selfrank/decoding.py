@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, InvalidInputError
-from .losses import SelfLoss, loss_eval, triangle
+from .losses import triangle
 
 FAS_EXACT_MAX_SIZE = 10
 
@@ -63,8 +63,9 @@ class Tournament:
         self.size = w.shape[0]
 
 
-def decode_finite(candidates, alpha, train_outputs, loss: SelfLoss):
-    """Pick the candidate minimizing sum_i alpha_i * loss(candidate, y_i).
+def decode_finite(candidates, alpha, train_outputs, loss):
+    """Pick the candidate minimizing sum_i alpha_i * loss(candidate, y_i), for a
+    loss (y, y') -> float such as losses.zero_one.
 
     Ties break toward the lowest candidate index. Returns (candidate, score).
     """
@@ -79,7 +80,7 @@ def decode_finite(candidates, alpha, train_outputs, loss: SelfLoss):
     best_score = None
     for cand in candidates:
         score = sum(
-            a * loss_eval(loss, cand, y) for a, y in zip(alpha, train_outputs) if a != 0.0
+            a * loss(cand, y) for a, y in zip(alpha, train_outputs) if a != 0.0
         )
         if best_score is None or score < best_score:
             best, best_score = cand, score

@@ -32,6 +32,10 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, NumericalError
 
+# Halvings a step search tries before it gives up: from a start of 0.1 the
+# last probe's step is 0.1 / 2^59, about 2e-19.
+MAX_HALVINGS = 60
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -240,24 +244,22 @@ def fit_lowrank(
     return FactorPair(M=M, N=N, iters_run=len(trace) - 1, stop_reason=stop, objective_trace=trace)
 
 
-def halving_search(
-    fit, cfg: TrainConfig, start: float, probe_iters: int | None, max_halvings: int
-) -> float:
+def halving_search(fit, cfg: TrainConfig, start: float, probe_iters: int | None) -> float:
     """Halve the step from `start` until fit(probe, stop_on_rise=True) neither
     diverges nor stops at a rise; a probe is cfg with the step, tol 0 and
-    probe_iters iterations (None: cfg.max_iters). With tol 0 only a rise or
-    max_iters ends a probe, so a step is accepted exactly when its whole
-    probe descends monotonically."""
+    probe_iters iterations (None: cfg.max_iters), for at most MAX_HALVINGS
+    probes. With tol 0 only a rise or max_iters ends a probe, so a step is
+    accepted exactly when its whole probe descends monotonically."""
     step = start
     probe = replace(cfg, tol=0.0, max_iters=probe_iters if probe_iters is not None else cfg.max_iters)
-    for _ in range(max_halvings):
+    for _ in range(MAX_HALVINGS):
         try:
             if fit(replace(probe, step=step), stop_on_rise=True).stop_reason != "rise":
                 return step
         except DivergenceError:
             pass
         step *= 0.5
-    raise NumericalError(f"no descending step found after {max_halvings} halvings")
+    raise NumericalError(f"no descending step found after {MAX_HALVINGS} halvings")
 
 
 def halving_step_search(
@@ -266,7 +268,6 @@ def halving_step_search(
     cfg: TrainConfig,
     start: float = 0.1,
     probe_iters: int | None = 10,
-    max_halvings: int = 60,
     init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Halve the step from `start` until a probe run descends monotonically.
@@ -277,7 +278,7 @@ def halving_step_search(
     for the whole run must probe the whole run. When the eventual fit starts
     from explicit factors, pass the same `init` here.
     """
-    return halving_search(partial(fit_lowrank, K_X, K_Y, init=init), cfg, start, probe_iters, max_halvings)
+    return halving_search(partial(fit_lowrank, K_X, K_Y, init=init), cfg, start, probe_iters)
 
 
 def _row_slices(task_sizes) -> list[slice]:

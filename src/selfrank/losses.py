@@ -1,82 +1,23 @@
-"""Loss functions with kernel-realized output embeddings, and the ranking metric.
+"""The zero-one loss of the finite decoder, and the pairwise ranking metric.
 
-Each loss carries the output kernel whose feature map realizes it as an inner
-product <psi(y), V psi(y')>, so downstream learning only ever touches Gram
-matrices of outputs, never the embedding itself.
+No loss is coded or decoded explicitly: the ranking pipeline meets its loss
+only through the pair tasks' signed rating differences z.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, Callable
 
 import numpy as np
 
 from .errors import InvalidInputError
-from .kernels import KernelSpec
+from .kernels import canonical_encoding
 
 
-@dataclass(frozen=True)
-class SelfLoss:
-    """A loss l(y, y') together with the output kernel realizing its embedding."""
-
-    name: str
-    evaluate: Callable[[Any, Any], float]
-    output_kernel: KernelSpec
-    validate: Callable[[Any], None] = field(default=lambda y: None)
-
-
-def _check_pair_sign_candidate(c) -> None:
-    if not isinstance(c, (int, float, np.integer, np.floating)) or float(c) not in (-1.0, 1.0):
-        raise InvalidInputError(f"pair_sign candidate must be -1 or +1, got {c!r}")
-
-
-def _check_real(y) -> None:
-    if not isinstance(y, (int, float, np.integer, np.floating)) or not np.isfinite(float(y)):
-        raise InvalidInputError(f"expected a finite real output, got {y!r}")
-
-
-def _zero_one(y, yp) -> float:
-    from .kernels import canonical_encoding
-
+def zero_one(y, yp) -> float:
+    """0 when y and y' are equal (componentwise for sequences), else 1."""
     return 0.0 if canonical_encoding(y) == canonical_encoding(yp) else 1.0
-
-
-zero_one = SelfLoss(
-    name="zero_one",
-    evaluate=_zero_one,
-    output_kernel=KernelSpec("delta"),
-)
-
-# Smooth loss on a compact set; the abel kernel realizes its embedding.
-squared = SelfLoss(
-    name="squared",
-    evaluate=lambda y, yp: (float(y) - float(yp)) ** 2,
-    output_kernel=KernelSpec("abel", bandwidth=1.0),
-    validate=_check_real,
-)
-
-pair_sign = SelfLoss(
-    name="pair_sign",
-    evaluate=lambda c, z: -float(c) * float(z),
-    output_kernel=KernelSpec("linear"),
-    validate=_check_real,
-)
-
-
-def loss_eval(loss: SelfLoss, y, yp) -> float:
-    """Evaluate loss(y, y') after validating both arguments."""
-    if loss.name == "pair_sign":
-        _check_pair_sign_candidate(y)
-        loss.validate(yp)
-    else:
-        loss.validate(y)
-        loss.validate(yp)
-    value = float(loss.evaluate(y, yp))
-    if not np.isfinite(value):
-        raise InvalidInputError(f"loss {loss.name} returned non-finite value {value}")
-    return value
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ PairTaskData keeps what its trainers share:
   product that agrees with the bitwise kernel oracle (kernels.gram) to 1e-12;
   HS reads its blocks under every kernel, the low-rank trainer only under
   non-linear kernels; cross_kernel builds every query's k_U(x) the same way;
-- the projected initial state (A0, W0) and its first pass (K_u A0, pw0) per
+- the projected initial state (A0, W0) and its first pass (K_u A0, e0) per
   (rank, seed, init_scale), so step-search probes, grid cells and the fit of
   one rank draw and pass it once. The n x r factors behind (A0, W0) are drawn
   and projected a block of stacked rows at a time and never held whole;
@@ -100,7 +100,7 @@ class PairTaskData:
         return np.repeat(np.arange(self.n_tasks), self.task_sizes)
 
     def forward(self, A: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """K_u A, and the pair scores pw_i = (K_u A)[u_i] . W[t_i] per stacked row.
+        """K_u A, and the residuals e_i = (K_u A)[u_i] . W[t_i] - z_i per stacked row.
 
         Under the linear kernel K_u A is U (U^T A), O(u d r) for d feature
         columns, and K_u is not built; it agrees with K_u @ A to rounding
@@ -109,24 +109,25 @@ class PairTaskData:
         features wider than about u/2 would be slower this way. Other kernels
         multiply by the cached K_u.
 
-        The scores are gathered and dotted PAIR_BLOCK_ROWS stacked rows at a
-        time, so the two gathered blocks stay in cache; each row is still one
-        einsum over the same r products, bit-equal to one pass over all rows.
+        The pair scores are gathered and dotted PAIR_BLOCK_ROWS stacked rows
+        at a time, so the two gathered blocks stay in cache; each row is still
+        one einsum over the same r products, bit-equal to one pass over all
+        rows. z is subtracted in place, so e is the one n-vector allocated.
         """
         KA = self.U @ (self.U.T @ A) if self.kernel.kind == "linear" else self.K_u @ A
-        pw = np.empty(self.n_rows)
+        e = np.empty(self.n_rows)
         for lo in range(0, self.n_rows, PAIR_BLOCK_ROWS):
             rows = slice(lo, lo + PAIR_BLOCK_ROWS)
             # np.take gathers faster than fancy indexing, and than take(out=...)
             P = np.take(KA, self.row_user[rows], axis=0)
-            np.einsum("ij,ij->i", P, np.take(W, self.row_task[rows], axis=0), out=pw[rows])
-        return KA, pw
+            np.einsum("ij,ij->i", P, np.take(W, self.row_task[rows], axis=0), out=e[rows])
+        return KA, np.subtract(e, self.z, out=e)
 
     def initial_state(self, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
-        """The low-rank trainer's start (A0, W0, K_u A0, pw0).
+        """The low-rank trainer's start (A0, W0, K_u A0, e0).
 
         (A0, W0) = (S^T M, rows N_t^T z_t) for the n x r factors M and N that
-        learners.init_factors(n, cfg) draws, and (K_u A0, pw0) = forward(A0, W0).
+        learners.init_factors(n, cfg) draws, and (K_u A0, e0) = forward(A0, W0).
         The draw is streamed (projected_draw): no n x r array outlives one
         block of stacked rows, and the result is bit-equal to projecting the
         whole draw. The state depends on (rank, seed, init_scale) alone, so
@@ -168,7 +169,7 @@ class PairTaskData:
             N = rng.standard_normal((hi - lo, r))
             N *= scale
             N *= self.z[lo:hi, None]
-            W[tasks] = _segment_sum(N, self.starts[tasks] - lo)
+            W[tasks] = np.add.reduceat(N, self.starts[tasks] - lo, axis=0)
         return A, W
 
     def _task_blocks(self) -> list[tuple[int, int, slice]]:
@@ -183,7 +184,7 @@ class PairTaskData:
         return blocks
 
     def end_state(self, cfg: TrainConfig, stop_on_rise: bool = False):
-        """The end state ((A, W, K_u A, pw), trace) of the last low-rank fit, or None.
+        """The end state ((A, W, K_u A, e), trace) of the last low-rank fit, or None.
 
         It is returned only when a fit by cfg passes through it: the same
         (rank, seed, init_scale, lam, step), cfg.max_iters at least its
@@ -235,10 +236,6 @@ def build_pair_task_data(
         task_sizes=tasks.sizes,
         z=tasks.z,
     )
-
-
-def _segment_sum(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    return np.add.reduceat(values, starts, axis=0)
 
 
 @dataclass
@@ -293,32 +290,28 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     search's probes) it also ends them at the first rise, stop_reason "rise".
     """
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
-    z = data.z
+    state, trace = data.end_state(cfg, stop_on_rise) or (data.initial_state(cfg), None)
     # Column-compressed, so the stored values are the stacked rows in order;
-    # E.T shares them, so one transpose serves the whole fit.
-    E = csc_array((np.empty(n), data.row_user, np.append(data.starts, n)), shape=(u, T))
+    # E.T holds the same structure, so one transpose serves the whole fit.
+    E = csc_array((state[3], data.row_user, np.append(data.starts, n)), shape=(u, T))
     E_T = E.T
     inv_nt = 1.0 / data.task_sizes.astype(float)
     inv_Tnt = (inv_nt / T)[:, None]
     shrink = 1.0 - cfg.lam * cfg.step
 
     def objective(state):
-        A, W, KA, pw = state
-        # The residuals e = pw - z go into E, whose products the next update takes.
-        e = np.subtract(pw, z, out=E.data)
-        data_term = float(np.sum(_segment_sum(e * e, data.starts) * inv_nt) / T)
+        A, W, KA, e = state
+        data_term = float(np.sum(np.add.reduceat(e * e, data.starts) * inv_nt) / T)
         pen = float(np.sum(A * KA)) + float(np.sum(W * W))
         return data_term + cfg.lam * pen
 
     def update(state):
-        A, W, KA, _ = state
+        A, W, KA, e = state
+        E.data = E_T.data = e  # both products below read the state's residuals
         A = shrink * A - cfg.step * (E @ (W * inv_Tnt))  # W is still the old W here
         W = shrink * W - cfg.step * (inv_nt[:, None] * (E_T @ KA))
         return (A, W, *data.forward(A, W))
 
-    state, trace = data.end_state(cfg, stop_on_rise) or (data.initial_state(cfg), None)
-    if trace is not None:
-        np.subtract(state[3], z, out=E.data)  # no objective call fills E before the first update
     state, trace, stop = descend(state, update, objective, cfg, trace, stop_on_rise)
     for array in state:
         array.flags.writeable = False
@@ -335,16 +328,12 @@ def _fit_key(cfg: TrainConfig) -> tuple:
 
 
 def halving_step_search_rank(
-    data: PairTaskData,
-    cfg: TrainConfig,
-    start: float = 0.1,
-    probe_iters: int | None = 10,
-    max_halvings: int = 60,
+    data: PairTaskData, cfg: TrainConfig, start: float = 0.1, probe_iters: int | None = 10
 ) -> float:
     """Halve from `start` until a probe of fit_rank_lowrank descends, by
     learners.halving_search's rule. The probes call fit_rank_lowrank as this
     module holds it at the call, which perfbench's tracer replaces."""
-    return halving_search(partial(fit_rank_lowrank, data), cfg, start, probe_iters, max_halvings)
+    return halving_search(partial(fit_rank_lowrank, data), cfg, start, probe_iters)
 
 
 @dataclass

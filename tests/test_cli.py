@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import selfrank
-from selfrank.cli import _load_ranking_problem, load_config, run
+from selfrank.cli import CONFIG_KEYS, _load_ranking_problem, load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
 from selfrank.evaluation import evaluate_ranking, fit_cell
@@ -59,6 +59,14 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
             load_config(None, ["bogus.key=1"], None, None)
+
+    @pytest.mark.parametrize("setting", ["loss.name=pair_sign", "train.init_scale=0.1"])
+    def test_removed_key_exits_2(self, tmp_path, ratings_file, capsys, setting):
+        """Keys that once took a single value are gone; naming one is an unknown key."""
+        rc = run("train", overrides=base_overrides(ratings_file, [setting]), out=str(tmp_path))
+        assert rc == 2
+        key = setting.split("=")[0]
+        assert f"config error: unknown config key {key!r}" in capsys.readouterr().err
 
     def test_missing_path_rejected(self):
         with pytest.raises(ConfigError):
@@ -128,7 +136,6 @@ class TestConfig:
             (["data.format=tsv"], "data.format"),
             (["data.features=7"], "data.features"),
             (["kernel.kind=poly"], "kernel.kind"),
-            (["loss.name=zero_one"], "loss.name"),
             (["learner=svm"], "learner"),
         ],
     )
@@ -220,6 +227,13 @@ class TestCommands:
         assert run("train", overrides=overrides, out=str(tmp_path / "out")) == 2
         line = 2 if file == "u.data" else 3
         assert f"input error: line {line}: {path} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_repeated_features_user_exits_2(self, tmp_path, ratings_file, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("user,f1\n1,0.5\n1,0.7\n")
+        overrides = base_overrides(ratings_file, [f"data.features={path}"])
+        assert run("train", overrides=overrides, out=str(tmp_path / "out")) == 2
+        assert "input error: line 3: duplicate features for user '1'" in capsys.readouterr().err
 
     def test_divergent_step_exits_3(self, tmp_path, ratings_file):
         rc = run(
@@ -355,6 +369,23 @@ class TestCommands:
         assert rc == 2
         err = capsys.readouterr().err
         assert "schema 1" in err and "retrain" in err
+
+    @pytest.mark.parametrize("schema", [True, 2.0, "2"], ids=["true", "2.0", "string"])
+    def test_non_integer_schema_exits_2(self, tmp_path, ratings_file, capsys, schema):
+        """JSON true is not schema 1, and 2.0 or "2" is not schema 2, though == says so."""
+        out = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file), out=out, seed=1) == 0
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(dict(json.load(open(f"{out}/checkpoint.json")), schema_version=schema)))
+        for command in ("eval", "decode"):
+            rc = run(command, overrides=base_overrides(ratings_file, [f"checkpoint={path}"]), out=out, seed=1)
+            assert rc == 2
+            assert (
+                f"config error: checkpoint field 'schema_version' must be an integer, got {schema!r}"
+                in capsys.readouterr().err
+            )
 
     def test_hs_train_and_eval(self, tmp_path, ratings_file):
         out = str(tmp_path / "hs")
@@ -614,3 +645,34 @@ class TestCommands:
         t1 = open(f"{out1}/objective_trace.json", "rb").read().replace(b"d1", b"dX")
         t2 = open(f"{out2}/objective_trace.json", "rb").read().replace(b"d2", b"dX")
         assert t1 == t2
+
+
+def test_every_config_key_is_read(tmp_path, ratings_file, monkeypatch):
+    """No option sits unread: together train (low rank and hs), eval, decode,
+    grid, synth and verify read every config key on the 40-user table."""
+    read = set()
+
+    class Recording(dict):
+        def __getitem__(self, key):
+            read.add(key)
+            return super().__getitem__(key)
+
+        def get(self, key, default=None):
+            read.add(key)
+            return super().get(key, default)
+
+    monkeypatch.setattr("selfrank.cli.load_config", lambda *args: Recording(load_config(*args)))
+    # verify reads its config in cmd_verify alone; the checks themselves take only the seed
+    monkeypatch.setattr("selfrank.cli.run_verification", lambda seed: {"checks": [], "passed": True})
+    out = str(tmp_path / "run")
+    checkpoint = [f"checkpoint={out}/checkpoint.json"]
+    synth = ["synth.seeds=1", "synth.n=20", "synth.iters=50", "synth.lambdas=[0.1]", "synth.ranks=[2]"]
+    runs = [
+        ("train", []), ("eval", checkpoint), ("decode", checkpoint), ("grid", []),
+        ("train", ["learner=hs"]), ("synth", synth), ("verify", []),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for command, extra in runs:
+            assert run(command, overrides=base_overrides(ratings_file, extra), out=out) == 0
+    assert sorted(set(CONFIG_KEYS) - read) == []

@@ -240,6 +240,14 @@ class TestParseCsv:
         np.testing.assert_array_equal(feats["1"], [0.5, -1.0])
         np.testing.assert_array_equal(feats["2"], [2.0, 3.0])
 
+    def test_features_csv_repeated_user_rejected(self, tmp_path):
+        """A second row for a user is an error, not a silent replacement of the first."""
+        path = tmp_path / "f.csv"
+        path.write_text("user,f1,f2\n1,0.5,-1\n2,2,3\n1,9,9\n")
+        with pytest.raises(RatingsParseError, match="^line 4: duplicate features for user '1'$") as err:
+            parse_user_features_csv(path)
+        assert err.value.line_no == 4
+
     def test_features_csv_non_finite_reports_line(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("user,f1,f2\n1,0.5,-1\n2,-inf,3\n")
@@ -330,10 +338,6 @@ class TestSplitPerUser:
         assert not (split.train.ratings.keys() & split.val.ratings.keys())
         assert not (split.train.ratings.keys() & split.test.ratings.keys())
         assert not (split.val.ratings.keys() & split.test.ratings.keys())
-
-    def test_invalid_fractions(self):
-        with pytest.raises(InvalidInputError):
-            split_per_user(_table({(1, 1): 1.0}), fractions=(0.5, 0.5, 0.5))
 
 
 class PairTask(NamedTuple):

@@ -4,41 +4,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfrank.errors import InvalidInputError
-from selfrank.losses import (
-    RatingVector,
-    loss_eval,
-    pair_sign,
-    pairwise_rank_loss,
-    squared,
-    triangle,
-    zero_one,
-)
+from selfrank.losses import RatingVector, pairwise_rank_loss, triangle, zero_one
 
 
-class TestLossEval:
-    def test_zero_one_identical(self):
-        assert loss_eval(zero_one, "a", "a") == 0.0
+class TestZeroOne:
+    def test_identical(self):
+        assert zero_one("a", "a") == 0.0
 
-    def test_zero_one_distinct(self):
-        assert loss_eval(zero_one, "a", "b") == 1.0
-
-    def test_pair_sign_formula(self):
-        assert loss_eval(pair_sign, +1, 2.0) == -2.0
-
-    def test_squared(self):
-        assert loss_eval(squared, 3, 1) == 4.0
-
-    def test_pair_sign_candidate_validated(self):
-        with pytest.raises(InvalidInputError):
-            loss_eval(pair_sign, 0.5, 2.0)
-
-    def test_squared_rejects_non_numeric(self):
-        with pytest.raises(InvalidInputError):
-            loss_eval(squared, "three", 1)
-
-    def test_pair_sign_antisymmetric_in_candidate(self):
-        for z in (-3.0, 0.0, 1.7):
-            assert loss_eval(pair_sign, +1, z) + loss_eval(pair_sign, -1, z) == 0.0
+    def test_distinct(self):
+        assert zero_one("a", "b") == 1.0
 
 
 class TestRatingVector:

@@ -143,10 +143,10 @@ class TestSharedInitialState:
     def test_cached_state_is_read_only(self, small_problem):
         tasks, feats, _ = small_problem
         data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
-        A0, W0, KA0, pw0 = data.initial_state(TrainConfig(lam=0.1, rank=2, step=0.1, max_iters=5, seed=4))
+        A0, W0, KA0, e0 = data.initial_state(TrainConfig(lam=0.1, rank=2, step=0.1, max_iters=5, seed=4))
         again = data.initial_state(TrainConfig(lam=0.5, rank=2, step=0.01, max_iters=9, seed=4))
-        assert all(a is b for a, b in zip(again, (A0, W0, KA0, pw0)))
-        for array in (A0, W0, KA0, pw0):
+        assert all(a is b for a, b in zip(again, (A0, W0, KA0, e0)))
+        for array in (A0, W0, KA0, e0):
             with pytest.raises(ValueError):
                 array[0] = 1.0
 
@@ -416,11 +416,11 @@ class TestStreamedInitialState:
         monkeypatch.setattr(ranking, "PAIR_BLOCK_ROWS", {"n": n, "n+3": n + 3}.get(block, block))
         cfg = TrainConfig(lam=0.1, rank=rank, step=0.1, max_iters=5, seed=rank, init_scale=scale)
         fresh = build_pair_task_data(tasks, feats, KernelSpec("linear"))
-        A0, W0, KA0, pw0 = fresh.initial_state(cfg)
+        A0, W0, KA0, e0 = fresh.initial_state(cfg)
         A, W = whole_draw_projection(fresh, cfg)
         assert A0.tobytes() == A.tobytes() and W0.tobytes() == W.tobytes()
-        KA, pw = fresh.forward(A, W)
-        assert KA0.tobytes() == KA.tobytes() and pw0.tobytes() == pw.tobytes()
+        KA, e = fresh.forward(A, W)
+        assert KA0.tobytes() == KA.tobytes() and e0.tobytes() == e.tobytes()
 
     @pytest.mark.parametrize("block", [1, 5, 64, 100, 4096])
     def test_blocks_cut_at_task_starts(self, monkeypatch, block):
