@@ -198,21 +198,30 @@ def _write_json(cfg: dict, name: str, payload: dict) -> str:
     return path
 
 
+class InputDataError(InvalidInputError):
+    """The configured data files are at fault, not the config's values: e.g. a
+    features file that lacks a user of the ratings file."""
+
+
 def _load_ranking_problem(cfg: dict):
     """The configured split, ranked items, pair tasks, user features and their PairTaskData."""
     if cfg["data.ratings"] is None:
         raise ConfigError("data.ratings is required for this command")
+    kernel = KernelSpec.from_config(cfg)
     parse = parse_movielens if cfg["data.format"] == "movielens" else parse_ratings_csv
-    table = parse(cfg["data.ratings"])
-    if cfg["data.features"] is not None:
-        table.user_features = parse_user_features_csv(cfg["data.features"])
-    if cfg["users.max"] is not None:
-        table = subsample_users(table, int(cfg["users.max"]), seed=int(cfg["seed"]))
-    items = top_items(table, int(cfg["items.top"]))
-    split = split_per_user(table, seed=int(cfg["seed"]))
-    tasks = build_pair_tasks(split.train, items)
-    features = user_feature_map(split.train, items)
-    data = build_pair_task_data(tasks, features, KernelSpec.from_config(cfg))
+    try:
+        table = parse(cfg["data.ratings"])
+        if cfg["data.features"] is not None:
+            table.user_features = parse_user_features_csv(cfg["data.features"])
+        if cfg["users.max"] is not None:
+            table = subsample_users(table, int(cfg["users.max"]), seed=int(cfg["seed"]))
+        items = top_items(table, int(cfg["items.top"]))
+        split = split_per_user(table, seed=int(cfg["seed"]))
+        tasks = build_pair_tasks(split.train, items)
+        features = user_feature_map(split.train, items)
+        data = build_pair_task_data(tasks, features, kernel)
+    except InvalidInputError as exc:  # the config's values passed their checks
+        raise InputDataError(str(exc)) from exc
     return split, items, tasks, features, data
 
 
@@ -435,11 +444,11 @@ def run(command: str, config_path: str | None = None, overrides: list[str] | Non
     }[command]
     try:
         return handler(cfg)
+    except (RatingsParseError, InputDataError) as exc:  # DuplicateRatingError included
+        print(f"input error: {exc}", file=sys.stderr)
+        return 2
     except (ConfigError, InvalidInputError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except RatingsParseError as exc:  # DuplicateRatingError included
-        print(f"input error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:
         print(f"divergence: {exc}", file=sys.stderr)

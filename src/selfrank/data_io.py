@@ -416,7 +416,9 @@ def build_pair_tasks(table: RatingsTable, item_subset) -> PairTaskSet:
     a, b = np.triu_indices(len(items), k=1)
     # pairs x users co-rating mask; its nonzeros come sorted by pair, then user
     rated_T = np.ascontiguousarray(rated.T)
-    task, user = np.nonzero(rated_T[a] & rated_T[b])
+    mask = rated_T[a]
+    mask &= rated_T[b]
+    task, user = np.divmod(np.flatnonzero(mask), mask.shape[1])
     z = R[user, a[task]] - R[user, b[task]]
     sizes = np.bincount(task, minlength=a.size)
     kept = sizes > 0

@@ -51,13 +51,18 @@ class Tournament:
 
     weights[j, k] > 0 means document j is preferred over k by that net amount.
     Only the upper triangle is stored as given; the lower triangle is its exact
-    negation, so antisymmetry holds to the last bit.
+    negation, so antisymmetry holds to the last bit. Every weight must be
+    finite: fas_greedy reads its margin rule from an argmax, which would take
+    a NaN gain that the rule never picks.
     """
 
     def __init__(self, weights: np.ndarray):
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidInputError(f"tournament weights must be square, got {w.shape}")
+        if not np.isfinite(w).all():
+            j, k = np.argwhere(~np.isfinite(w))[0].tolist()
+            raise InvalidInputError(f"tournament weight [{j}, {k}] is {w[j, k]}, not finite")
         upper = np.where(triangle(w.shape[0])[0].T, w, 0.0)  # np.triu(w, k=1)
         self.weights = upper - upper.T
         self.size = w.shape[0]
@@ -106,60 +111,59 @@ def fas_greedy(t: Tournament) -> Ordering:
     the current best gain (at first 0) by more than 1e-15; the round applies
     the last move that became best.
 
+    That rule is read from one argmax: the largest gain M, first in scan
+    order. If M <= 1e-15 no move passes. If no other gain exceeds
+    M - 4e-15 max(1, M), the rule picks M's move: every earlier best r has
+    fl(r + 1e-15) < M, and no later gain exceeds fl(M + 1e-15) >= M. Only
+    when another gain comes that close does the round scan the gains above
+    1e-15 in order.
+
     A move's gain is a cumulative sum over the strictly lower triangle L of
     the reordered weights, added in scan order. L holds both directions
     because the upper triangle is its exact negation: row p of L accumulated
-    from the right gives the moves of docs[p] up (its up chain), and column p
-    accumulated downward its moves down (its down chain). Entries that are no
-    legal move add only zeros and stay 0.0, which the rule never accepts.
+    from the right gives the moves of the document at p up (its up chain),
+    and column p accumulated downward its moves down (its down chain).
+    Entries that are no legal move add only zeros and stay 0.0, which the
+    rule never accepts.
 
     The gains are kept from one round to the next. Say only positions lo..hi
     hold new documents: the span of the last move, or the positions a sweep
-    changed joined with a move whose gains are still pending. An up chain
-    reads its own row of L left of the diagonal and a down chain its own
-    column below it, so the up chains of positions < lo and the down chains
-    of positions > hi read nothing that moved. The other up chains change
-    only from q = hi down, and the other down chains only from q = lo on.
-    Both changed parts read one block of L, rows lo.. and columns ..hi, and
-    each is accumulated on from the unchanged gain just before it. Every
-    gain is then the same additions in the same order as a full pass, bit
-    for bit. The first round is the block lo = 0, hi = n-1. Only the
-    adjacent pairs inside the block can have turned into improving swaps.
-    The result is locally optimal under adjacent transpositions: no swap of
-    neighbouring documents decreases the contradicted weight.
+    changed joined with that span. An up chain reads its own row of L left
+    of the diagonal and a down chain its own column below it, so the up
+    chains of positions < lo and the down chains of positions > hi read
+    nothing that moved. The other up chains change only from q = hi down,
+    and the other down chains only from q = lo on. Both changed parts read
+    one block of L, rows lo.. and columns ..hi, and each is accumulated on
+    from the unchanged gain just before it. Every gain is then the same
+    additions in the same order as a full pass, bit for bit. The first
+    round is the block lo = 0, hi = n-1.
+
+    A sweep runs to a fixed point, and a move p -> q shifts the documents
+    between p and q by one, so it makes new neighbours only at the ends of
+    its span: the pairs that start at lo-1, lo, hi-1 and hi. Only those can
+    have turned into improving swaps. The result is locally optimal under
+    adjacent transpositions: no swap of neighbouring documents decreases
+    the contradicted weight.
     """
     w = t.weights
     n = t.size
-    rows = w.tolist()
+    order = np.argsort(-w.sum(axis=1), kind="stable")  # Borda, ties by index
+    if n < 2:  # no move
+        return Ordering.from_docs(order)
     lower = triangle(n)[0]
     up_lower, down_lower = lower[:, ::-1], lower.T
-    # gains[p] = [up[p] | down[p]]: up[p, k] is the gain of moving docs[p] up
-    # to q = n-1-k, down[p, q] of moving it down to q. Row-major order is the
-    # scan order. Entries that are no legal move are never written: 0.0.
+    # gains[p] = [up[p] | down[p]]: up[p, k] is the gain of moving order[p]
+    # up to q = n-1-k, down[p, q] of moving it down to q. Row-major order is
+    # the scan order. Entries that are no legal move are never written: 0.0.
     gains = np.zeros((n, 2 * n))
     up, down, scan = gains[:, :n], gains[:, n:], gains.ravel()
-    docs = np.argsort(-w.sum(axis=1), kind="stable").tolist()  # Borda, ties by index
+    order = _sweep(w, order, range(n - 1))
     lo, hi = 0, n - 1  # positions whose documents changed since the last gains
     while True:
-        order = np.asarray(docs, dtype=np.intp)
-        block = w.take(order[lo:], axis=0).take(order[: hi + 1], axis=1)
-        # this diagonal of the block is L's subdiagonal from (lo, lo-1) to
-        # (hi+1, hi): the adjacent pairs that may have changed
-        if (block.diagonal(lo - 1) > 0).any():  # an adjacent swap improves: sweep first
-            improved = True
-            while improved:
-                improved = False
-                for p in range(n - 1):
-                    u, v = docs[p], docs[p + 1]
-                    if rows[u][v] < 0:  # swapping strictly reduces the objective
-                        docs[p], docs[p + 1] = v, u
-                        improved = True
-            moved = np.flatnonzero(order != docs)
-            lo, hi = min(lo, moved[0]), max(hi, moved[-1])
-            continue
-        # moving docs[p] to position q changes the objective by
-        # -sum(w[u, docs[j]]) over the positions it jumps across; a chain's
+        # moving order[p] to position q changes the objective by
+        # -sum(w[u, order[j]]) over the positions it jumps across; a chain's
         # changed part is accumulated on from the column before it
+        block = w.take(order[lo:], axis=0).take(order[: hi + 1], axis=1)
         k = n - 1 - hi
         np.copyto(up[lo:, k:], block[:, ::-1], where=up_lower[lo:, k:])
         chain = up[lo:, k - 1 if k else 0 :]
@@ -167,18 +171,58 @@ def fas_greedy(t: Tournament) -> Ordering:
         np.copyto(down[: hi + 1, lo:], block.T, where=down_lower[: hi + 1, lo:])
         chain = down[: hi + 1, lo - 1 if lo else 0 :]
         np.add.accumulate(chain, axis=1, out=chain)
-        cand = (scan > 1e-15).nonzero()[0]  # only these can pass the rule
-        best, move = 0.0, None
-        for i, gain in zip(cand.tolist(), scan[cand].tolist()):
-            if gain > best + 1e-15:
-                best, move = gain, i
-        if move is None:
+        move = int(scan.argmax())
+        best = scan.item(move)
+        if best <= 1e-15:
             break
+        if np.count_nonzero(scan > best - 4e-15 * max(1.0, best)) > 1:
+            cand = (scan > 1e-15).nonzero()[0]  # only these can pass the rule
+            best = 0.0
+            for i, gain in zip(cand.tolist(), scan[cand].tolist()):
+                if gain > best + 1e-15:
+                    best, move = gain, i
         p, k = divmod(move, 2 * n)
         q = n - 1 - k if k < n else k - n
-        docs.insert(q, docs.pop(p))
-        lo, hi = (p, q) if p < q else (q, p)
-    return Ordering.from_docs(docs)
+        doc = order.item(p)
+        if q < p:
+            order[q + 1 : p + 1] = order[q:p]
+            lo, hi = q, p
+        else:
+            order[p:q] = order[p + 1 : q + 1]
+            lo, hi = p, q
+        order[q] = doc
+        starts = [s for s in (lo - 1, lo, hi - 1, hi) if 0 <= s < n - 1]
+        if any(w.item(order.item(s), order.item(s + 1)) < 0 for s in starts):
+            swept = _sweep(w, order, starts)
+            moved = np.flatnonzero(order != swept)
+            order, lo, hi = swept, min(lo, moved[0]), max(hi, moved[-1])
+    return Ordering.from_docs(order)
+
+
+def _sweep(w: np.ndarray, order: np.ndarray, starts) -> np.ndarray:
+    """Adjacent-transposition passes from the top until none improves.
+
+    Only the pairs (p, p+1) for p in starts may improve at first. A swap at p
+    makes new pairs at p-1 and p+1, and every other pair stays as its last
+    test left it, so a pass tests only the pairs marked since: it makes the
+    same swaps as passes over every pair.
+    """
+    docs = order.tolist()
+    marked = [False] * (len(docs) - 1)
+    for s in starts:
+        marked[s] = True
+    while True in marked:
+        for p, fresh in enumerate(marked):  # reaches p+1 after marking it
+            if fresh:
+                marked[p] = False
+                u, v = docs[p], docs[p + 1]
+                if w.item(u, v) < 0:  # swapping strictly reduces the objective
+                    docs[p], docs[p + 1] = v, u
+                    if p:
+                        marked[p - 1] = True
+                    if p + 1 < len(marked):
+                        marked[p + 1] = True
+    return np.array(docs, dtype=np.intp)
 
 
 def fas_exact(t: Tournament) -> Ordering:

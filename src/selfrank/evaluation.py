@@ -107,11 +107,14 @@ def decode_queries(pair_tasks: PairTaskSet, W: np.ndarray, *, decode) -> list[Or
     (a, b); the tournament is zero on pairs without a task.
     """
     n_docs = len(pair_tasks.items)
+    flat = pair_tasks.a * n_docs + pair_tasks.b  # (a, b) in a raveled n_docs x n_docs
     orderings = []
-    for qi in range(W.shape[1]):
-        weights = np.zeros((n_docs, n_docs))
-        weights[pair_tasks.a, pair_tasks.b] = W[:, qi]
-        orderings.append(decode(Tournament(weights)))
+    # W's columns as strided views: a contiguous copy of W.T would hold all
+    # n_tasks x n_queries weights twice at the decode's memory peak
+    for column in W.T:
+        weights = np.zeros(n_docs * n_docs)
+        weights[flat] = column
+        orderings.append(decode(Tournament(weights.reshape(n_docs, n_docs))))
     return orderings
 
 

@@ -242,10 +242,13 @@ TOURNAMENT_FAMILIES = (_gaussian, _integer_ties, _tiny, _near_margin, _low_rank)
 
 def check_fas_loop_equivalence(rng, max_docs=24, per_size=4) -> dict:
     """fas_greedy must return the loop oracle's positions on `per_size`
-    tournaments of every family for each n = 0..max_docs."""
+    tournaments of every family for each n = 0..max_docs, and of the
+    model-like and near-margin families at the decoded sizes 30 and 60."""
+    cases = [(family, n) for family in TOURNAMENT_FAMILIES for n in range(max_docs + 1)]
+    cases += [(family, n) for family in (_low_rank, _near_margin) for n in (30, 60)]
     mismatches = 0
-    for family in TOURNAMENT_FAMILIES:
-        for n in np.repeat(np.arange(max_docs + 1), per_size).tolist():
+    for family, n in cases:
+        for _ in range(per_size):
             t = Tournament(family(rng, n))
             mismatches += not np.array_equal(fas_greedy(t).positions, fas_greedy_reference(t).positions)
     return _check("fas_greedy_loop_equivalence", float(mismatches), 0.0)

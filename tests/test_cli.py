@@ -235,6 +235,16 @@ class TestCommands:
         assert run("train", overrides=overrides, out=str(tmp_path / "out")) == 2
         assert "input error: line 3: duplicate features for user '1'" in capsys.readouterr().err
 
+    def test_features_missing_a_user_is_an_input_error(self, tmp_path, ratings_file, capsys):
+        """A features file that parses but lacks a user of the ratings file is a
+        fault in the data, not in the config."""
+        path = tmp_path / "f.csv"
+        path.write_text("user,f1\n1,0.5\n")
+        overrides = base_overrides(ratings_file, [f"data.features={path}"])
+        assert run("train", overrides=overrides, out=str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("input error: no provided features for user ") and "config error" not in err
+
     def test_divergent_step_exits_3(self, tmp_path, ratings_file):
         rc = run(
             "train",

@@ -149,6 +149,35 @@ def test_fas_greedy_sweep_after_a_move():
 
 
 class TestFasGreedy:
+    def test_margin_keeps_the_earlier_of_two_near_tied_moves(self):
+        # Borda [0, 2, 1, 3] sweeps to [0, 1, 2, 3]. Moving doc 1 to the bottom
+        # gains -(1 + 2^-52) + 2 = 1 - 2^-52 and comes first in scan order;
+        # moving doc 3 up past docs 2 and 1 gains -1 + 2 = 1 later. That does
+        # not beat 1 - 2^-52 by 1e-15, so doc 1 moves: [0, 2, 3, 1], where no
+        # gain passes. The largest gain alone would have given [0, 3, 1, 2].
+        t = Tournament(np.array([
+            [0, 0, 0, 2],
+            [0, 0, 1 + 2.0**-52, -2],
+            [0, 0, 0, 1],
+            [0, 0, 0, 0],
+        ]))
+        np.testing.assert_array_equal(fas_greedy(t).positions, fas_greedy_reference(t).positions)
+        np.testing.assert_array_equal(fas_greedy(t).docs_by_rank(), [0, 2, 3, 1])
+
+    def test_exact_tie_at_the_top_gain_takes_the_first_move(self):
+        # Borda [2, 0, 1, 3] is swept as is. Moving doc 2 down to position 2
+        # and moving doc 1 up to the top both gain exactly 1; the first in
+        # scan order gives [0, 1, 2, 3], where no gain passes. The later
+        # move would have given [1, 2, 0, 3].
+        t = Tournament(np.array([
+            [0, 0, 0, 1],
+            [0, 0, 1, 0],
+            [0, 0, 0, 3],
+            [0, 0, 0, 0],
+        ], dtype=float))
+        np.testing.assert_array_equal(fas_greedy(t).positions, fas_greedy_reference(t).positions)
+        np.testing.assert_array_equal(fas_greedy(t).docs_by_rank(), [0, 1, 2, 3])
+
     def test_transitive_tournament_identity(self):
         w = np.triu(np.ones((4, 4)), k=1)
         ordering = fas_greedy(Tournament(w))
@@ -251,6 +280,13 @@ class TestTournamentType:
             w = np.round(rng.standard_normal((n, n)), 1)
             upper = np.triu(w, k=1)
             assert Tournament(w).weights.tobytes() == (upper - upper.T).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        w = np.zeros((4, 4))
+        w[2, 3] = w[1, 2] = bad
+        with pytest.raises(InvalidInputError, match=rf"tournament weight \[1, 2\] is {bad}, not finite"):
+            Tournament(w)
 
     def test_positions_must_be_permutation(self):
         with pytest.raises(InvalidInputError):
