@@ -6,12 +6,13 @@ floating-point computation as the corresponding single evaluation. ``gram``
 evaluates only the upper triangle and mirrors it; the elementwise products
 commute, so every Gram matrix is exactly symmetric by construction.
 
-The ranking pipeline builds its user Gram and its query kernel vectors with
-``cross_gram`` instead: one BLAS product for all pairs. Its sums run in
-another order, so it agrees with the oracle to 1e-12 x max(1, max |k|) per
-entry, not bit for bit. For gaussian and abel the squared distance
-||p||^2 + ||x||^2 - 2 <p, x> cancels between near points, so pairs closer
-than a quarter of sqrt(||p||^2 + ||x||^2) take the oracle's direct sum.
+The ranking pipeline builds its user Gram, and its query kernel vectors under
+a non-linear kernel, with ``cross_gram`` instead: one BLAS product for all
+pairs. Its sums run in another order, so it agrees with the oracle to
+1e-12 x max(1, max |k|) per entry, not bit for bit. For gaussian and abel the
+squared distance ||p||^2 + ||x||^2 - 2 <p, x> cancels between near points, so
+pairs closer than a quarter of sqrt(||p||^2 + ||x||^2) take the oracle's
+direct sum.
 """
 
 from __future__ import annotations
@@ -154,6 +155,14 @@ def gram(points, spec: KernelSpec) -> np.ndarray:
     return out
 
 
+def as_queries(points: np.ndarray, X) -> np.ndarray:
+    """X as query rows against the points' rows; both must have the same width."""
+    xs = _as_points(X)
+    if xs.shape[1] != points.shape[1]:
+        raise InvalidInputError(f"points have dimension {points.shape[1]}, queries {xs.shape[1]}")
+    return xs
+
+
 def cross_gram(P, X, spec: KernelSpec) -> np.ndarray:
     """K[i, j] = k(p_i, x_j) for every pair, from one BLAS product P X^T.
 
@@ -169,9 +178,7 @@ def cross_gram(P, X, spec: KernelSpec) -> np.ndarray:
         return np.stack([cross_vector(P, x, spec) for x in X], axis=1)
     square = X is P
     pts = _as_points(P)
-    xs = pts if square else _as_points(X)
-    if xs.shape[1] != pts.shape[1]:
-        raise InvalidInputError(f"points have dimension {pts.shape[1]}, queries {xs.shape[1]}")
+    xs = pts if square else as_queries(pts, X)
     G = pts @ xs.T  # numpy computes pts @ pts.T with syrk, which mirrors its triangle
     if square and not np.array_equal(G, G.T):
         G = np.triu(G) + np.triu(G, 1).T

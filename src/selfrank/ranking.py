@@ -2,7 +2,12 @@
 
 Both models predict as coefficients . k_U(x), k_U(x) the kernel vector of a
 query against the distinct training users: W A^T (kept factored) for low rank,
-the scattered per-task ridge solutions C for HS. Only trainers read the Gram.
+the scattered per-task ridge solutions C for HS. PairTaskData.kernel_product
+is the one place where coefficients meet k_U. Under the linear kernel
+k_U(x) = U x, so the weights of q queries are (C U) X^T, m u d + m d q flops
+for m coefficient rows and d feature columns, and no users x queries matrix
+is built; other kernels build k_U(X) = cross_gram(U, X) and multiply,
+u d q + m u q. Only trainers read the Gram.
 
 Pair tasks share query inputs heavily (each user appears in many tasks), and
 their output Grams are rank-one (z z^T under the linear kernel on signed
@@ -26,7 +31,7 @@ PairTaskData keeps what its trainers share:
 - the user Gram K_u, built on first use by kernels.cross_gram, one BLAS
   product that agrees with the bitwise kernel oracle (kernels.gram) to 1e-12;
   HS reads its blocks under every kernel, the low-rank trainer only under
-  non-linear kernels; cross_kernel builds every query's k_U(x) the same way;
+  non-linear kernels;
 - the projected initial state (A0, W0) and its first pass (K_u A0, e0) per
   (rank, seed, init_scale), so step-search probes, grid cells and the fit of
   one rank draw and pass it once. The n x r factors behind (A0, W0) are drawn
@@ -47,7 +52,7 @@ from scipy.sparse import csc_array
 from .data_io import PairTaskSet
 from .errors import InvalidInputError, NumericalError
 # gram and cross_vector stay ranking attributes: perfbench's tracer patches them.
-from .kernels import KernelSpec, cross_gram, cross_vector, gram  # noqa: F401
+from .kernels import KernelSpec, as_queries, cross_gram, cross_vector, gram  # noqa: F401
 from .learners import (
     TrainConfig, _row_slices, descend, halt, halving_search, init_scale, ridge_cho_factor, ridge_cho_solve,
 )
@@ -68,7 +73,8 @@ class PairTaskData:
     (row_task), per (rank, seed, init_scale) the low-rank initial state and
     its first pass (initial_state), and the end state of the last low-rank
     fit with its (rank, seed, init_scale, lam, step) (end_state). A new
-    instance computes them anew.
+    instance computes them anew. Both models predict through kernel_product,
+    which under the linear kernel builds no users x queries matrix.
     """
 
     users: list
@@ -202,9 +208,21 @@ class PairTaskData:
             return None
         return state, trace
 
-    def cross_kernel(self, queries: np.ndarray) -> np.ndarray:
-        """k_U(x) for each query row x, one column per query; shape (users, queries)."""
-        return cross_gram(self.U, np.atleast_2d(np.asarray(queries, dtype=float)), self.kernel)
+    def kernel_product(self, C: np.ndarray, queries: np.ndarray) -> np.ndarray:
+        """C k_U(X): the coefficients C (m x users) against the kernel vector
+        k_U(x) of each query row x; shape (m, queries).
+
+        Under the linear kernel k_U(x) = U x, so this is (C U) X^T: m u d + m d q
+        flops for d feature columns and q queries, and no users x queries
+        matrix, against u d q + m u q for C @ cross_gram(U, X), with which it
+        agrees to rounding (selfrank verify: factored_gram_product). Other
+        kernels take C @ cross_gram(U, X). Either way a query whose width
+        is not U's raises InvalidInputError.
+        """
+        X = np.atleast_2d(np.asarray(queries, dtype=float))
+        if self.kernel.kind == "linear":
+            return (C @ self.U) @ as_queries(self.U, X).T
+        return C @ cross_gram(self.U, X, self.kernel)
 
 
 def build_pair_task_data(
@@ -255,9 +273,9 @@ class LowRankRankModel:
         """Edge weight per task for each query row; shape (n_tasks, n_queries).
 
         The edge weight z_t^T N_t M^T v_x, with v_x = S V_u[:, x] the stacked
-        cross vector, is w_t^T A^T V_u[:, x].
+        cross vector, is w_t^T A^T V_u[:, x]: W times A^T k_U(X).
         """
-        return self.W @ (self.A.T @ self.data.cross_kernel(queries))
+        return self.W @ self.data.kernel_product(self.A.T, queries)
 
 
 def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool = False) -> LowRankRankModel:
@@ -353,7 +371,7 @@ class HsRankModel:
         self.C[d.row_task, d.row_user] = self.beta
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
-        return self.C @ self.data.cross_kernel(queries)
+        return self.data.kernel_product(self.C, queries)
 
 
 def fit_rank_hs(data: PairTaskData, lam: float) -> HsRankModel:

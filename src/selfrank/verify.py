@@ -35,7 +35,9 @@ from .oracles import (
     prox_nuclear,
     svt,
 )
-from .ranking import PAIR_BLOCK_ROWS, PairTaskData, build_pair_task_data, fit_rank_hs, fit_rank_lowrank
+from .ranking import (
+    PAIR_BLOCK_ROWS, HsRankModel, LowRankRankModel, PairTaskData, build_pair_task_data, fit_rank_hs, fit_rank_lowrank,
+)
 
 
 def _check(name: str, value: float, threshold: float) -> dict:
@@ -348,26 +350,50 @@ def check_cross_gram(rng, dims=(1, 8, 30, 129)) -> dict:
     return _check("cross_gram_equivalence", worst, 1e-12)
 
 
-def check_factored_gram_product(rng, widths=(3, 10, 30), ranks=(1, 5, 20)) -> dict:
-    """Under the linear kernel PairTaskData.forward's K_u A is U (U^T A); it must
-    match the oracle product gram(U) @ A to 1e-12 x max |gram(U) @ A|, with
-    feature widths below, at and above the user count. Under the gaussian
-    kernel forward must still return K_u @ A bit for bit."""
+def check_factored_gram_product(rng, widths=(3, 10, 30), ranks=(1, 5, 20), queries=7) -> dict:
+    """Under the linear kernel PairTaskData.forward's K_u A is U (U^T A), and
+    kernel_product's C k_U(X) is (C U) X^T. K_u A must match the oracle
+    product gram(U) @ A to 1e-12 x max |gram(U) @ A|, and both models'
+    tournament weights their coefficients times the cross_vector oracle's
+    k_U(X) to 1e-12 x max |w|, with feature widths below, at and above the
+    user count. Under the gaussian kernel forward must still return K_u @ A,
+    and the weights their coefficients times cross_gram(U, X), bit for bit."""
     worst = 0.0
     for width in widths:
         data = _random_pair_task_data(rng, width)
         K = gram(data.U, data.kernel)
+        X = rng.standard_normal((queries, width))
+        V = np.stack([cross_vector(data.U, x, data.kernel) for x in X], axis=1)
+        beta = rng.standard_normal(data.n_rows)
         for r in ranks:
             A = rng.standard_normal((len(data.users), r))
             W = rng.standard_normal((data.n_tasks, r))
-            want = K @ A
-            got = data.forward(A, W)[0]
-            worst = max(worst, float(np.max(np.abs(got - want))) / float(np.max(np.abs(want))))
+            worst = max(worst, _relative_gap(data.forward(A, W)[0], K @ A))
+            for model, weights in _rank_models(data, A, W, beta):
+                worst = max(worst, _relative_gap(model.tournament_weights(X), weights(V)))
     data = _random_pair_task_data(rng, 4, KernelSpec("gaussian", 2.0))
     A = rng.standard_normal((len(data.users), 5))
-    if not np.array_equal(data.forward(A, rng.standard_normal((data.n_tasks, 5)))[0], data.K_u @ A):
-        worst = np.inf
-    return _check("factored_gram_product", worst, 1e-12)
+    W = rng.standard_normal((data.n_tasks, 5))
+    X = rng.standard_normal((queries, 4))
+    V = cross_gram(data.U, X, data.kernel)
+    exact = [np.array_equal(data.forward(A, W)[0], data.K_u @ A)]
+    for model, weights in _rank_models(data, A, W, rng.standard_normal(data.n_rows)):
+        exact.append(np.array_equal(model.tournament_weights(X), weights(V)))
+    return _check("factored_gram_product", worst if all(exact) else np.inf, 1e-12)
+
+
+def _relative_gap(got: np.ndarray, want: np.ndarray) -> float:
+    return float(np.max(np.abs(got - want))) / float(np.max(np.abs(want)))
+
+
+def _rank_models(data: PairTaskData, A: np.ndarray, W: np.ndarray, beta: np.ndarray) -> tuple:
+    """A low-rank model (A, W) and an HS model (beta) on data, each with its
+    tournament weights as a function of V = k_U(X): W (A^T V) and C V."""
+    hs = HsRankModel(data=data, beta=beta)
+    return (
+        (LowRankRankModel(data=data, A=A, W=W, iters_run=0, objective_trace=[]), lambda V: W @ (A.T @ V)),
+        (hs, lambda V: hs.C @ V),
+    )
 
 
 def stacked_pair_task_data(rng, sizes, users=40, width=5) -> PairTaskData:

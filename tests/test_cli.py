@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import selfrank
+from selfrank import ranking
 from selfrank.cli import CONFIG_KEYS, _load_ranking_problem, load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
 from selfrank.evaluation import evaluate_ranking, fit_cell
+from selfrank.kernels import cross_gram
 from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 
 # JSON values a checkpoint's number arrays must reject: a string, null, NaN and a bool
@@ -499,6 +501,32 @@ class TestCommands:
                 rc = run(command, overrides=overrides + [f"checkpoint={out}/checkpoint.json"],
                          out=out, seed=3)
                 assert rc == 0
+
+    @pytest.mark.parametrize("learner", ["lowrank", "hs"])
+    def test_linear_prediction_builds_no_users_by_queries_matrix(self, tmp_path, ratings_file, monkeypatch, learner):
+        """Under the linear kernel eval (evaluate_ranking) and decode take the
+        weights through the features: cross_gram builds at most the user Gram.
+        A gaussian-kernel eval still builds the users x queries matrix."""
+
+        def gram_only(P, X, spec):
+            if X is not P:
+                raise AssertionError("a users x queries kernel matrix was built")
+            return cross_gram(P, X, spec)
+
+        monkeypatch.setattr(ranking, "cross_gram", gram_only)
+        gaussian = ["kernel.kind=gaussian", "kernel.bandwidth=2.0"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for kernel, out in (([], str(tmp_path / "linear")), (gaussian, str(tmp_path / "gaussian"))):
+                overrides = base_overrides(ratings_file, [f"learner={learner}", *kernel])
+                assert run("train", overrides=overrides, out=out, seed=3) == 0
+                overrides.append(f"checkpoint={out}/checkpoint.json")
+                if not kernel:
+                    assert run("eval", overrides=overrides, out=out, seed=3) == 0
+                    assert run("decode", overrides=overrides, out=out, seed=3) == 0
+                else:
+                    with pytest.raises(AssertionError, match="users x queries"):
+                        run("eval", overrides=overrides, out=out, seed=3)
 
     def test_grid_artifacts(self, tmp_path, ratings_file):
         out = str(tmp_path / "grid")

@@ -545,6 +545,23 @@ class TestProbeStopsAtFirstRise:
             assert np.all(np.diff(trace[:-1]) <= 0) and trace[-1] > trace[-2]
 
 
+class TestPrediction:
+    """Both models predict through PairTaskData.kernel_product."""
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("gaussian", 2.0)], ids=["linear", "gaussian"])
+    @pytest.mark.parametrize("learner", ["lowrank", "hs"])
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 5)])
+    def test_query_of_another_width_rejected(self, small_problem, kernel, learner, shape):
+        tasks, feats, _ = small_problem
+        data = build_pair_task_data(tasks, feats, kernel)
+        if learner == "hs":
+            model = fit_rank_hs(data, 0.2)
+        else:
+            model = fit_rank_lowrank(data, TrainConfig(lam=0.1, rank=2, step=0.05, max_iters=5, seed=1))
+        with pytest.raises(InvalidInputError, match=rf"^points have dimension 4, queries {shape[-1]}$"):
+            model.tournament_weights(np.ones(shape))
+
+
 class TestHsRankModel:
     def test_per_task_weights_match_direct_solve(self, small_problem):
         _, feats, data = small_problem
