@@ -55,7 +55,7 @@ from .learners import (
     halving_step_search,
     lowrank_step,
 )
-from .losses import RatingVector, pairwise_rank_loss, zero_one
+from .losses import pairwise_rank_loss, zero_one
 from .oracles import (
     ExplicitProblem,
     explicit_gd,

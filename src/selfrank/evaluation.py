@@ -11,7 +11,7 @@ from .decoding import Ordering, Tournament, fas_greedy
 from .errors import DivergenceError, InvalidInputError, NumericalError
 from .kernels import KernelSpec, gram
 from .learners import TrainConfig, fit_lowrank, halving_step_search, ridge_cho_factor, ridge_cho_solve
-from .losses import RatingVector, pairwise_rank_loss
+from .losses import pairwise_rank_loss
 from .ranking import (
     PairTaskData,
     fit_rank_hs,
@@ -85,19 +85,14 @@ def evaluate_ranking(
     values, present = _rating_block(table, pair_tasks.items)
     enough = present.sum(axis=1) >= 2
     rows = [k for k, u in enumerate(table.users) if enough[k] and u in features]
-    queries = [table.users[k] for k in rows]
-    rating_vectors = [RatingVector(values[k], present[k]) for k in rows]
     skipped = len(table.users) - len(rows)
-    if not queries:
+    if not rows:
         return _summarize([], skipped, config or {})
-    X = np.vstack([np.asarray(features[u], dtype=float) for u in queries])
+    X = np.vstack([np.asarray(features[table.users[k]], dtype=float) for k in rows])
     W = model.tournament_weights(X)  # n_tasks x n_queries
-    per_query = []
-    for ordering, ratings in zip(decode_queries(pair_tasks, W, decode=decode), rating_vectors):
-        scores = (n_docs - ordering.positions).astype(float)
-        _, normalized = pairwise_rank_loss(scores, ratings)
-        per_query.append(normalized)
-    return _summarize(per_query, skipped, config or {})
+    scores = n_docs - np.array([o.positions for o in decode_queries(pair_tasks, W, decode=decode)])
+    _, per_query = pairwise_rank_loss(scores, values[rows], present[rows])
+    return _summarize(per_query.tolist(), skipped, config or {})
 
 
 def decode_queries(pair_tasks: PairTaskSet, W: np.ndarray, *, decode) -> list[Ordering]:

@@ -32,7 +32,11 @@ import numpy as np
 
 from .errors import DivergenceError, InvalidInputError, NumericalError
 
-# Halvings a step search tries before it gives up: from a start of 0.1 the
+# A step search's first step, and the iterations of each of its probes
+# (halving_step_search may instead probe the whole cfg.max_iters).
+STEP_START = 0.1
+PROBE_ITERS = 10
+# Halvings a step search tries before it gives up: from STEP_START the
 # last probe's step is 0.1 / 2^59, about 2e-19.
 MAX_HALVINGS = 60
 
@@ -266,11 +270,10 @@ def halving_step_search(
     K_X: np.ndarray,
     K_Y: np.ndarray,
     cfg: TrainConfig,
-    start: float = 0.1,
-    probe_iters: int | None = 10,
+    probe_iters: int | None = PROBE_ITERS,
     init: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
-    """Halve the step from `start` until a probe run descends monotonically.
+    """Halve the step from STEP_START until a probe run descends monotonically.
 
     probe_iters=None validates over cfg.max_iters: a step whose first few
     iterations descend can still overshoot later (the quartic's curvature
@@ -278,7 +281,7 @@ def halving_step_search(
     for the whole run must probe the whole run. When the eventual fit starts
     from explicit factors, pass the same `init` here.
     """
-    return halving_search(partial(fit_lowrank, K_X, K_Y, init=init), cfg, start, probe_iters)
+    return halving_search(partial(fit_lowrank, K_X, K_Y, init=init), cfg, STEP_START, probe_iters)
 
 
 def _row_slices(task_sizes) -> list[slice]:

@@ -47,14 +47,14 @@ from dataclasses import dataclass, field
 from functools import cached_property, partial
 
 import numpy as np
-from scipy.sparse import csc_array
 
 from .data_io import PairTaskSet
 from .errors import InvalidInputError, NumericalError
 # gram and cross_vector stay ranking attributes: perfbench's tracer patches them.
 from .kernels import KernelSpec, as_queries, cross_gram, cross_vector, gram  # noqa: F401
 from .learners import (
-    TrainConfig, _row_slices, descend, halt, halving_search, init_scale, ridge_cho_factor, ridge_cho_solve,
+    PROBE_ITERS, STEP_START, TrainConfig, _row_slices, descend, halt, halving_search, init_scale, ridge_cho_factor,
+    ridge_cho_solve,
 )
 
 # Stacked rows per block of the pair-score pass (PairTaskData.forward): at rank
@@ -307,6 +307,8 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     learners.descend runs the iterations; with stop_on_rise (the step
     search's probes) it also ends them at the first rise, stop_reason "rise".
     """
+    from scipy.sparse import csc_array  # imported here: eval and decode never need scipy.sparse
+
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
     state, trace = data.end_state(cfg, stop_on_rise) or (data.initial_state(cfg), None)
     # Column-compressed, so the stored values are the stacked rows in order;
@@ -345,13 +347,12 @@ def _fit_key(cfg: TrainConfig) -> tuple:
     return cfg.rank, cfg.seed, cfg.init_scale, cfg.lam, cfg.step
 
 
-def halving_step_search_rank(
-    data: PairTaskData, cfg: TrainConfig, start: float = 0.1, probe_iters: int | None = 10
-) -> float:
-    """Halve from `start` until a probe of fit_rank_lowrank descends, by
-    learners.halving_search's rule. The probes call fit_rank_lowrank as this
-    module holds it at the call, which perfbench's tracer replaces."""
-    return halving_search(partial(fit_rank_lowrank, data), cfg, start, probe_iters)
+def halving_step_search_rank(data: PairTaskData, cfg: TrainConfig) -> float:
+    """Halve from learners.STEP_START until a probe of PROBE_ITERS iterations of
+    fit_rank_lowrank descends, by learners.halving_search's rule. The probes
+    call fit_rank_lowrank as this module holds it at the call, which
+    perfbench's tracer replaces."""
+    return halving_search(partial(fit_rank_lowrank, data), cfg, STEP_START, PROBE_ITERS)
 
 
 @dataclass
@@ -360,15 +361,17 @@ class HsRankModel:
 
     The edge weight z_t^T (K_t + n_t lam I)^-1 k_t(x) is beta_t^T k_t(x), so C,
     the tasks x users scatter of beta, gives every task's weight as C k_U(x).
+    C is kept sparse: row t holds task t's stacked rows, beta at their users.
     """
 
     data: PairTaskData
     beta: np.ndarray  # per stacked row, like z: (K_t + n_t lam I) beta_t = z_t
 
     def __post_init__(self):
+        from scipy.sparse import csr_array
+
         d = self.data
-        self.C = np.zeros((d.n_tasks, len(d.users)))
-        self.C[d.row_task, d.row_user] = self.beta
+        self.C = csr_array((self.beta, d.row_user, np.append(d.starts, d.n_rows)), shape=(d.n_tasks, len(d.users)))
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
         return self.data.kernel_product(self.C, queries)

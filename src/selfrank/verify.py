@@ -9,7 +9,6 @@ threshold. The CLI `verify` command runs this and fails on any violation.
 from __future__ import annotations
 
 import numpy as np
-from scipy.sparse import csc_array
 
 from .data_io import RatingsTable, build_pair_tasks
 from .decoding import Tournament, backward_weight, decode_finite, fas_exact, fas_greedy
@@ -418,6 +417,8 @@ def check_streamed_initial_state(rng, ranks=(1, 5, 20)) -> dict:
     n x r draws of learners.init_factors bit for bit. Cases: n below, at and
     across a block edge, tasks straddling the edges, one task longer than a
     block, and init_scale both default and set."""
+    from scipy.sparse import csc_array
+
     B = PAIR_BLOCK_ROWS
     cases = [
         [37] * (B // 40),  # below one block

@@ -36,6 +36,21 @@ loaded["hs train"] = "scipy.linalg" in sys.modules
 print(json.dumps(loaded))
 """
 
+# In one fresh interpreter, the scipy modules loaded after importing
+# selfrank.cli, then after a low-rank eval and decode of a saved checkpoint.
+SCIPY_SPARSE_PROBE = """
+import json, sys, warnings
+from selfrank.cli import run
+warnings.simplefilter("ignore")
+overrides, out = json.loads(sys.argv[1]), sys.argv[2]
+scipy = lambda: [m for m in ("scipy.sparse", "scipy.linalg") if m in sys.modules]
+loaded = {"import": scipy()}
+for command in ("eval", "decode"):
+    assert run(command, overrides=overrides + [f"checkpoint={out}/checkpoint.json"], out=out) == 0
+    loaded[command] = scipy()
+print(json.dumps(loaded))
+"""
+
 
 @pytest.fixture(scope="module")
 def ratings_file(tmp_path_factory):
@@ -453,6 +468,20 @@ class TestCommands:
             lo += n
         ck = json.loads((tmp_path / "hs" / "checkpoint.json").read_text())
         assert ck["beta"] == want
+
+    def test_cli_import_and_lowrank_eval_load_no_scipy_sparse(self, tmp_path, ratings_file):
+        """Importing selfrank.cli loads neither scipy.sparse nor scipy.linalg, and
+        a low-rank eval and decode in that process load neither either."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file), out=str(tmp_path)) == 0
+        src = os.path.dirname(os.path.dirname(selfrank.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_SPARSE_PROBE, json.dumps(base_overrides(ratings_file)), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert json.loads(proc.stdout.splitlines()[-1]) == {"import": [], "eval": [], "decode": []}
 
     def test_hs_checkpoint_without_valid_beta_exits_2(self, tmp_path, ratings_file, capsys):
         out = str(tmp_path / "hs")

@@ -1,5 +1,6 @@
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ from selfrank.errors import DivergenceError, InvalidInputError, NumericalError
 from selfrank.evaluation import decode_queries
 from selfrank.kernels import KernelSpec
 from selfrank.learners import (
-    TrainConfig, fit_lowrank, fit_lowrank_mtl, halt, halving_step_search, init_factors,
+    PROBE_ITERS, STEP_START, TrainConfig, fit_lowrank, fit_lowrank_mtl, halt, halving_search, halving_step_search,
+    init_factors,
 )
 from selfrank.ranking import (
     PairTaskData,
@@ -22,6 +24,13 @@ from selfrank.ranking import (
     halving_step_search_rank,
 )
 from selfrank.verify import stacked_pair_task_data
+
+
+def search_rank(data, cfg, start, probe_iters=PROBE_ITERS):
+    """halving_step_search_rank's search from another first step, or over other
+    probe lengths: learners.halving_search over ranking.fit_rank_lowrank as the
+    module holds it at the call."""
+    return halving_search(partial(ranking.fit_rank_lowrank, data), cfg, start, probe_iters)
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +113,7 @@ class TestStructuredTrainerEquivalence:
     def test_halving_step_descends(self, small_problem):
         _, _, data = small_problem
         base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=120, seed=1, tol=0.0)
-        step = halving_step_search_rank(data, base, probe_iters=None)
+        step = search_rank(data, base, STEP_START, probe_iters=None)
         cfg = TrainConfig(lam=0.1, rank=3, step=step, max_iters=120, seed=1, tol=0.0)
         model = fit_rank_lowrank(data, cfg)
         assert np.all(np.diff(model.objective_trace) <= 0)
@@ -128,7 +137,7 @@ class TestSharedInitialState:
         monkeypatch.setattr(PairTaskData, "projected_draw", counted_draw)
         monkeypatch.setattr("selfrank.ranking.fit_rank_lowrank", counted_fit)
         base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1, tol=0.0)
-        step = halving_step_search_rank(data, base, start=100.0)
+        step = search_rank(data, base, 100.0)
         model = fit_rank_lowrank(data, replace(base, step=step))
         assert len(probes) > 1 and draws == [(3, 1, None)]
         for other in (replace(base, rank=2), replace(base, seed=2), replace(base, init_scale=0.1)):
@@ -167,7 +176,7 @@ class TestSharedInitialState:
         keys = (base, replace(base, rank=2), replace(base, seed=2))
         cells = []
         for key in keys:
-            step = halving_step_search_rank(data, key, start=100.0)
+            step = search_rank(data, key, 100.0)
             for lam in (0.1, 0.01):  # the second cell starts from the kept initial pass
                 cfg = replace(key, lam=lam, step=step)
                 cells.append((cfg, fit_rank_lowrank(data, cfg)))
@@ -274,7 +283,7 @@ class TestFactoredGramProduct:
         monkeypatch.setattr(PairTaskData, "K_u", property(no_gram))
         data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
         base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1)
-        step = halving_step_search_rank(data, base, start=100.0)
+        step = search_rank(data, base, 100.0)
         fit_rank_lowrank(data, replace(base, step=step))
         with pytest.raises(AssertionError, match="Gram was built"):
             fit_rank_lowrank(build_pair_task_data(tasks, feats, KernelSpec("gaussian", 2.0)), base)
@@ -312,7 +321,7 @@ class TestResumedFit:
         new_data, starts = fresh
         data = new_data()
         base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1)
-        step = halving_step_search_rank(data, base, start=100.0)
+        step = search_rank(data, base, 100.0)
         cfg = replace(base, step=step)
         probes = len(starts)
         model = fit_rank_lowrank(data, cfg)
@@ -478,7 +487,7 @@ class TestProbeStopsAtFirstRise:
         full = new_data()
         want = full_probe_search(lambda probe: fit_rank_lowrank(full, probe), base, start)
         data = new_data()
-        step = halving_step_search_rank(data, base, start=start)
+        step = search_rank(data, base, start)
         assert step == want
         assert data._end[0] == full._end[0] and data._end[2] == full._end[2]  # the accepted probe
         assert all(a.tobytes() == b.tobytes() for a, b in zip(data._end[1], full._end[1]))
@@ -496,7 +505,19 @@ class TestProbeStopsAtFirstRise:
             init = (rng.standard_normal((n, r)), rng.standard_normal((n, r))) if with_init else None
             base = TrainConfig(lam=float(rng.uniform(0.01, 1.0)), rank=r, step=1.0, max_iters=60, seed=2, tol=0.0)
             want = full_probe_search(lambda probe: fit_lowrank(K, KY, probe, init=init), base, 10.0, probe_iters)
-            assert halving_step_search(K, KY, base, start=10.0, probe_iters=probe_iters, init=init) == want
+            assert halving_search(partial(fit_lowrank, K, KY, init=init), base, 10.0, probe_iters) == want
+            want = full_probe_search(lambda probe: fit_lowrank(K, KY, probe, init=init), base, 0.1, probe_iters)
+            assert halving_step_search(K, KY, base, probe_iters=probe_iters, init=init) == want
+
+    @pytest.mark.parametrize("rank, lam", [(1, 0.1), (3, 0.01), (5, 1.0)])
+    def test_rank_search_from_step_start(self, small_problem, rank, lam):
+        """halving_step_search_rank halves from 0.1 over probes of 10 iterations."""
+        tasks, feats, _ = small_problem
+        new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        base = TrainConfig(lam=lam, rank=rank, step=1.0, max_iters=60, seed=1, tol=0.0)
+        full = new_data()
+        want = full_probe_search(lambda probe: fit_rank_lowrank(full, probe), base, 0.1, 10)
+        assert halving_step_search_rank(new_data(), base) == want
 
     @pytest.mark.parametrize("rank, lam, step", [(2, 0.1, 0.78), (3, 0.1, 0.2), (5, 1.0, 0.1), (2, 1.0, 0.78)])
     def test_rejected_probe_ends_at_its_first_rise(self, small_problem, rank, lam, step):
@@ -536,7 +557,7 @@ class TestProbeStopsAtFirstRise:
 
         monkeypatch.setattr(ranking, "fit_rank_lowrank", counted_fit)
         base = TrainConfig(lam=1.0, rank=2, step=1.0, max_iters=60, seed=1, tol=0.0)
-        step = halving_step_search_rank(data, base, start=100.0)
+        step = search_rank(data, base, 100.0)
         assert probes[-1][:3] == (step, "max_iters", 10)
         rejected = [p for p in probes[:-1] if p[1] != "diverged"]
         assert rejected
