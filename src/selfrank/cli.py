@@ -211,14 +211,13 @@ def _load_ranking_problem(cfg: dict):
     parse = parse_movielens if cfg["data.format"] == "movielens" else parse_ratings_csv
     try:
         table = parse(cfg["data.ratings"])
-        if cfg["data.features"] is not None:
-            table.user_features = parse_user_features_csv(cfg["data.features"])
+        provided = None if cfg["data.features"] is None else parse_user_features_csv(cfg["data.features"])
         if cfg["users.max"] is not None:
             table = subsample_users(table, int(cfg["users.max"]), seed=int(cfg["seed"]))
         items = top_items(table, int(cfg["items.top"]))
         split = split_per_user(table, seed=int(cfg["seed"]))
         tasks = build_pair_tasks(split.train, items)
-        features = user_feature_map(split.train, items)
+        features = user_feature_map(split.train, items, provided)
         data = build_pair_task_data(tasks, features, kernel)
     except InvalidInputError as exc:  # the config's values passed their checks
         raise InputDataError(str(exc)) from exc
@@ -377,7 +376,7 @@ def cmd_grid(cfg: dict) -> int:
 
 def cmd_decode(cfg: dict) -> int:
     split, items, tasks, features, model = _checkpoint_problem(cfg, "decode")
-    users = [u for u in split.test.users if u in features]
+    users = list(features)  # every user: the split tables keep the full user list
     X = np.vstack([np.asarray(features[u], dtype=float) for u in users])
     decoded = decode_queries(tasks, model.tournament_weights(X), decode=fas_greedy)
     orderings = {

@@ -38,7 +38,7 @@ class RatingsTable:
     converts a (user, item) -> rating mapping of finite ratings over declared ids.
     """
 
-    def __init__(self, users, items, ratings, user_features=None):
+    def __init__(self, users, items, ratings):
         users, items = sorted(set(users)), sorted(set(items))
         user_pos = {u: k for k, u in enumerate(users)}
         item_pos = {i: k for k, i in enumerate(items)}
@@ -53,26 +53,25 @@ class RatingsTable:
         if not finite.all():
             raise InvalidInputError(f"non-finite rating for pair {list(ratings)[int(np.argmin(finite))]!r}")
         columns = _by_pair(code[:, 0], code[:, 1], value, len(items))
-        self._assign(users, items, *columns, user_features)
+        self._assign(users, items, *columns)
 
-    def _assign(self, users, items, user, item, value, user_features) -> None:
-        self.users, self.items, self.user_features = users, items, user_features
+    def _assign(self, users, items, user, item, value) -> None:
+        self.users, self.items = users, items
         self.user, self.item, self.value = user, item, value
         for column in (user, item, value):
             column.flags.writeable = False
 
     @classmethod
-    def _from_columns(cls, users, items, user, item, value, user_features=None) -> RatingsTable:
+    def _from_columns(cls, users, items, user, item, value) -> RatingsTable:
         """A table over columns whose rows are already distinct and sorted by (user, item)."""
         table = cls.__new__(cls)
-        table._assign(users, items, user, item, value, user_features)
+        table._assign(users, items, user, item, value)
         return table
 
     def _rows(self, keep: np.ndarray) -> RatingsTable:
         """The rows keep selects, by mask or increasing row number, over the same users and items."""
         return RatingsTable._from_columns(
-            list(self.users), list(self.items), self.user[keep], self.item[keep], self.value[keep],
-            self.user_features,
+            list(self.users), list(self.items), self.user[keep], self.item[keep], self.value[keep]
         )
 
     @property
@@ -445,13 +444,13 @@ def subsample_users(table: RatingsTable, max_users: int, seed: int = 0) -> Ratin
     rows = keep[table.user]
     new_code = np.cumsum(keep) - 1
     return RatingsTable._from_columns(
-        users, list(table.items), new_code[table.user[rows]], table.item[rows], table.value[rows],
-        table.user_features,
+        users, list(table.items), new_code[table.user[rows]], table.item[rows], table.value[rows]
     )
 
 
-def user_feature_map(table: RatingsTable, item_subset) -> dict:
-    """Query features per user: provided features, else normalized subset ratings.
+def user_feature_map(table: RatingsTable, item_subset, provided: dict | None = None) -> dict:
+    """Query features per user: the provided ones (a parsed features file), else
+    normalized subset ratings.
 
     The derived vector is the user's mean-imputed rating vector over the
     subset (imputation value: their mean over rated subset items, falling back
@@ -460,8 +459,7 @@ def user_feature_map(table: RatingsTable, item_subset) -> dict:
     descent badly; centering also makes the features carry preferences rather
     than rating levels. Provided features pass through untouched.
     """
-    if table.user_features is not None:
-        provided = table.user_features
+    if provided is not None:
         feats = {}
         for u in table.users:
             key = u if u in provided else str(u)  # features CSV stores string ids

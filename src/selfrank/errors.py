@@ -16,9 +16,9 @@ class NumericalError(RuntimeError):
 class DivergenceError(RuntimeError):
     """An iterative solver produced a non-finite iterate."""
 
-    def __init__(self, iterate: int, message: str | None = None):
+    def __init__(self, iterate: int):
         self.iterate = iterate
-        super().__init__(message or f"non-finite objective at iterate {iterate}")
+        super().__init__(f"non-finite objective at iterate {iterate}")
 
 
 class RatingsParseError(ValueError):

@@ -27,40 +27,22 @@ DEFAULT_ITERS = (500, 2000)
 
 @dataclass
 class EvalReport:
-    """Per-query normalized pairwise losses with summary statistics."""
+    """Per-query normalized pairwise losses; mean, std and n_queries derive from them."""
 
     per_query: list[float]
-    mean: float
-    std: float
-    n_queries: int
     skipped: int
     config: dict = field(default_factory=dict)
+    mean: float = field(init=False)
+    std: float = field(init=False)
+    n_queries: int = field(init=False)
+
+    def __post_init__(self):
+        self.n_queries = len(self.per_query)
+        self.mean = float(np.mean(self.per_query)) if self.per_query else 0.0
+        self.std = float(np.std(self.per_query)) if self.per_query else 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config,
-            "mean": self.mean,
-            "std": self.std,
-            "n_queries": self.n_queries,
-            "skipped": self.skipped,
-            "per_query": self.per_query,
-        }
-
-
-def _summarize(per_query: list[float], skipped: int, config: dict) -> EvalReport:
-    if per_query:
-        mean = float(np.mean(per_query))
-        std = float(np.std(per_query))
-    else:
-        mean, std = 0.0, 0.0
-    return EvalReport(
-        per_query=per_query,
-        mean=mean,
-        std=std,
-        n_queries=len(per_query),
-        skipped=skipped,
-        config=config,
-    )
+        return dict(vars(self))
 
 
 def evaluate_ranking(
@@ -87,12 +69,12 @@ def evaluate_ranking(
     rows = [k for k, u in enumerate(table.users) if enough[k] and u in features]
     skipped = len(table.users) - len(rows)
     if not rows:
-        return _summarize([], skipped, config or {})
+        return EvalReport([], skipped, config or {})
     X = np.vstack([np.asarray(features[table.users[k]], dtype=float) for k in rows])
     W = model.tournament_weights(X)  # n_tasks x n_queries
     scores = n_docs - np.array([o.positions for o in decode_queries(pair_tasks, W, decode=decode)])
     _, per_query = pairwise_rank_loss(scores, values[rows], present[rows])
-    return _summarize(per_query.tolist(), skipped, config or {})
+    return EvalReport(per_query.tolist(), skipped, config or {})
 
 
 def decode_queries(pair_tasks: PairTaskSet, W: np.ndarray, *, decode) -> list[Ordering]:
@@ -184,14 +166,9 @@ def grid_search(
             table.append({"config": cell, "status": f"failed: {exc}"})
             continue
         report = evaluate_ranking(model, split, pair_tasks, features, on="val", config=cell)
-        row = {
-            "config": cell,
-            "status": "ok",
-            "mean": report.mean,
-            "std": report.std,
-            "n_queries": report.n_queries,
-            "skipped": report.skipped,
-        }
+        row = report.to_dict()
+        del row["per_query"]
+        row["status"] = "ok"
         if cell["learner"] == "lowrank":
             row.update(iters_run=model.iters_run, stop_reason=model.stop_reason)
         table.append(row)

@@ -45,8 +45,11 @@ class KernelSpec:
             raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
         if self.kind in ("linear", "delta"):
             object.__setattr__(self, "bandwidth", None)  # they ignore it, so to_config records none
-        elif self.bandwidth is None or not self.bandwidth > 0:
-            raise InvalidInputError(f"{self.kind} kernel requires bandwidth > 0, got {self.bandwidth!r}")
+        elif (
+            self.bandwidth is None or isinstance(self.bandwidth, (bool, np.bool_))
+            or not 0 < self.bandwidth < np.inf
+        ):
+            raise InvalidInputError(f"{self.kind} kernel requires a finite bandwidth > 0, got {self.bandwidth!r}")
 
     def to_config(self) -> dict:
         cfg = {"kernel.kind": self.kind}

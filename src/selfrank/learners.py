@@ -57,18 +57,24 @@ class TrainConfig:
     init_scale: float | None = None
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise InvalidInputError(f"lam must be >= 0, got {self.lam}")
-        if not self.step >= 0:
-            raise InvalidInputError(f"step must be >= 0, got {self.step}")
+        for name in ("rank", "max_iters", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+        if not 0 <= self.lam < np.inf:
+            raise InvalidInputError(f"lam must be finite and >= 0, got {self.lam}")
+        if not 0 <= self.step < np.inf:
+            raise InvalidInputError(f"step must be finite and >= 0, got {self.step}")
         if self.rank < 1:
             raise InvalidInputError(f"rank must be >= 1, got {self.rank}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tol < 0:
-            raise InvalidInputError(f"tol must be >= 0, got {self.tol}")
-        if self.init_scale is not None and not self.init_scale > 0:
-            raise InvalidInputError(f"init_scale must be > 0, got {self.init_scale}")
+        if self.seed < 0:
+            raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
+        if not 0 <= self.tol < np.inf:
+            raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol}")
+        if self.init_scale is not None and not 0 < self.init_scale < np.inf:
+            raise InvalidInputError(f"init_scale must be finite and > 0, got {self.init_scale}")
 
 
 @dataclass

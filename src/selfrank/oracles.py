@@ -15,6 +15,11 @@ import numpy as np
 from .decoding import Ordering, Tournament
 from .errors import DivergenceError, InvalidInputError, NumericalError
 
+# explicit_descending_step's probe length and halving budget, kept apart
+# from learners' step-search constants so the oracle stays independent.
+EXPLICIT_PROBE_ITERS = 200
+EXPLICIT_MAX_HALVINGS = 60
+
 
 @dataclass(frozen=True)
 class ExplicitProblem:
@@ -173,14 +178,13 @@ def explicit_descending_step(
     B0: np.ndarray,
     lam: float,
     start: float,
-    probe_iters: int = 200,
-    max_halvings: int = 60,
 ) -> float:
-    """Halve from `start` until a probe of explicit_gd descends monotonically."""
+    """Halve from `start`, at most EXPLICIT_MAX_HALVINGS times, until a probe of
+    EXPLICIT_PROBE_ITERS explicit_gd iterations descends monotonically."""
     step = start
-    for _ in range(max_halvings):
+    for _ in range(EXPLICIT_MAX_HALVINGS):
         try:
-            traj = explicit_gd(p, A0, B0, lam, step, probe_iters)
+            traj = explicit_gd(p, A0, B0, lam, step, EXPLICIT_PROBE_ITERS)
         except DivergenceError:
             step *= 0.5
             continue
@@ -188,7 +192,7 @@ def explicit_descending_step(
         if np.all(np.diff(objs) <= 1e-9 * max(objs[0], 1.0)):
             return step
         step *= 0.5
-    raise NumericalError(f"no descending step found after {max_halvings} halvings")
+    raise NumericalError(f"no descending step found after {EXPLICIT_MAX_HALVINGS} halvings")
 
 
 def fas_greedy_reference(t: Tournament) -> Ordering:

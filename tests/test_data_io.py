@@ -273,9 +273,13 @@ class TestParseCsv:
 
     def test_features_csv_resolves_integer_table_ids(self):
         table = _table({(1, "a"): 4.0, (1, "b"): 2.0})
-        table.user_features = {"1": np.array([7.0, 8.0])}
-        feats = user_feature_map(table, ["a", "b"])
+        feats = user_feature_map(table, ["a", "b"], {"1": np.array([7.0, 8.0])})
         np.testing.assert_array_equal(feats[1], [7.0, 8.0])
+
+    def test_features_csv_missing_user_named(self):
+        table = _table({(1, "a"): 4.0, (2, "b"): 2.0})
+        with pytest.raises(InvalidInputError, match="^no provided features for user 2$"):
+            user_feature_map(table, ["a", "b"], {"1": np.array([7.0, 8.0])})
 
 
 class TestRatingsTable:
@@ -591,8 +595,7 @@ class TestHelpers:
 
     def test_feature_map_prefers_provided_features(self):
         table = _table({(1, "a"): 4.0, (1, "b"): 2.0})
-        table.user_features = {1: np.array([9.0, 9.0])}
-        feats = user_feature_map(table, ["a", "b"])
+        feats = user_feature_map(table, ["a", "b"], {1: np.array([9.0, 9.0])})
         np.testing.assert_array_equal(feats[1], [9.0, 9.0])
 
     def test_simulated_table_shape(self):

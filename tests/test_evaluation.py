@@ -178,6 +178,17 @@ class TestGridSearch:
         assert table[0]["mean"] == table[1]["mean"]
         assert best is table[0]["config"]
 
+    @pytest.mark.parametrize(
+        "learner, fit_stop", [("hs", {}), ("lowrank", {"iters_run": 50, "stop_reason": "max_iters"})]
+    )
+    def test_row_is_the_report_without_per_query(self, learner, fit_stop):
+        split, tasks, features, data = _grid_problem()
+        cells = grid_cells(data, learner, lambdas=(0.1,), ranks=(2,), steps=(1e-3,), iters=(50,))
+        best, report, table = grid_search(cells, data, split, tasks, features)
+        want = report.to_dict()
+        del want["per_query"]
+        assert table == [{**want, "status": "ok", **fit_stop}]
+
     def test_hs_grid(self):
         split, tasks, features, data = _grid_problem()
         cells = grid_cells(data, "hs", lambdas=(1e-3, 1e-1))
@@ -311,8 +322,19 @@ class TestSyntheticComparison:
 
 class TestEvalReport:
     def test_summary_fields(self):
-        report = EvalReport(
-            per_query=[0.0, 0.5], mean=0.25, std=0.25, n_queries=2, skipped=1
-        )
-        d = report.to_dict()
-        assert d["mean"] == 0.25 and d["n_queries"] == 2 and d["skipped"] == 1
+        per_query = [0.0, 0.25, 1.0]
+        config = {"learner": "hs"}
+        report = EvalReport(per_query, 4, config)
+        assert report.mean == float(np.mean(per_query))
+        assert report.std == float(np.std(per_query))
+        assert report.n_queries == 3
+        assert report.to_dict() == {
+            "per_query": per_query, "skipped": 4, "config": config,
+            "mean": report.mean, "std": report.std, "n_queries": 3,
+        }
+        assert report.to_dict()["config"] is config  # a shallow copy
+
+    def test_empty_report(self):
+        report = EvalReport([], 7)
+        assert (report.mean, report.std, report.n_queries, report.skipped) == (0.0, 0.0, 0, 7)
+        assert report.config == {}

@@ -56,11 +56,11 @@ class TestKernelEval:
         assert kernel_eval(spec, (1, 2.0), np.array([1.0, 2.0])) == 1.0
         assert kernel_eval(spec, (1, 2.0), (1, 3.0)) == 0.0
 
-    def test_bad_bandwidth_rejected(self):
-        with pytest.raises(InvalidInputError):
-            KernelSpec("gaussian", 0.0)
-        with pytest.raises(InvalidInputError):
-            KernelSpec("abel")
+    @pytest.mark.parametrize("kind", ["gaussian", "abel"])
+    @pytest.mark.parametrize("bandwidth", [0.0, None, np.inf, np.nan, True, np.True_])
+    def test_bad_bandwidth_rejected(self, kind, bandwidth):
+        with pytest.raises(InvalidInputError, match=f"^{kind} kernel requires a finite bandwidth > 0"):
+            KernelSpec(kind, bandwidth)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -31,20 +31,29 @@ def random_problem(rng, n_max=40, d_max=8, t_max=6):
     return X, Y
 
 
+VALID_TRAIN = {"lam": 0.1, "rank": 1, "step": 0.1, "max_iters": 1}
+
+
 class TestTrainConfig:
     @pytest.mark.parametrize(
-        "kwargs",
+        "field, value",
         [
-            {"lam": -0.1, "rank": 1, "step": 0.1, "max_iters": 1},
-            {"lam": 0.1, "rank": 0, "step": 0.1, "max_iters": 1},
-            {"lam": 0.1, "rank": 1, "step": -0.1, "max_iters": 1},
-            {"lam": 0.1, "rank": 1, "step": 0.1, "max_iters": 0},
-            {"lam": 0.1, "rank": 1, "step": 0.1, "max_iters": 1, "tol": -1e-3},
+            ("lam", -0.1), ("lam", np.inf), ("lam", np.nan),
+            ("rank", 0), ("rank", 2.5), ("rank", 2.0), ("rank", True),
+            ("step", -0.1), ("step", np.inf),
+            ("max_iters", 0), ("max_iters", True), ("max_iters", 10.0),
+            ("tol", -1e-3), ("tol", np.inf), ("tol", np.nan),
+            ("init_scale", np.inf), ("init_scale", np.nan),
+            ("seed", 1.5), ("seed", False), ("seed", -1),
         ],
     )
-    def test_invalid_configs_rejected(self, kwargs):
-        with pytest.raises(InvalidInputError):
-            TrainConfig(**kwargs)
+    def test_invalid_configs_rejected(self, field, value):
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            TrainConfig(**{**VALID_TRAIN, field: value})
+
+    def test_numpy_integers_accepted(self):
+        cfg = TrainConfig(lam=0.1, rank=np.int64(2), step=0.1, max_iters=np.int32(3), seed=np.uint8(4))
+        assert (cfg.rank, cfg.max_iters, cfg.seed) == (2, 3, 4)
 
 
 def ridge_weights(K, lam, v):
