@@ -95,9 +95,10 @@ def _is_out_dir(v) -> bool:
 
 _is_positive_list = _list_of(lambda x: _is_number(x) and x > 0)
 
-_INTEGER = (_is_int, "an integer")
 _COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-_NUMBER = (_is_number, "a finite number")
+_COUNTS = (_list_of(lambda x: _is_int(x) and x >= 1), "a non-empty list of integers >= 1")
+_NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
+_POSITIVE_NUMBERS = (_is_positive_list, "a non-empty list of positive numbers")
 _OPTIONAL_NUMBER = (lambda v: v is None or _is_number(v), "null or a finite number")
 _OPTIONAL_PATH = (lambda v: v is None or isinstance(v, str), "null or a path")
 
@@ -111,17 +112,16 @@ CONFIG_KEYS = {
     "kernel.kind": ("linear", *_one_of(*KERNEL_KINDS), False),
     "kernel.bandwidth": (None, *_OPTIONAL_NUMBER, False),
     "learner": ("lowrank", *_one_of("lowrank", "hs"), False),
-    "train.lambda": (0.01, *_NUMBER, False),
-    "train.rank": (5, *_INTEGER, False),
+    "train.lambda": (0.01, *_NON_NEGATIVE, False),
+    "train.rank": (5, *_COUNT, False),
     "train.step": ("auto", lambda v: v == "auto" or (_is_number(v) and v > 0), '"auto" or a positive number', False),
-    "train.iters": (1000, *_INTEGER, False),
-    "train.tol": (1e-9, *_NUMBER, False),
-    "grid.lambdas": (list(DEFAULT_LAMBDAS), _list_of(_is_number), "a non-empty list of finite numbers", False),
-    "grid.ranks": (list(DEFAULT_RANKS), _list_of(_is_int), "a non-empty list of integers", False),
+    "train.iters": (1000, *_COUNT, False),
+    "grid.lambdas": (list(DEFAULT_LAMBDAS), *_POSITIVE_NUMBERS, False),
+    "grid.ranks": (list(DEFAULT_RANKS), *_COUNTS, False),
     "grid.steps": (
         "auto", lambda v: v == "auto" or _is_positive_list(v), '"auto" or a non-empty list of positive numbers', False,
     ),
-    "grid.iters": (list(DEFAULT_ITERS), _list_of(_is_int), "a non-empty list of integers", False),
+    "grid.iters": (list(DEFAULT_ITERS), *_COUNTS, False),
     "items.top": (30, lambda v: _is_int(v) and v >= 2, "an integer >= 2", False),
     "users.max": (None, lambda v: v is None or (_is_int(v) and v >= 1), "null or an integer >= 1", False),
     "seed": (0, lambda v: _is_int(v) and v >= 0, "an integer >= 0", False),
@@ -131,10 +131,10 @@ CONFIG_KEYS = {
     "synth.d": (20, *_COUNT, False),
     "synth.tasks": (20, *_COUNT, False),
     "synth.rank": (2, *_COUNT, False),
-    "synth.noise": (0.1, lambda v: _is_number(v) and v >= 0, "a finite number >= 0", False),
+    "synth.noise": (0.1, *_NON_NEGATIVE, False),
     "synth.seeds": (10, *_COUNT, False),
-    "synth.lambdas": ([1e-3, 1e-2, 1e-1], _is_positive_list, "a non-empty list of positive numbers", False),
-    "synth.ranks": ([2, 5], _list_of(lambda x: _is_int(x) and x >= 1), "a non-empty list of integers >= 1", False),
+    "synth.lambdas": ([1e-3, 1e-2, 1e-1], *_POSITIVE_NUMBERS, False),
+    "synth.ranks": ([2, 5], *_COUNTS, False),
     "synth.iters": (1500, *_COUNT, False),
 }
 
@@ -233,7 +233,6 @@ def _train_model(cfg: dict, data, seed: int):
         step=1.0,
         max_iters=int(cfg["train.iters"]),
         seed=seed,
-        tol=float(cfg["train.tol"]),
     )
     step = cfg["train.step"]
     if step == "auto":

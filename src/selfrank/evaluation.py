@@ -188,7 +188,7 @@ def fit_cell(data: PairTaskData, cell: dict):
         rank=cell["rank"],
         step=cell["step"],
         max_iters=cell["iters"],
-        seed=cell.get("seed", 0),
+        seed=cell["seed"],
     )
     return fit_rank_lowrank(data, cfg)
 

@@ -18,6 +18,7 @@ direct sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Real
 
 import numpy as np
 
@@ -43,13 +44,11 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise InvalidInputError(f"unknown kernel kind {self.kind!r}")
+        bw = self.bandwidth
         if self.kind in ("linear", "delta"):
             object.__setattr__(self, "bandwidth", None)  # they ignore it, so to_config records none
-        elif (
-            self.bandwidth is None or isinstance(self.bandwidth, (bool, np.bool_))
-            or not 0 < self.bandwidth < np.inf
-        ):
-            raise InvalidInputError(f"{self.kind} kernel requires a finite bandwidth > 0, got {self.bandwidth!r}")
+        elif isinstance(bw, bool) or not isinstance(bw, Real) or not 0 < bw < np.inf:
+            raise InvalidInputError(f"bandwidth must be a finite number > 0 for the {self.kind} kernel, got {bw!r}")
 
     def to_config(self) -> dict:
         cfg = {"kernel.kind": self.kind}

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import partial
+from numbers import Real
 
 import numpy as np
 
@@ -43,10 +44,7 @@ MAX_HALVINGS = 60
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters of the factorized gradient descent.
-
-    init_scale defaults to 1/sqrt(n*r) at fit time when left as None.
-    """
+    """Hyperparameters of the factorized gradient descent."""
 
     lam: float
     rank: int
@@ -54,27 +52,22 @@ class TrainConfig:
     max_iters: int
     seed: int = 0
     tol: float = 1e-9
-    init_scale: float | None = None
 
     def __post_init__(self):
         for name in ("rank", "max_iters", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InvalidInputError(f"{name} must be an integer, got {value!r}")
-        if not 0 <= self.lam < np.inf:
-            raise InvalidInputError(f"lam must be finite and >= 0, got {self.lam}")
-        if not 0 <= self.step < np.inf:
-            raise InvalidInputError(f"step must be finite and >= 0, got {self.step}")
+        for name in ("lam", "step", "tol"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 <= value < np.inf:
+                raise InvalidInputError(f"{name} must be finite and >= 0, got {value!r}")
         if self.rank < 1:
             raise InvalidInputError(f"rank must be >= 1, got {self.rank}")
         if self.max_iters < 1:
             raise InvalidInputError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.seed < 0:
             raise InvalidInputError(f"seed must be >= 0, got {self.seed}")
-        if not 0 <= self.tol < np.inf:
-            raise InvalidInputError(f"tol must be finite and >= 0, got {self.tol}")
-        if self.init_scale is not None and not 0 < self.init_scale < np.inf:
-            raise InvalidInputError(f"init_scale must be finite and > 0, got {self.init_scale}")
 
 
 @dataclass
@@ -171,15 +164,15 @@ def lowrank_step(M, N, K_X, K_Y, lam: float, step: float):
     return shrink * M - step * grad_M, shrink * N - step * grad_N
 
 
-def init_scale(n: int, cfg: TrainConfig) -> float:
-    """The factors' draw scale: cfg.init_scale, by default 1/sqrt(n r)."""
-    return cfg.init_scale if cfg.init_scale is not None else 1.0 / np.sqrt(n * cfg.rank)
+def init_scale(n: int, rank: int) -> float:
+    """The factors' draw scale, 1/sqrt(n r)."""
+    return 1.0 / np.sqrt(n * rank)
 
 
 def init_factors(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     """Seeded i.i.d. normal n x r factors M and N, drawn one after the other from
-    default_rng(cfg.seed) and scaled by init_scale(n, cfg)."""
-    scale = init_scale(n, cfg)
+    default_rng(cfg.seed) and scaled by init_scale(n, cfg.rank)."""
+    scale = init_scale(n, cfg.rank)
     rng = np.random.default_rng(cfg.seed)
     M = scale * rng.standard_normal((n, cfg.rank))
     return M, scale * rng.standard_normal((n, cfg.rank))

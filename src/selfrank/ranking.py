@@ -33,7 +33,7 @@ PairTaskData keeps what its trainers share:
   HS reads its blocks under every kernel, the low-rank trainer only under
   non-linear kernels;
 - the projected initial state (A0, W0) and its first pass (K_u A0, e0) per
-  (rank, seed, init_scale), so step-search probes, grid cells and the fit of
+  (rank, seed), so step-search probes, grid cells and the fit of
   one rank draw and pass it once. The n x r factors behind (A0, W0) are drawn
   and projected a block of stacked rows at a time and never held whole;
 - the end state of its last low-rank fit, so a fit whose way passes through
@@ -70,9 +70,9 @@ class PairTaskData:
     It caches what trainers share, each built on a trainer's first use: the
     user Gram K_u (kernels.cross_gram; built by fit_rank_hs, and by the
     low-rank trainer under non-linear kernels only), the task of each stacked row
-    (row_task), per (rank, seed, init_scale) the low-rank initial state and
-    its first pass (initial_state), and the end state of the last low-rank
-    fit with its (rank, seed, init_scale, lam, step) (end_state). A new
+    (row_task), per (rank, seed) the low-rank initial state and its first
+    pass (initial_state), and the end state of the last low-rank fit with
+    its (rank, seed, lam, step) (end_state). A new
     instance computes them anew. Both models predict through kernel_product,
     which under the linear kernel builds no users x queries matrix.
     """
@@ -136,11 +136,11 @@ class PairTaskData:
         learners.init_factors(n, cfg) draws, and (K_u A0, e0) = forward(A0, W0).
         The draw is streamed (projected_draw): no n x r array outlives one
         block of stacked rows, and the result is bit-equal to projecting the
-        whole draw. The state depends on (rank, seed, init_scale) alone, so
-        each such key is drawn, projected and passed forward once and kept,
-        read-only, for the step-search probes and the fit.
+        whole draw. The state depends on (rank, seed) alone, so each such key
+        is drawn, projected and passed forward once and kept, read-only, for
+        the step-search probes and the fit.
         """
-        key = (cfg.rank, cfg.seed, cfg.init_scale)
+        key = (cfg.rank, cfg.seed)
         if key not in self._initial:
             A, W = self.projected_draw(cfg)
             state = (A, W, *self.forward(A, W))
@@ -160,7 +160,7 @@ class PairTaskData:
         z_i N_i is one segment sum inside one block, as over the whole array.
         """
         r = cfg.rank
-        scale = init_scale(self.n_rows, cfg)
+        scale = init_scale(self.n_rows, r)
         rng = np.random.default_rng(cfg.seed)
         blocks = self._task_blocks()
         A = np.zeros((len(self.users), r))
@@ -193,7 +193,7 @@ class PairTaskData:
         """The end state ((A, W, K_u A, e), trace) of the last low-rank fit, or None.
 
         It is returned only when a fit by cfg passes through it: the same
-        (rank, seed, init_scale, lam, step), cfg.max_iters at least its
+        (rank, seed, lam, step), cfg.max_iters at least its
         iteration count and no stop before its last iterate (under cfg.tol,
         or at a rise when stop_on_rise). The updates are deterministic, so
         that fit would recompute it bit for bit and may continue from it
@@ -284,7 +284,7 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     The iterates are the projections A = S^T M and w_t = N_t^T z_t of those of
     learners.fit_lowrank_mtl on the materialized blocks (K_t = rows of S K_u S^T,
     output Gram z_t z_t^T); M and N are drawn as there and projected, once per
-    data and (rank, seed, init_scale) by PairTaskData.initial_state. With
+    data and (rank, seed) by PairTaskData.initial_state. With
     P = S K_u A and e_i = P_i . w_t(i) - z_i for stacked row i of task t(i):
 
         A   <- (1 - lam nu) A - nu S^T [ e_i w_t(i) / (T n_t(i)) ]
@@ -344,7 +344,7 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
 
 def _fit_key(cfg: TrainConfig) -> tuple:
     """What fixes a low-rank fit's iterates; max_iters and tol only end them."""
-    return cfg.rank, cfg.seed, cfg.init_scale, cfg.lam, cfg.step
+    return cfg.rank, cfg.seed, cfg.lam, cfg.step
 
 
 def halving_step_search_rank(data: PairTaskData, cfg: TrainConfig) -> float:

@@ -12,7 +12,7 @@ from selfrank import ranking
 from selfrank.cli import CONFIG_KEYS, _load_ranking_problem, load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
-from selfrank.evaluation import evaluate_ranking, fit_cell
+from selfrank.evaluation import evaluate_ranking, fit_cell, grid_cells
 from selfrank.kernels import cross_gram
 from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 
@@ -77,7 +77,7 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(None, ["bogus.key=1"], None, None)
 
-    @pytest.mark.parametrize("setting", ["loss.name=pair_sign", "train.init_scale=0.1"])
+    @pytest.mark.parametrize("setting", ["loss.name=pair_sign", "train.init_scale=0.1", "train.tol=1e-3"])
     def test_removed_key_exits_2(self, tmp_path, ratings_file, capsys, setting):
         """Keys that once took a single value are gone; naming one is an unknown key."""
         rc = run("train", overrides=base_overrides(ratings_file, [setting]), out=str(tmp_path))
@@ -131,7 +131,7 @@ class TestConfig:
             (["train.step=fast"], "train.step"),
             (["train.step=0"], "train.step"),
             (["train.lambda=true"], "train.lambda"),
-            (["train.tol=NaN"], "train.tol"),
+            (["train.iters=0"], "train.iters"),
             (["kernel.kind=gaussian", "kernel.bandwidth=wide"], "kernel.bandwidth"),
             (["seed=1.5"], "seed"),
             (["seed=-1"], "seed"),
@@ -154,6 +154,11 @@ class TestConfig:
             (["data.features=7"], "data.features"),
             (["kernel.kind=poly"], "kernel.kind"),
             (["learner=svm"], "learner"),
+            (["train.rank=0"], "train.rank"),
+            (["train.lambda=-0.1"], "train.lambda"),
+            (["grid.lambdas=[0.1, 0]"], "grid.lambdas"),
+            (["grid.ranks=[2, 0]"], "grid.ranks"),
+            (["grid.iters=[100, 0]"], "grid.iters"),
         ],
     )
     def test_malformed_numeric_value_exits_2(self, tmp_path, ratings_file, capsys, overrides, key):
@@ -608,14 +613,35 @@ class TestCommands:
             (1.0, 100): "max_iters", (1.0, 2000): "tol",
         }
 
-    @pytest.mark.parametrize("tol, stopped_early", [(1e-3, True), (0.0, False)])
-    def test_checkpoint_fields_independent_of_stop_reason(self, tmp_path, ratings_file, tol, stopped_early):
+    def test_train_fits_a_grid_cell_as_the_grid_does(self, tmp_path, ratings_file):
+        """selfrank train set to a grid cell's (lambda, rank, step, iters, seed)
+        writes the A and W of fit_cell on that cell, bit for bit: the same stop
+        rule ends both, on tol or at max_iters."""
+        overrides = base_overrides(ratings_file)
+        problem = lambda: _load_ranking_problem(load_config(None, overrides, None, 3))[-1]
+        reasons = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for k, cell in enumerate(grid_cells(problem(), "lowrank", [0.01, 1.0], [2], iters=[100, 2000], seed=3)):
+                setting = [f"train.lambda={cell['lambda']}", f"train.rank={cell['rank']}",
+                           f"train.step={cell['step']!r}", f"train.iters={cell['iters']}"]
+                assert run("train", overrides=overrides + setting, out=str(tmp_path / str(k)), seed=cell["seed"]) == 0
+                ck = json.load(open(tmp_path / str(k) / "checkpoint.json"))
+                model = fit_cell(problem(), cell)
+                assert ck["iters_run"] == model.iters_run
+                assert np.asarray(ck["A"]).tobytes() == model.A.tobytes()
+                assert np.asarray(ck["W"]).tobytes() == model.W.tobytes()
+                reasons.append(model.stop_reason)
+        assert reasons == ["max_iters", "max_iters", "max_iters", "tol"]
+
+    @pytest.mark.parametrize("extra, stopped_early", [(["train.lambda=1.0", "train.iters=2000"], True), ([], False)])
+    def test_checkpoint_fields_independent_of_stop_reason(self, tmp_path, ratings_file, extra, stopped_early):
         out = str(tmp_path / "train")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            assert run("train", overrides=base_overrides(ratings_file, [f"train.tol={tol}"]), out=out, seed=3) == 0
+            assert run("train", overrides=base_overrides(ratings_file, extra), out=out, seed=3) == 0
         ck = json.load(open(f"{out}/checkpoint.json"))
-        assert (ck["iters_run"] < 150) == stopped_early
+        assert (ck["iters_run"] < ck["config"]["train.iters"]) == stopped_early
         assert sorted(ck) == [
             "A", "W", "config", "items", "iters_run", "kernel", "lambda", "learner", "pairs",
             "rank", "schema_version", "seed", "step", "task_sizes", "users",

@@ -57,10 +57,14 @@ class TestKernelEval:
         assert kernel_eval(spec, (1, 2.0), (1, 3.0)) == 0.0
 
     @pytest.mark.parametrize("kind", ["gaussian", "abel"])
-    @pytest.mark.parametrize("bandwidth", [0.0, None, np.inf, np.nan, True, np.True_])
+    @pytest.mark.parametrize("bandwidth", [0.0, None, np.inf, np.nan, True, np.True_, "1", [1.0]])
     def test_bad_bandwidth_rejected(self, kind, bandwidth):
-        with pytest.raises(InvalidInputError, match=f"^{kind} kernel requires a finite bandwidth > 0"):
+        with pytest.raises(InvalidInputError, match=f"^bandwidth must be a finite number > 0 for the {kind} kernel"):
             KernelSpec(kind, bandwidth)
+
+    @pytest.mark.parametrize("bandwidth", [np.float64(0.5), np.float32(0.5), 1])
+    def test_real_bandwidth_accepted(self, bandwidth):
+        assert KernelSpec("gaussian", bandwidth).bandwidth == bandwidth
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -43,7 +43,8 @@ class TestTrainConfig:
             ("step", -0.1), ("step", np.inf),
             ("max_iters", 0), ("max_iters", True), ("max_iters", 10.0),
             ("tol", -1e-3), ("tol", np.inf), ("tol", np.nan),
-            ("init_scale", np.inf), ("init_scale", np.nan),
+            ("lam", "a"), ("lam", None), ("lam", True), ("lam", np.True_),
+            ("step", "0.1"), ("step", True), ("tol", "1e-9"), ("tol", False),
             ("seed", 1.5), ("seed", False), ("seed", -1),
         ],
     )
@@ -54,6 +55,10 @@ class TestTrainConfig:
     def test_numpy_integers_accepted(self):
         cfg = TrainConfig(lam=0.1, rank=np.int64(2), step=0.1, max_iters=np.int32(3), seed=np.uint8(4))
         assert (cfg.rank, cfg.max_iters, cfg.seed) == (2, 3, 4)
+
+    def test_numpy_floats_accepted(self):
+        cfg = TrainConfig(lam=np.float64(0.1), rank=1, step=np.float32(0.5), max_iters=1, tol=np.float64(0.0))
+        assert (cfg.lam, cfg.step, cfg.tol) == (0.1, 0.5, 0.0)
 
 
 def ridge_weights(K, lam, v):
@@ -239,25 +244,30 @@ class TestFitLowrank:
         assert probe.objective_trace == full.objective_trace[: first + 1]
 
 
-def _kernel_problem(seed):
+def _kernel_problem(seed, scale=1.0):
     X, Y = random_problem(np.random.default_rng(seed), n_max=20)
-    return X @ X.T, Y @ Y.T
+    return scale * (X @ X.T), scale * (Y @ Y.T)
 
 
-def _mtl_problem(seed):
+def _mtl_problem(seed, scale=1.0):
     rng = np.random.default_rng(seed)
     Xb = [rng.standard_normal((m, 3)) for m in (5, 8, 3)]
     Yb = [rng.standard_normal((m, 2)) for m in (5, 8, 3)]
-    return [Xt @ np.vstack(Xb).T for Xt in Xb], [Yt @ Yt.T for Yt in Yb]
+    return [scale * (Xt @ np.vstack(Xb).T) for Xt in Xb], [scale * (Yt @ Yt.T) for Yt in Yb]
 
 
-# Each trainer on a fresh problem, as fit(cfg).
+def _pair_problem(seed, scale=1.0):
+    data = stacked_pair_task_data(np.random.default_rng(seed), [4, 7, 2, 9], users=12)
+    data.z *= scale
+    return data
+
+
+# Each trainer on a fresh problem whose Grams (or pair outputs z) are scaled
+# by `scale`, as fit(cfg, scale).
 TRAINERS = {
-    "fit_lowrank": lambda cfg: fit_lowrank(*_kernel_problem(20), cfg),
-    "fit_lowrank_mtl": lambda cfg: fit_lowrank_mtl(*_mtl_problem(21), cfg),
-    "fit_rank_lowrank": lambda cfg: fit_rank_lowrank(
-        stacked_pair_task_data(np.random.default_rng(22), [4, 7, 2, 9], users=12), cfg
-    ),
+    "fit_lowrank": lambda cfg, scale=1.0: fit_lowrank(*_kernel_problem(20, scale), cfg),
+    "fit_lowrank_mtl": lambda cfg, scale=1.0: fit_lowrank_mtl(*_mtl_problem(21, scale), cfg),
+    "fit_rank_lowrank": lambda cfg, scale=1.0: fit_rank_lowrank(_pair_problem(22, scale), cfg),
 }
 
 
@@ -279,7 +289,7 @@ class TestDescend:
             fit(replace(cfg, max_iters=k))
         assert again.value.iterate == k
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as start:
-            fit(replace(cfg, init_scale=1e200))
+            fit(cfg, scale=1e200)  # the start's objective overflows
         assert start.value.iterate == 0
 
     def test_stop_reasons(self, trainer):

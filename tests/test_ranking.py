@@ -127,7 +127,7 @@ class TestSharedInitialState:
         projected_draw = PairTaskData.projected_draw
 
         def counted_draw(self, cfg):
-            draws.append((cfg.rank, cfg.seed, cfg.init_scale))
+            draws.append((cfg.rank, cfg.seed))
             return projected_draw(self, cfg)
 
         def counted_fit(data, cfg, **kwargs):
@@ -139,12 +139,12 @@ class TestSharedInitialState:
         base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1, tol=0.0)
         step = search_rank(data, base, 100.0)
         model = fit_rank_lowrank(data, replace(base, step=step))
-        assert len(probes) > 1 and draws == [(3, 1, None)]
-        for other in (replace(base, rank=2), replace(base, seed=2), replace(base, init_scale=0.1)):
+        assert len(probes) > 1 and draws == [(3, 1)]
+        for other in (replace(base, rank=2), replace(base, seed=2)):
             fit_rank_lowrank(data, replace(other, step=step))
-        assert draws == [(3, 1, None), (2, 1, None), (3, 2, None), (3, 1, 0.1)]
+        assert draws == [(3, 1), (2, 1), (3, 2)]
         fresh = fit_rank_lowrank(build_pair_task_data(tasks, feats, KernelSpec("linear")), replace(base, step=step))
-        assert draws[-1] == (3, 1, None)  # a new PairTaskData draws anew
+        assert draws[-1] == (3, 1)  # a new PairTaskData draws anew
         assert fresh.A.tobytes() == model.A.tobytes()
         assert fresh.W.tobytes() == model.W.tobytes()
         assert fresh.objective_trace == model.objective_trace
@@ -160,7 +160,7 @@ class TestSharedInitialState:
                 array[0] = 1.0
 
     def test_initial_pass_once_per_draw(self, small_problem, monkeypatch):
-        """K_u A0 is computed once per (rank, seed, init_scale) over searches, fits and grid cells."""
+        """K_u A0 is computed once per (rank, seed) over searches, fits and grid cells."""
         tasks, feats, _ = small_problem
         new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
         data = new_data()
@@ -418,12 +418,11 @@ class TestStreamedInitialState:
 
     @pytest.mark.parametrize("block", [1, 2, 7, 40, "n", "n+3"])
     @pytest.mark.parametrize("rank", [1, 3, 20])
-    @pytest.mark.parametrize("scale", [None, 0.25])
-    def test_matches_whole_draw(self, small_problem, monkeypatch, block, rank, scale):
+    def test_matches_whole_draw(self, small_problem, monkeypatch, block, rank):
         tasks, feats, data = small_problem
         n = data.n_rows
         monkeypatch.setattr(ranking, "PAIR_BLOCK_ROWS", {"n": n, "n+3": n + 3}.get(block, block))
-        cfg = TrainConfig(lam=0.1, rank=rank, step=0.1, max_iters=5, seed=rank, init_scale=scale)
+        cfg = TrainConfig(lam=0.1, rank=rank, step=0.1, max_iters=5, seed=rank)
         fresh = build_pair_task_data(tasks, feats, KernelSpec("linear"))
         A0, W0, KA0, e0 = fresh.initial_state(cfg)
         A, W = whole_draw_projection(fresh, cfg)
