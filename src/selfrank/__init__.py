@@ -44,7 +44,7 @@ from .evaluation import (
     grid_search,
     synthetic_comparison,
 )
-from .kernels import KernelSpec, cross_gram, cross_vector, gram, kernel_eval
+from .kernels import KernelSpec, cross_vector, gram, kernel_eval
 from .learners import (
     FactorPair,
     MtlFactorSet,

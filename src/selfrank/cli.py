@@ -167,6 +167,13 @@ def load_config(config_path: str | None, overrides: list[str], out: str | None, 
             raise ConfigError(f"{key} must be {what}, got {cfg[key]!r}")
         if is_path and cfg[key] is not None:
             _check_file(cfg[key], f"path for {key!r}")
+    try:
+        KernelSpec.from_config(cfg)
+    except InvalidInputError as exc:  # kernel.kind passed, so KernelSpec rejected its "bandwidth"
+        raise ConfigError(f"kernel.{exc}") from None
+    most = min(cfg["synth.d"], cfg["synth.tasks"])
+    if cfg["synth.rank"] > most:
+        raise ConfigError(f"synth.rank must be at most min(synth.d, synth.tasks) = {most}, got {cfg['synth.rank']!r}")
     return cfg
 
 
@@ -242,6 +249,8 @@ def _train_model(cfg: dict, data, seed: int):
 
 
 def cmd_train(cfg: dict) -> int:
+    if cfg["learner"] == "hs" and cfg["train.lambda"] == 0:
+        raise ConfigError(f"train.lambda must be > 0 for the hs learner, got {cfg['train.lambda']!r}")
     split, items, tasks, features, data = _load_ranking_problem(cfg)
     seed = int(cfg["seed"])
     model, train_cfg = _train_model(cfg, data, seed)

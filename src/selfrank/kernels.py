@@ -4,15 +4,9 @@
 vector kernels share one row-evaluation path, so a Gram entry is the same
 floating-point computation as the corresponding single evaluation. ``gram``
 evaluates only the upper triangle and mirrors it; the elementwise products
-commute, so every Gram matrix is exactly symmetric by construction.
-
-The ranking pipeline builds its user Gram, and its query kernel vectors under
-a non-linear kernel, with ``cross_gram`` instead: one BLAS product for all
-pairs. Its sums run in another order, so it agrees with the oracle to
-1e-12 x max(1, max |k|) per entry, not bit for bit. For gaussian and abel the
-squared distance ||p||^2 + ||x||^2 - 2 <p, x> cancels between near points, so
-pairs closer than a quarter of sqrt(||p||^2 + ||x||^2) take the oracle's
-direct sum.
+commute, so every Gram matrix is exactly symmetric by construction. The
+ranking pipeline evaluates every kernel value it uses through them: its user
+Gram is ``gram`` and its query kernel vectors are ``cross_vector``.
 """
 
 from __future__ import annotations
@@ -164,39 +158,3 @@ def as_queries(points: np.ndarray, X) -> np.ndarray:
         raise InvalidInputError(f"points have dimension {points.shape[1]}, queries {xs.shape[1]}")
     return xs
 
-
-def cross_gram(P, X, spec: KernelSpec) -> np.ndarray:
-    """K[i, j] = k(p_i, x_j) for every pair, from one BLAS product P X^T.
-
-    Linear kernels return P X^T; gaussian and abel take the squared distance
-    ||p||^2 + ||x||^2 - 2 P X^T, recomputed directly for near pairs. Delta
-    compares canonical encodings as gram and cross_vector do. With X the same
-    object as P the result is a Gram matrix: exactly symmetric, with unit
-    diagonal for gaussian/abel/delta.
-    """
-    if spec.kind == "delta":
-        if X is P:
-            return gram(P, spec)
-        return np.stack([cross_vector(P, x, spec) for x in X], axis=1)
-    square = X is P
-    pts = _as_points(P)
-    xs = pts if square else as_queries(pts, X)
-    G = pts @ xs.T  # numpy computes pts @ pts.T with syrk, which mirrors its triangle
-    if square and not np.array_equal(G, G.T):
-        G = np.triu(G) + np.triu(G, 1).T
-    if spec.kind == "linear":
-        return G
-    sq_p = np.einsum("ij,ij->i", pts, pts)
-    sq_x = sq_p if square else np.einsum("ij,ij->i", xs, xs)
-    S = sq_p[:, None] + sq_x[None, :]  # the sum commutes: symmetric when square
-    G *= 2.0
-    d2 = np.subtract(S, G, out=G)
-    # S - 2 G carries an absolute error of a few eps (d + 2) S. Where d2 is
-    # under S / 16 that error is large against d2 (and abel's sqrt magnifies
-    # it), so those pairs take the oracle's direct sum, bit-equal to it. That
-    # also makes a Gram diagonal exactly 0 and leaves no d2 negative.
-    i, j = np.nonzero(d2 < S * 0.0625)
-    d2[i, j] = ((pts[i] - xs[j]) ** 2).sum(axis=1)
-    if spec.kind == "gaussian":
-        return np.exp(-d2 / (2.0 * spec.bandwidth**2))
-    return np.exp(-np.sqrt(d2) / spec.bandwidth)

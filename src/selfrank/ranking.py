@@ -6,8 +6,9 @@ the scattered per-task ridge solutions C for HS. PairTaskData.kernel_product
 is the one place where coefficients meet k_U. Under the linear kernel
 k_U(x) = U x, so the weights of q queries are (C U) X^T, m u d + m d q flops
 for m coefficient rows and d feature columns, and no users x queries matrix
-is built; other kernels build k_U(X) = cross_gram(U, X) and multiply,
-u d q + m u q. Only trainers read the Gram.
+is built; other kernels stack k_U(X) from one kernels.cross_vector call per
+query and multiply, u d q + m u q. Only trainers read the Gram. Every kernel
+value is the bitwise oracle's (kernels.gram, kernels.cross_vector).
 
 Pair tasks share query inputs heavily (each user appears in many tasks), and
 their output Grams are rank-one (z z^T under the linear kernel on signed
@@ -28,8 +29,7 @@ the n x r row gathers run in blocks of PAIR_BLOCK_ROWS stacked rows that stay
 in cache, bit-equal to whole-array gathers.
 
 PairTaskData keeps what its trainers share:
-- the user Gram K_u, built on first use by kernels.cross_gram, one BLAS
-  product that agrees with the bitwise kernel oracle (kernels.gram) to 1e-12;
+- the user Gram K_u, built on first use by the kernel oracle kernels.gram;
   HS reads its blocks under every kernel, the low-rank trainer only under
   non-linear kernels;
 - the projected initial state (A0, W0) and its first pass (K_u A0, e0) per
@@ -50,8 +50,7 @@ import numpy as np
 
 from .data_io import PairTaskSet
 from .errors import InvalidInputError, NumericalError
-# gram and cross_vector stay ranking attributes: perfbench's tracer patches them.
-from .kernels import KernelSpec, as_queries, cross_gram, cross_vector, gram  # noqa: F401
+from .kernels import KernelSpec, as_queries, cross_vector, gram
 from .learners import (
     PROBE_ITERS, STEP_START, TrainConfig, _row_slices, descend, halt, halving_search, init_scale, ridge_cho_factor,
     ridge_cho_solve,
@@ -68,7 +67,7 @@ class PairTaskData:
     """Stacked view of a PairTaskSet against a fixed user feature map.
 
     It caches what trainers share, each built on a trainer's first use: the
-    user Gram K_u (kernels.cross_gram; built by fit_rank_hs, and by the
+    user Gram K_u (kernels.gram; built by fit_rank_hs, and by the
     low-rank trainer under non-linear kernels only), the task of each stacked row
     (row_task), per (rank, seed) the low-rank initial state and its first
     pass (initial_state), and the end state of the last low-rank fit with
@@ -98,7 +97,7 @@ class PairTaskData:
     @cached_property
     def K_u(self) -> np.ndarray:
         """User Gram under the input kernel, built on first use and kept."""
-        return cross_gram(self.U, self.U, self.kernel)
+        return gram(self.U, self.kernel)
 
     @cached_property
     def row_task(self) -> np.ndarray:
@@ -214,15 +213,20 @@ class PairTaskData:
 
         Under the linear kernel k_U(x) = U x, so this is (C U) X^T: m u d + m d q
         flops for d feature columns and q queries, and no users x queries
-        matrix, against u d q + m u q for C @ cross_gram(U, X), with which it
-        agrees to rounding (selfrank verify: factored_gram_product). Other
-        kernels take C @ cross_gram(U, X). Either way a query whose width
-        is not U's raises InvalidInputError.
+        matrix, against u d q + m u q for C k_U(X), with which it agrees to
+        rounding (selfrank verify: factored_gram_product). Other kernels take
+        C k_U(X), k_U(X) stacked from one kernels.cross_vector call per query,
+        so every kernel value is the oracle's. Either way a query whose width
+        is not U's raises InvalidInputError, and a block of no queries gives an
+        (m, 0) array.
         """
-        X = np.atleast_2d(np.asarray(queries, dtype=float))
+        X = as_queries(self.U, np.atleast_2d(np.asarray(queries, dtype=float)))
         if self.kernel.kind == "linear":
-            return (C @ self.U) @ as_queries(self.U, X).T
-        return C @ cross_gram(self.U, X, self.kernel)
+            return (C @ self.U) @ X.T
+        V = np.empty((len(self.users), len(X)))
+        for j, x in enumerate(X):
+            V[:, j] = cross_vector(self.U, x, self.kernel)
+        return C @ V
 
 
 def build_pair_task_data(

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data_io import RatingsTable, build_pair_tasks
 from .decoding import Tournament, backward_weight, decode_finite, fas_exact, fas_greedy
-from .kernels import KernelSpec, cross_gram, cross_vector, gram
+from .kernels import KernelSpec, cross_vector, gram
 from .learners import (
     TrainConfig,
     _row_slices,
@@ -336,23 +336,6 @@ def check_pairtask_hs(rng) -> dict:
     return _check("pairtask_hs_equivalence", np.linalg.norm(got - expected) / np.linalg.norm(expected), 1e-8)
 
 
-def check_cross_gram(rng) -> dict:
-    """cross_gram must match the bitwise oracle, gram and cross_vector, to
-    1e-12 x max(1, max |k|) per entry, and its Gram case must be exactly symmetric."""
-    worst = 0.0
-    for d in (1, 8, 30, 129):
-        P = rng.standard_normal((40, d))
-        X = rng.standard_normal((15, d))
-        for spec in (KernelSpec("linear"), KernelSpec("gaussian", np.sqrt(d)), KernelSpec("abel", np.sqrt(d))):
-            K = cross_gram(P, P, spec)
-            if not np.array_equal(K, K.T):
-                worst = np.inf
-            oracle_cross = np.stack([cross_vector(P, x, spec) for x in X], axis=1)
-            for got, oracle in ((K, gram(P, spec)), (cross_gram(P, X, spec), oracle_cross)):
-                worst = max(worst, float(np.max(np.abs(got - oracle))) / max(1.0, float(np.max(np.abs(oracle)))))
-    return _check("cross_gram_equivalence", worst, 1e-12)
-
-
 def check_factored_gram_product(rng) -> dict:
     """Under the linear kernel PairTaskData.forward's K_u A is U (U^T A), and
     kernel_product's C k_U(X) is (C U) X^T. K_u A must match the oracle
@@ -360,7 +343,8 @@ def check_factored_gram_product(rng) -> dict:
     tournament weights their coefficients times the cross_vector oracle's
     k_U(X) to 1e-12 x max |w|, with feature widths below, at and above the
     user count. Under the gaussian kernel forward must still return K_u @ A,
-    and the weights their coefficients times cross_gram(U, X), bit for bit."""
+    and the weights their coefficients times the stacked cross_vector oracle,
+    bit for bit."""
     queries = 7
     worst = 0.0
     for width in (3, 10, 30):
@@ -379,7 +363,7 @@ def check_factored_gram_product(rng) -> dict:
     A = rng.standard_normal((len(data.users), 5))
     W = rng.standard_normal((data.n_tasks, 5))
     X = rng.standard_normal((queries, 4))
-    V = cross_gram(data.U, X, data.kernel)
+    V = np.stack([cross_vector(data.U, x, data.kernel) for x in X], axis=1)
     exact = [np.array_equal(data.forward(A, W)[0], data.K_u @ A)]
     for model, weights in _rank_models(data, A, W, rng.standard_normal(data.n_rows)):
         exact.append(np.array_equal(model.tournament_weights(X), weights(V)))
@@ -477,7 +461,6 @@ def run_verification(seed: int = 0) -> dict:
     checks.append(check_trace_norm_domination(rng))
     checks.append(check_pairtask_reduced_state(rng))
     checks.append(check_pairtask_hs(rng))
-    checks.append(check_cross_gram(rng))
     checks.append(check_factored_gram_product(rng))
     checks.append(check_streamed_initial_state(rng))
     return {"checks": checks, "passed": all(c["pass"] for c in checks)}

@@ -13,7 +13,6 @@ from selfrank.cli import CONFIG_KEYS, _load_ranking_problem, load_config, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
 from selfrank.evaluation import evaluate_ranking, fit_cell, grid_cells
-from selfrank.kernels import cross_gram
 from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 
 # JSON values a checkpoint's number arrays must reject: a string, null, NaN and a bool
@@ -159,6 +158,9 @@ class TestConfig:
             (["grid.lambdas=[0.1, 0]"], "grid.lambdas"),
             (["grid.ranks=[2, 0]"], "grid.ranks"),
             (["grid.iters=[100, 0]"], "grid.iters"),
+            (["kernel.kind=gaussian", "kernel.bandwidth=-1"], "kernel.bandwidth"),
+            (["kernel.kind=abel"], "kernel.bandwidth"),
+            (["synth.rank=6", "synth.d=8", "synth.tasks=5"], "synth.rank"),
         ],
     )
     def test_malformed_numeric_value_exits_2(self, tmp_path, ratings_file, capsys, overrides, key):
@@ -167,6 +169,41 @@ class TestConfig:
         rc = run("train", overrides=base_overrides(ratings_file, overrides), out=str(tmp_path))
         assert rc == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides, key", [
+        ("verify", ["kernel.kind=gaussian", "kernel.bandwidth=-1"], "kernel.bandwidth"),
+        ("synth", ["kernel.kind=abel"], "kernel.bandwidth"),
+        ("train", ["kernel.kind=gaussian"], "kernel.bandwidth"),
+        ("train", ["learner=hs", "train.lambda=0"], "train.lambda"),
+        ("synth", ["synth.rank=30"], "synth.rank"),
+    ])
+    def test_malformed_value_exits_2_before_parsing(
+        self, tmp_path, ratings_file, capsys, monkeypatch, command, overrides, key
+    ):
+        """Each command rejects the value naming its key, before the ratings are read."""
+
+        def no_parse(path):
+            raise AssertionError("the ratings were parsed")
+
+        monkeypatch.setattr("selfrank.cli.parse_movielens", no_parse)
+        assert run(command, overrides=base_overrides(ratings_file, overrides), out=str(tmp_path)) == 2
+        assert f"config error: {key} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, overrides", [
+        ("train", ["train.lambda=0"]),
+        ("grid", ["learner=hs", "train.lambda=0"]),
+        ("train", ["kernel.kind=delta", "kernel.bandwidth=-1"]),
+    ], ids=["lowrank-lambda-0", "hs-grid-lambda-0", "delta-bandwidth"])
+    def test_lambda_0_and_ignored_bandwidth_stay_valid(self, tmp_path, ratings_file, command, overrides):
+        """A low-rank lambda of 0 is valid, grid reads grid.lambdas rather than
+        train.lambda, and the delta kernel ignores kernel.bandwidth."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run(command, overrides=base_overrides(ratings_file, overrides), out=str(tmp_path)) == 0
+
+    def test_synth_rank_up_to_min_of_d_and_tasks(self):
+        cfg = load_config(None, ["synth.rank=30", "synth.d=30", "synth.tasks=40"], None, None)
+        assert cfg["synth.rank"] == 30
 
     @pytest.mark.parametrize("case", ["number", "file", "under_file"])
     def test_bad_out_exits_2(self, ratings_file, capsys, case):
@@ -539,15 +576,14 @@ class TestCommands:
     @pytest.mark.parametrize("learner", ["lowrank", "hs"])
     def test_linear_prediction_builds_no_users_by_queries_matrix(self, tmp_path, ratings_file, monkeypatch, learner):
         """Under the linear kernel eval (evaluate_ranking) and decode take the
-        weights through the features: cross_gram builds at most the user Gram.
-        A gaussian-kernel eval still builds the users x queries matrix."""
+        weights through the features: no query's kernel vector is built. A
+        gaussian-kernel eval still builds the users x queries matrix, one
+        cross_vector per query."""
 
-        def gram_only(P, X, spec):
-            if X is not P:
-                raise AssertionError("a users x queries kernel matrix was built")
-            return cross_gram(P, X, spec)
+        def no_query_vector(P, x, spec):
+            raise AssertionError("a users x queries kernel matrix was built")
 
-        monkeypatch.setattr(ranking, "cross_gram", gram_only)
+        monkeypatch.setattr(ranking, "cross_vector", no_query_vector)
         gaussian = ["kernel.kind=gaussian", "kernel.bandwidth=2.0"]
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -711,7 +747,6 @@ class TestCommands:
             ("trace_norm_domination_violation", 1e-10),
             ("pairtask_reduced_state_equivalence", 1e-10),
             ("pairtask_hs_equivalence", 1e-08),
-            ("cross_gram_equivalence", 1e-12),
             ("factored_gram_product", 1e-12),
             ("streamed_initial_state", 0.0),
         ]

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from selfrank.errors import InvalidInputError
-from selfrank.kernels import KernelSpec, cross_gram, cross_vector, gram, kernel_eval
+from selfrank.kernels import KernelSpec, cross_vector, gram, kernel_eval
 
 
 def check_gram(K: np.ndarray, eps: float = 1e-10) -> None:
@@ -143,55 +143,6 @@ def test_gram_matches_full_row_reference_bitwise(d, spec):
         assert K.tobytes() == gram_reference(pts, spec).tobytes(), f"n={n}"
         assert K.tobytes() == K.T.copy().tobytes()
         assert cross_vector(pts, pts[-1], spec).tobytes() == K[-1].tobytes()
-
-
-# cross_gram's stated tolerance against the oracle, per entry, scaled by the largest |k|
-CROSS_GRAM_TOL = 1e-12
-
-
-def assert_within_oracle_tolerance(K, oracle):
-    assert K.shape == oracle.shape
-    assert np.max(np.abs(K - oracle), initial=0.0) <= CROSS_GRAM_TOL * max(1.0, np.max(np.abs(oracle)))
-
-
-@pytest.mark.parametrize("d", [1, 7, 8, 9, 30, 60, 129])
-@pytest.mark.parametrize("kind", ["linear", "gaussian", "abel"])
-def test_cross_gram_matches_oracle(d, kind):
-    rng = np.random.default_rng(d)
-    spec = KernelSpec(kind, None if kind == "linear" else np.sqrt(d))
-    for n, m in ((1, 1), (5, 3), (300, 40), (40, 300), (120, 120)):
-        P = rng.standard_normal((n, d)) * rng.uniform(0.1, 3.0, size=d)
-        X = rng.standard_normal((m, d)) * rng.uniform(0.1, 3.0, size=d)
-        X[: min(n, m) // 2] = P[: min(n, m) // 2] + 1e-7 * rng.standard_normal(d)  # near pairs
-        assert_within_oracle_tolerance(cross_gram(P, X, spec), np.stack([cross_vector(P, x, spec) for x in X], 1))
-        K = cross_gram(P, P, spec)
-        assert_within_oracle_tolerance(K, gram(P, spec))
-        assert K.tobytes() == K.T.copy().tobytes(), f"n={n}"
-        if kind != "linear":
-            assert np.all(np.diag(K) == 1.0)
-
-
-def test_cross_gram_mirrors_an_asymmetric_product():
-    P = np.random.default_rng(0).standard_normal((300, 60))[:, ::2]
-    G = P @ P.T
-    if np.array_equal(G, G.T):
-        pytest.skip("this numpy multiplies the strided view symmetrically")
-    for spec in (KernelSpec("linear"), KernelSpec("gaussian", 5.0), KernelSpec("abel", 5.0)):
-        K = cross_gram(P, P, spec)
-        assert K.tobytes() == K.T.copy().tobytes()
-        assert_within_oracle_tolerance(K, gram(P, spec))
-
-
-def test_cross_gram_delta_equals_gram():
-    spec = KernelSpec("delta")
-    pts = np.array([[1.0, 2.0], [3.0, 4.0], [1.0, 2.0]])
-    np.testing.assert_array_equal(cross_gram(pts, pts, spec), gram(pts, spec))
-    np.testing.assert_array_equal(cross_gram(pts, pts[:2].copy(), spec), gram(pts, spec)[:, :2])
-
-
-def test_cross_gram_dimension_mismatch():
-    with pytest.raises(InvalidInputError):
-        cross_gram(np.ones((3, 2)), np.ones((4, 5)), KernelSpec("gaussian", 1.0))
 
 
 class TestCrossVector:

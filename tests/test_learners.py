@@ -4,19 +4,25 @@ import numpy as np
 import pytest
 
 from selfrank.errors import DivergenceError, InvalidInputError, NumericalError
+from selfrank import ranking
 from selfrank.learners import (
+    MAX_HALVINGS,
+    PROBE_ITERS,
+    STEP_START,
+    FactorPair,
     TrainConfig,
     factorized_objective,
     fit_lowrank,
     fit_lowrank_mtl,
     halt,
+    halving_search,
     halving_step_search,
     lowrank_step,
     ridge_cho_factor,
     ridge_cho_solve,
 )
 from selfrank.oracles import ExplicitProblem, explicit_gd, explicit_gd_multitask, nuclear_norm
-from selfrank.ranking import fit_rank_lowrank
+from selfrank.ranking import fit_rank_lowrank, halving_step_search_rank
 from selfrank.verify import stacked_pair_task_data
 
 ONE = np.array([[1.0]])
@@ -304,6 +310,40 @@ class TestDescend:
         assert stopped.stop_reason == "tol" and 1 < stopped.iters_run < 30
         assert trace == capped.objective_trace[: len(trace)]
         assert [halt(p, c, tol, False) for p, c in zip(trace[:-1], trace[1:])] == [None] * (len(trace) - 2) + ["tol"]
+
+
+class TestHalvingSearch:
+    """learners.halving_search halves past a probe that diverges, and gives up
+    after MAX_HALVINGS probes."""
+
+    def test_diverging_probe_is_halved_past(self):
+        probes = []
+
+        def fit(cfg, stop_on_rise):
+            probes.append((cfg.step, cfg.max_iters, cfg.tol, stop_on_rise))
+            if cfg.step > 0.03:
+                raise DivergenceError(2)
+            return FactorPair(M=ONE, N=ONE, iters_run=cfg.max_iters, stop_reason="max_iters")
+
+        cfg = TrainConfig(lam=0.1, rank=1, step=1.0, max_iters=500, seed=0)
+        assert halving_search(fit, cfg, 0.1, PROBE_ITERS) == 0.025
+        assert probes == [(step, PROBE_ITERS, 0.0, True) for step in (0.1, 0.05, 0.025)]
+
+    def test_every_probe_diverging_raises_numerical_error(self, monkeypatch):
+        data = _pair_problem(22, scale=1e200)  # every probe's start objective overflows
+        probes = []
+
+        def counted_fit(data, cfg, stop_on_rise=False):
+            probes.append(cfg.step)
+            return fit_rank_lowrank(data, cfg, stop_on_rise=stop_on_rise)
+
+        monkeypatch.setattr(ranking, "fit_rank_lowrank", counted_fit)
+        cfg = TrainConfig(lam=0.1, rank=2, step=1.0, max_iters=100, seed=3)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NumericalError, match=f"^no descending step found after {MAX_HALVINGS} halvings$"
+        ):
+            halving_step_search_rank(data, cfg)
+        assert probes == [STEP_START / 2**k for k in range(MAX_HALVINGS)]
 
 
 class TestLossTrickEquivalence:

@@ -11,7 +11,7 @@ from selfrank.data_io import RatingsTable, build_pair_tasks
 from selfrank.decoding import fas_greedy
 from selfrank.errors import DivergenceError, InvalidInputError, NumericalError
 from selfrank.evaluation import decode_queries
-from selfrank.kernels import KernelSpec
+from selfrank.kernels import KernelSpec, cross_vector, gram
 from selfrank.learners import (
     PROBE_ITERS, STEP_START, TrainConfig, fit_lowrank, fit_lowrank_mtl, halt, halving_search, halving_step_search,
     init_factors,
@@ -565,6 +565,15 @@ class TestProbeStopsAtFirstRise:
             assert np.all(np.diff(trace[:-1]) <= 0) and trace[-1] > trace[-2]
 
 
+def small_model(small_problem, kernel, learner):
+    """A model of the small problem's tasks under `kernel`, fitted by `learner`."""
+    tasks, feats, _ = small_problem
+    data = build_pair_task_data(tasks, feats, kernel)
+    if learner == "hs":
+        return fit_rank_hs(data, 0.2)
+    return fit_rank_lowrank(data, TrainConfig(lam=0.1, rank=2, step=0.05, max_iters=5, seed=1))
+
+
 class TestPrediction:
     """Both models predict through PairTaskData.kernel_product."""
 
@@ -572,14 +581,31 @@ class TestPrediction:
     @pytest.mark.parametrize("learner", ["lowrank", "hs"])
     @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 5)])
     def test_query_of_another_width_rejected(self, small_problem, kernel, learner, shape):
-        tasks, feats, _ = small_problem
-        data = build_pair_task_data(tasks, feats, kernel)
-        if learner == "hs":
-            model = fit_rank_hs(data, 0.2)
-        else:
-            model = fit_rank_lowrank(data, TrainConfig(lam=0.1, rank=2, step=0.05, max_iters=5, seed=1))
+        model = small_model(small_problem, kernel, learner)
         with pytest.raises(InvalidInputError, match=rf"^points have dimension 4, queries {shape[-1]}$"):
             model.tournament_weights(np.ones(shape))
+
+    @pytest.mark.parametrize(
+        "kernel", [KernelSpec("gaussian", 2.0), KernelSpec("abel", 1.5), KernelSpec("delta")],
+        ids=["gaussian", "abel", "delta"],
+    )
+    @pytest.mark.parametrize("learner", ["lowrank", "hs"])
+    def test_kernel_values_are_the_oracles(self, small_problem, kernel, learner):
+        """Under a non-linear kernel the user Gram is gram(U) and the weights are
+        the coefficients times the stacked cross_vector oracle, bit for bit."""
+        model = small_model(small_problem, kernel, learner)
+        data = model.data
+        assert data.K_u.tobytes() == gram(data.U, kernel).tobytes()
+        X = np.vstack([data.U[:2], np.random.default_rng(4).standard_normal((3, data.U.shape[1]))])
+        V = np.stack([cross_vector(data.U, x, kernel) for x in X], 1)
+        want = model.C @ V if learner == "hs" else model.W @ (model.A.T @ V)
+        assert model.tournament_weights(X).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kernel", [KernelSpec("linear"), KernelSpec("gaussian", 2.0)], ids=["linear", "gaussian"])
+    @pytest.mark.parametrize("learner", ["lowrank", "hs"])
+    def test_empty_query_block(self, small_problem, kernel, learner):
+        model = small_model(small_problem, kernel, learner)
+        assert model.tournament_weights(np.empty((0, 4))).shape == (model.data.n_tasks, 0)
 
 
 class TestHsRankModel:
