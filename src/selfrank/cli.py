@@ -211,7 +211,8 @@ class InputDataError(InvalidInputError):
 
 
 def _load_ranking_problem(cfg: dict):
-    """The configured split, ranked items, pair tasks, user features and their PairTaskData."""
+    """The configured (split, pair tasks, user features, PairTaskData); the
+    ranked items are `tasks.items`."""
     if cfg["data.ratings"] is None:
         raise ConfigError("data.ratings is required for this command")
     kernel = KernelSpec.from_config(cfg)
@@ -228,45 +229,32 @@ def _load_ranking_problem(cfg: dict):
         data = build_pair_task_data(tasks, features, kernel)
     except InvalidInputError as exc:  # the config's values passed their checks
         raise InputDataError(str(exc)) from exc
-    return split, items, tasks, features, data
-
-
-def _train_model(cfg: dict, data, seed: int):
-    if cfg["learner"] == "hs":
-        return fit_rank_hs(data, float(cfg["train.lambda"])), None
-    base = TrainConfig(
-        lam=float(cfg["train.lambda"]),
-        rank=int(cfg["train.rank"]),
-        step=1.0,
-        max_iters=int(cfg["train.iters"]),
-        seed=seed,
-    )
-    step = cfg["train.step"]
-    if step == "auto":
-        step = halving_step_search_rank(data, base)
-    train_cfg = replace(base, step=float(step))
-    return fit_rank_lowrank(data, train_cfg), train_cfg
+    return split, tasks, features, data
 
 
 def cmd_train(cfg: dict) -> int:
     if cfg["learner"] == "hs" and cfg["train.lambda"] == 0:
         raise ConfigError(f"train.lambda must be > 0 for the hs learner, got {cfg['train.lambda']!r}")
-    split, items, tasks, features, data = _load_ranking_problem(cfg)
-    seed = int(cfg["seed"])
-    model, train_cfg = _train_model(cfg, data, seed)
+    _, tasks, _, data = _load_ranking_problem(cfg)
+    lam, seed = float(cfg["train.lambda"]), int(cfg["seed"])
     checkpoint = {
         "schema_version": CHECKPOINT_SCHEMA,
         "config": cfg,
         "learner": cfg["learner"],
-        "lambda": float(cfg["train.lambda"]),
+        "lambda": lam,
         "seed": seed,
         **_data_fields(tasks, data),
     }
     if cfg["learner"] == "hs":
-        checkpoint["beta"] = model.beta.tolist()
+        checkpoint["beta"] = fit_rank_hs(data, lam).beta.tolist()
     else:
+        base = TrainConfig(
+            lam=lam, rank=int(cfg["train.rank"]), step=1.0, max_iters=int(cfg["train.iters"]), seed=seed,
+        )
+        step = float(halving_step_search_rank(data, base) if cfg["train.step"] == "auto" else cfg["train.step"])
+        model = fit_rank_lowrank(data, replace(base, step=step))
         checkpoint.update(
-            rank=train_cfg.rank, step=train_cfg.step, iters_run=model.iters_run,
+            rank=base.rank, step=step, iters_run=model.iters_run,
             A=model.A.ravel().tolist(), W=model.W.ravel().tolist(),
         )
         _write_json(cfg, "objective_trace.json", {"config": cfg, "objective_trace": model.objective_trace})
@@ -302,21 +290,19 @@ def _number_array(values, size: int) -> np.ndarray | None:
 
 
 def _checkpoint_problem(cfg: dict, command: str):
-    """The configured problem and the model its checkpoint holds, built from arrays alone."""
+    """The configured (split, pair tasks, user features) and the model the
+    schema-2 checkpoint holds, built from its arrays alone."""
     if cfg["checkpoint"] is None:
         raise ConfigError(f"{command} requires a checkpoint path")
-    split, items, tasks, features, data = _load_ranking_problem(cfg)
+    split, tasks, features, data = _load_ranking_problem(cfg)
     ck = _json_object(cfg["checkpoint"], "checkpoint")
     schema = ck.get("schema_version")
     if type(schema) is not int:
         raise ConfigError(f"checkpoint field 'schema_version' must be an integer, got {schema!r}")
-    if schema == 1:
-        raise ConfigError(
-            "checkpoint schema 1 (stacked-row factors) is no longer supported; "
-            "retrain to write a schema 2 checkpoint"
-        )
     if schema != CHECKPOINT_SCHEMA:
-        raise ConfigError(f"unsupported checkpoint schema {schema!r}")
+        raise ConfigError(
+            f"unsupported checkpoint schema {schema}; retrain to write a schema {CHECKPOINT_SCHEMA} checkpoint"
+        )
     for field, value in _data_fields(tasks, data).items():
         if ck.get(field) != value:
             raise ConfigError(
@@ -327,12 +313,11 @@ def _checkpoint_problem(cfg: dict, command: str):
     if learner not in ("lowrank", "hs"):
         raise ConfigError(f"checkpoint field 'learner' must be 'lowrank' or 'hs', got {learner!r}")
     if learner == "hs":
-        beta = ck.get("beta")
+        beta = _number_array(ck.get("beta"), data.n_rows)
         if beta is None:
-            raise ConfigError("HS checkpoint has no field 'beta' (an older format); retrain it")
-        beta = _number_array(beta, data.n_rows)
-        if beta is None:
-            raise ConfigError(f"HS checkpoint field 'beta' must hold sum(task_sizes) = {data.n_rows} finite numbers")
+            raise ConfigError(
+                f"HS checkpoint field 'beta' must hold sum(task_sizes) = {data.n_rows} finite numbers; retrain it"
+            )
         model = HsRankModel(data=data, beta=beta)
     else:
         for field, least in (("rank", 1), ("iters_run", 0)):
@@ -349,11 +334,11 @@ def _checkpoint_problem(cfg: dict, command: str):
                 )
             factors[field] = values.reshape(rows, r)
         model = LowRankRankModel(data=data, **factors, iters_run=ck["iters_run"], objective_trace=[])
-    return split, items, tasks, features, model
+    return split, tasks, features, model
 
 
 def cmd_eval(cfg: dict) -> int:
-    split, _, tasks, features, model = _checkpoint_problem(cfg, "eval")
+    split, tasks, features, model = _checkpoint_problem(cfg, "eval")
     report = evaluate_ranking(model, split, tasks, features, on="test", config=cfg)
     path = _write_json(cfg, "eval_report.json", report.to_dict())
     print(f"wrote {path} (mean={report.mean:.4f}, n={report.n_queries}, skipped={report.skipped})")
@@ -361,7 +346,7 @@ def cmd_eval(cfg: dict) -> int:
 
 
 def cmd_grid(cfg: dict) -> int:
-    split, items, tasks, features, data = _load_ranking_problem(cfg)
+    split, tasks, features, data = _load_ranking_problem(cfg)
     cells = grid_cells(
         data,
         cfg["learner"],
@@ -383,7 +368,8 @@ def cmd_grid(cfg: dict) -> int:
 
 
 def cmd_decode(cfg: dict) -> int:
-    split, items, tasks, features, model = _checkpoint_problem(cfg, "decode")
+    _, tasks, features, model = _checkpoint_problem(cfg, "decode")
+    items = tasks.items
     users = list(features)  # every user: the split tables keep the full user list
     X = np.vstack([np.asarray(features[u], dtype=float) for u in users])
     decoded = decode_queries(tasks, model.tournament_weights(X), decode=fas_greedy)

@@ -30,10 +30,6 @@ class Ordering:
             raise InvalidInputError(f"positions {pos} is not a permutation")
         object.__setattr__(self, "positions", pos)
 
-    @property
-    def size(self) -> int:
-        return self.positions.shape[0]
-
     def docs_by_rank(self) -> np.ndarray:
         """Document indices from top rank to bottom."""
         return np.argsort(self.positions, kind="stable")

@@ -9,14 +9,15 @@ import pytest
 
 import selfrank
 from selfrank import ranking
-from selfrank.cli import CONFIG_KEYS, _load_ranking_problem, load_config, run
+from selfrank.cli import CONFIG_KEYS, _load_ranking_problem, load_config, main, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
 from selfrank.evaluation import evaluate_ranking, fit_cell, grid_cells
 from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 
-# JSON values a checkpoint's number arrays must reject: a string, null, NaN and a bool
-BAD_NUMBERS = ("x", None, float("nan"), True)
+# JSON values a checkpoint's number arrays must reject: a string, null, NaN, a
+# bool and an integer past the float range
+BAD_NUMBERS = ("x", None, float("nan"), True, 10**400)
 
 # Runs low-rank train, eval and decode, then hs train, in one fresh interpreter
 # and prints after each whether scipy.linalg has been imported.
@@ -201,6 +202,10 @@ class TestConfig:
             warnings.simplefilter("ignore")
             assert run(command, overrides=base_overrides(ratings_file, overrides), out=str(tmp_path)) == 0
 
+    def test_set_without_equals_exits_2(self, tmp_path, ratings_file, capsys):
+        assert run("train", overrides=base_overrides(ratings_file, ["train.rank"]), out=str(tmp_path)) == 2
+        assert "config error: --set expects key=value, got 'train.rank'" in capsys.readouterr().err
+
     def test_synth_rank_up_to_min_of_d_and_tasks(self):
         cfg = load_config(None, ["synth.rank=30", "synth.d=30", "synth.tasks=40"], None, None)
         assert cfg["synth.rank"] == 30
@@ -352,6 +357,28 @@ class TestCommands:
         for docs in orderings["orderings"].values():
             assert sorted(docs) == sorted(items)
 
+    def test_users_max_binds_the_checkpoint(self, tmp_path, ratings_file, capsys):
+        """train with users.max=N binds its checkpoint to at most N users and
+        repeats byte for byte; eval accepts it with the same keys and rejects it
+        under another users.max."""
+        out = str(tmp_path / "run")
+        overrides = base_overrides(ratings_file, ["users.max=25"])
+        written = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for _ in range(2):
+                assert run("train", overrides=overrides, out=out, seed=1) == 0
+                written.append([open(f"{out}/{f}", "rb").read() for f in ("checkpoint.json", "objective_trace.json")])
+            assert written[0] == written[1]
+            ck = json.loads(written[0][0])
+            assert ck["config"]["users.max"] == 25 and 2 <= len(ck["users"]) <= 25
+            checkpoint = [f"checkpoint={out}/checkpoint.json"]
+            assert run("eval", overrides=overrides + checkpoint, out=out, seed=1) == 0
+            capsys.readouterr()
+            other = base_overrides(ratings_file, ["users.max=30", *checkpoint])
+            assert run("eval", overrides=other, out=out, seed=1) == 2
+        assert "differs from the configured data" in capsys.readouterr().err
+
     def test_mismatched_checkpoint_exits_2(self, tmp_path, ratings_file, capsys):
         out = str(tmp_path / "run")
         with warnings.catch_warnings():
@@ -439,6 +466,27 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "schema 1" in err and "retrain" in err
 
+    @pytest.mark.parametrize("command", ["eval", "decode"])
+    def test_missing_checkpoint_path_exits_2(self, tmp_path, ratings_file, capsys, command):
+        assert run(command, overrides=base_overrides(ratings_file), out=str(tmp_path)) == 2
+        assert f"config error: {command} requires a checkpoint path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("schema", [1, 3])
+    def test_unsupported_schema_exits_2(self, tmp_path, ratings_file, capsys, schema):
+        """A checkpoint of any other schema, even one matching the data, asks for a retrain."""
+        out = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file), out=out) == 0
+        path = tmp_path / "edited.json"
+        path.write_text(json.dumps(dict(json.load(open(f"{out}/checkpoint.json")), schema_version=schema)))
+        for command in ("eval", "decode"):
+            assert run(command, overrides=base_overrides(ratings_file, [f"checkpoint={path}"]), out=out) == 2
+            assert (
+                f"config error: unsupported checkpoint schema {schema}; retrain to write a schema 2 checkpoint"
+                in capsys.readouterr().err
+            )
+
     @pytest.mark.parametrize("schema", [True, 2.0, "2"], ids=["true", "2.0", "string"])
     def test_non_integer_schema_exits_2(self, tmp_path, ratings_file, capsys, schema):
         """JSON true is not schema 1, and 2.0 or "2" is not schema 2, though == says so."""
@@ -478,7 +526,7 @@ class TestCommands:
         cfg = load_config(None, base_overrides(ratings_file, ["learner=hs"]), out, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            split, _, tasks, features, data = _load_ranking_problem(cfg)
+            split, tasks, features, data = _load_ranking_problem(cfg)
         model = fit_rank_hs(data, cfg["train.lambda"])
         report = evaluate_ranking(model, split, tasks, features, on="test")
         assert json.load(open(f"{out}/eval_report.json"))["per_query"] == report.per_query
@@ -534,12 +582,12 @@ class TestCommands:
         ck = json.load(open(f"{out}/checkpoint.json"))
         missing = {k: v for k, v in ck.items() if k != "beta"}
         for name, edited, message in (
-            ("missing", missing, "no field 'beta'"),
+            ("missing", missing, "field 'beta' must hold"),
             ("short", dict(ck, beta=ck["beta"][:-1]), "field 'beta' must hold"),
             ("long", dict(ck, beta=ck["beta"] + [0.0]), "field 'beta' must hold"),
             *((f"entry {bad!r}", dict(ck, beta=[bad] + ck["beta"][1:]), "field 'beta' must hold") for bad in BAD_NUMBERS),
         ):
-            path = tmp_path / f"{name}.json"
+            path = tmp_path / "edited.json"
             path.write_text(json.dumps(edited))
             for command in ("eval", "decode"):
                 with warnings.catch_warnings():
@@ -637,7 +685,7 @@ class TestCommands:
             warnings.simplefilter("ignore")
             assert run("grid", overrides=overrides, out=out, seed=0) == 0
             cfg = load_config(None, overrides, out, 0)
-            split, _, tasks, features, data = _load_ranking_problem(cfg)
+            split, tasks, features, data = _load_ranking_problem(cfg)
         reasons = {}
         for row in json.load(open(f"{out}/grid_table.json"))["cells"]:
             cell = row["config"]
@@ -752,6 +800,14 @@ class TestCommands:
         ]
         assert all(c["pass"] for c in report["checks"])
 
+    def test_failed_verification_exits_4(self, tmp_path, monkeypatch, capsys):
+        failing = {"name": "lowrank_hand_step", "pass": False, "value": 1.0, "threshold": 1e-12}
+        monkeypatch.setattr("selfrank.cli.run_verification", lambda seed: {"checks": [failing], "passed": False})
+        assert run("verify", out=str(tmp_path)) == 4
+        printed = capsys.readouterr().out
+        assert "[FAIL] lowrank_hand_step" in printed and "verification FAILED" in printed
+        assert json.load(open(tmp_path / "verify_report.json"))["passed"] is False
+
     def test_determinism_byte_identical(self, tmp_path, ratings_file):
         out1, out2 = str(tmp_path / "d1"), str(tmp_path / "d2")
         with warnings.catch_warnings():
@@ -773,6 +829,37 @@ class TestCommands:
         t1 = open(f"{out1}/objective_trace.json", "rb").read().replace(b"d1", b"dX")
         t2 = open(f"{out2}/objective_trace.json", "rb").read().replace(b"d2", b"dX")
         assert t1 == t2
+
+
+class TestMain:
+    """The console entry point `selfrank` installs: argparse onto run."""
+
+    def test_flags_reach_the_artifact_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"synth.seeds": 1, "synth.n": 20, "synth.lambdas": [0.1], "synth.ranks": [2]}))
+        out = str(tmp_path / "synth")
+        argv = ["synth", "--config", str(config), "--set", "synth.iters=50", "--out", out, "--seed", "3"]
+        assert main(argv) == 0
+        cfg = json.load(open(f"{out}/synth_report.json"))["config"]
+        assert (cfg["synth.seeds"], cfg["synth.n"], cfg["synth.iters"], cfg["out"], cfg["seed"]) == (1, 20, 50, out, 3)
+
+    def test_returns_the_command_exit_status(self, tmp_path):
+        assert main(["train", "--out", str(tmp_path)]) == 2  # no data.ratings
+
+    def test_unknown_command_is_an_argparse_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["explode"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'explode'" in capsys.readouterr().err
+
+    def test_module_help_exits_0(self):
+        src = os.path.dirname(os.path.dirname(selfrank.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "selfrank.cli", "--help"], env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: selfrank")
 
 
 def test_every_config_key_is_read(tmp_path, ratings_file, monkeypatch):

@@ -255,6 +255,19 @@ class TestParseCsv:
             parse_user_features_csv(path)
         assert err.value.line_no == 3
 
+    @pytest.mark.parametrize("parse, text, message", [
+        (parse_ratings_csv, "user,item,rating\n1,10,4\n2,10\n", "expected 3 fields, got 2"),
+        (parse_ratings_csv, "user,item,rating\n1,10,4\n2,10,four\n", "non-numeric rating 'four'"),
+        (parse_user_features_csv, "user,f1,f2\n1,0.5,-1\n2,3\n", "expected 3 fields, got 2"),
+        (parse_user_features_csv, "user,f1,f2\n1,0.5,-1\n2,x,3\n", "non-numeric feature value"),
+    ], ids=["ratings-fields", "ratings-value", "features-fields", "features-value"])
+    def test_bad_row_reports_line(self, tmp_path, parse, text, message):
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(RatingsParseError, match=f"^line 3: {message}$") as err:
+            parse(path)
+        assert err.value.line_no == 3
+
     @pytest.mark.parametrize("parse, text", [
         (parse_ratings_csv, b"user,item,rating\r\n1,10,4\r\n\xff,10,3\r\n"),
         (parse_user_features_csv, b"user,f1\n1,0.5\n2,\xe9\n"),
@@ -394,6 +407,11 @@ class TestBuildPairTasks:
         table = _table({(1, "a"): 1.0, (1, "b"): 2.0})
         with pytest.raises(InvalidInputError):
             build_pair_tasks(table, ["a", "zzz"])
+
+    def test_repeated_subset_item(self):
+        table = _table({(1, "a"): 1.0, (1, "b"): 2.0})
+        with pytest.raises(InvalidInputError, match="^item subset contains duplicates$"):
+            build_pair_tasks(table, ["a", "b", "a"])
 
     def test_independent_of_insertion_order(self):
         r1 = {(1, "a"): 4.0, (2, "a"): 1.0, (1, "b"): 2.0, (2, "b"): 5.0}
@@ -580,6 +598,11 @@ class TestHelpers:
         s2 = subsample_users(t, 10, seed=4)
         assert s1.users == s2.users
         assert len(s1.users) == 10
+
+    @pytest.mark.parametrize("max_users", [50, 51])
+    def test_subsample_users_at_or_past_the_user_count_keeps_the_table(self, max_users):
+        t = _table({(u, 1): 1.0 for u in range(50)})
+        assert subsample_users(t, max_users, seed=4) is t
 
     def test_feature_map_mean_imputation(self):
         table = _table({(1, "a"): 4.0, (1, "b"): 2.0, (1, "zz"): 5.0})

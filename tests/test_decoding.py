@@ -68,6 +68,10 @@ class TestDecodeFinite:
         with pytest.raises(InvalidInputError):
             decode_finite([], np.array([1.0]), ["a"], zero_one)
 
+    def test_alpha_of_another_length_rejected(self):
+        with pytest.raises(InvalidInputError, match="does not match 3 training outputs"):
+            decode_finite(["a", "b"], np.array([1.0, 2.0]), ["a", "b", "a"], zero_one)
+
     def test_matches_exhaustive_reevaluation(self):
         rng = np.random.default_rng(1)
         labels = ["a", "b", "c", "d"]
@@ -287,6 +291,11 @@ class TestTournamentType:
         w[2, 3] = w[1, 2] = bad
         with pytest.raises(InvalidInputError, match=rf"tournament weight \[1, 2\] is {bad}, not finite"):
             Tournament(w)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4,)])
+    def test_non_square_weights_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match=r"^tournament weights must be square, got \("):
+            Tournament(np.zeros(shape))
 
     def test_positions_must_be_permutation(self):
         with pytest.raises(InvalidInputError):

@@ -291,6 +291,10 @@ class TestGenSynthetic:
         with pytest.raises(InvalidInputError):
             gen_synthetic_lowrank(10, 3, 4, true_rank=5, noise=0.0, seed=0)
 
+    def test_negative_noise_rejected(self):
+        with pytest.raises(InvalidInputError, match="^noise must be >= 0, got -0.1$"):
+            gen_synthetic_lowrank(10, 3, 4, true_rank=2, noise=-0.1, seed=0)
+
     def test_noiseless_training_risk_vanishes(self):
         X, Y, _ = gen_synthetic_lowrank(40, 6, 5, true_rank=2, noise=0.0, seed=2)
         K = gram(X, KernelSpec("linear"))

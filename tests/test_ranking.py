@@ -14,7 +14,7 @@ from selfrank.evaluation import decode_queries
 from selfrank.kernels import KernelSpec, cross_vector, gram
 from selfrank.learners import (
     PROBE_ITERS, STEP_START, TrainConfig, fit_lowrank, fit_lowrank_mtl, halt, halving_search, halving_step_search,
-    init_factors,
+    init_factors, ridge_cho_factor,
 )
 from selfrank.ranking import (
     PairTaskData,
@@ -631,8 +631,29 @@ class TestHsRankModel:
         with pytest.raises(InvalidInputError):
             fit_rank_hs(data, 0.0)
 
+    def test_failed_factorization_names_the_task(self, small_problem, monkeypatch):
+        _, _, data = small_problem
+        calls = []
+
+        def factor(K, lam):
+            calls.append(K)
+            if len(calls) == 3:
+                raise NumericalError("not positive definite")
+            return ridge_cho_factor(K, lam)
+
+        monkeypatch.setattr(ranking, "ridge_cho_factor", factor)
+        with pytest.raises(NumericalError, match="^task 2: not positive definite$"):
+            fit_rank_hs(data, 0.2)
+
 
 class TestPairTaskData:
+    def test_task_set_without_tasks_rejected(self):
+        table = RatingsTable(users=[1, 2], items=["a", "b"], ratings={(1, "a"): 4.0, (2, "b"): 2.0})
+        tasks = build_pair_tasks(table, ["a", "b"])  # no user rated both items
+        assert tasks.n_tasks == 0
+        with pytest.raises(InvalidInputError, match="^pair task set has no tasks$"):
+            build_pair_task_data(tasks, {1: np.ones(2), 2: np.ones(2)}, KernelSpec("linear"))
+
     def test_missing_features_rejected(self, small_problem):
         tasks, feats, _ = small_problem
         partial = dict(list(feats.items())[:2])
