@@ -2,7 +2,10 @@
 
 Every artifact is a JSON document embedding the resolved configuration that
 produced it, written with sorted keys so identical (command, config, seed)
-runs are byte-identical. Exit codes: 0 success, 2 bad configuration or
+runs are byte-identical. It is one compact line (no indent, so CPython's C
+encoder writes it) and replaces an earlier artifact of its name only once
+written whole. Readers ignore whitespace, so indented schema-2 checkpoints
+of earlier versions still load. Exit codes: 0 success, 2 bad configuration or
 input data (among them a path key that names no file or a directory, a
 config or checkpoint file that is not a UTF-8 JSON object, and a ratings or
 features file that is not UTF-8 text), 3 divergence or another numerical
@@ -13,6 +16,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -197,11 +201,23 @@ def _json_object(path: str, what: str) -> dict:
 
 
 def _write_json(cfg: dict, name: str, payload: dict) -> str:
+    """Write payload to `name` in the out directory as one line of sorted-key JSON.
+
+    The text goes to a temporary file beside it, which then replaces the
+    artifact whole, so a write that fails leaves an earlier artifact intact.
+    """
     os.makedirs(cfg["out"], exist_ok=True)
     path = os.path.join(cfg["out"], name)
-    with open(path, "w", encoding="utf-8") as fh:
-        # One string: json.dump would write each of the indenting encoder's chunks.
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(payload, sort_keys=True) + "\n"  # no indent: CPython's C encoder
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     return path
 
 

@@ -94,9 +94,21 @@ def _by_pair(user: np.ndarray, item: np.ndarray, value: np.ndarray, n_items: int
 def _encode(ids) -> tuple[list, np.ndarray]:
     """The sorted distinct ids, as Python objects, and each id's position among them.
 
-    An integer array is encoded by numpy; any other sequence holds Python ids.
+    An integer array whose span (max - min + 1) is at most its length is
+    encoded through a presence table over the span, without a sort; a wider
+    or empty one through np.unique. Both give np.unique's ids and positions.
+    Any other sequence holds Python ids.
     """
     if isinstance(ids, np.ndarray):
+        lo, hi = (int(ids.min()), int(ids.max())) if ids.size else (0, -1)
+        span = hi - lo + 1  # Python ints: no wrap near the int64 ends
+        if 0 < span <= ids.size:
+            offset = ids - lo
+            present = np.zeros(span, dtype=bool)
+            present[offset] = True
+            position = np.cumsum(present, dtype=np.intp)
+            position -= 1
+            return (np.flatnonzero(present) + lo).tolist(), position[offset]
         distinct, position = np.unique(ids, return_inverse=True)
         return distinct.tolist(), position
     distinct = sorted(set(ids))

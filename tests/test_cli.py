@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -49,6 +50,24 @@ for command in ("eval", "decode"):
     assert run(command, overrides=overrides + [f"checkpoint={out}/checkpoint.json"], out=out) == 0
     loaded[command] = scipy()
 print(json.dumps(loaded))
+"""
+
+# Rewrites the checkpoint in sys.argv[1], with `A` repeated, under a file-size
+# limit of half the new text, so the write fails partway, and prints the
+# failure's errno.
+PARTIAL_WRITE_PROBE = """
+import json, resource, signal, sys
+from selfrank.cli import _write_json
+out = sys.argv[1]
+payload = json.load(open(f"{out}/checkpoint.json"))
+payload["A"] = payload["A"] * 2
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)  # a write past the limit then fails with EFBIG
+limit = len(json.dumps(payload)) // 2
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    _write_json({"out": out}, "checkpoint.json", payload)
+except OSError as exc:
+    print(exc.errno)
 """
 
 
@@ -829,6 +848,69 @@ class TestCommands:
         t1 = open(f"{out1}/objective_trace.json", "rb").read().replace(b"d1", b"dX")
         t2 = open(f"{out2}/objective_trace.json", "rb").read().replace(b"d2", b"dX")
         assert t1 == t2
+
+    def test_every_artifact_is_one_line_of_sorted_key_json(self, tmp_path, ratings_file, monkeypatch):
+        passed = {"checks": [], "passed": True}
+        monkeypatch.setattr("selfrank.cli.run_verification", lambda seed: passed)
+        runs = [
+            ("train", base_overrides(ratings_file), "lowrank"),
+            ("eval", base_overrides(ratings_file, [f"checkpoint={tmp_path}/lowrank/checkpoint.json"]), "lowrank"),
+            ("decode", base_overrides(ratings_file, [f"checkpoint={tmp_path}/lowrank/checkpoint.json"]), "lowrank"),
+            ("train", base_overrides(ratings_file, ["learner=hs"]), "hs"),
+            ("grid", base_overrides(ratings_file), "grid"),
+            ("synth", ["synth.seeds=1", "synth.n=30", "synth.iters=50"], "synth"),
+            ("verify", [], "verify"),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for command, overrides, out in runs:
+                assert run(command, overrides=overrides, out=str(tmp_path / out)) == 0
+        names = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file())
+        assert names == [
+            "grid/best_config.json", "grid/grid_table.json",
+            "hs/checkpoint.json", "lowrank/checkpoint.json", "lowrank/eval_report.json",
+            "lowrank/objective_trace.json", "lowrank/orderings.json",
+            "synth/synth_report.json", "verify/verify_report.json",
+        ]
+        for name in names:
+            text = (tmp_path / name).read_text(encoding="utf-8")
+            assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
+
+    def test_indented_checkpoint_loads_as_the_compact_one(self, tmp_path, ratings_file):
+        """Readers ignore whitespace: an `indent=2` checkpoint, as earlier versions
+        wrote schema 2, gives eval and decode artifacts byte-identical to the
+        compact one's."""
+        out, checkpoint = str(tmp_path), tmp_path / "checkpoint.json"
+        overrides = base_overrides(ratings_file, [f"checkpoint={checkpoint}"])
+        artifacts = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file), out=out) == 0
+            compact = checkpoint.read_text(encoding="utf-8")
+            indented = json.dumps(json.loads(compact), sort_keys=True, indent=2) + "\n"
+            for text in (compact, indented):
+                checkpoint.write_text(text, encoding="utf-8")
+                assert run("eval", overrides=overrides, out=out) == 0
+                assert run("decode", overrides=overrides, out=out) == 0
+                artifacts[text] = [(tmp_path / name).read_bytes() for name in ("eval_report.json", "orderings.json")]
+        assert indented.count("\n") > 1 and compact.count("\n") == 1
+        assert artifacts[indented] == artifacts[compact]
+
+    def test_failed_write_leaves_the_earlier_artifact_intact(self, tmp_path, ratings_file):
+        """A checkpoint write that fails partway (here past a file-size limit)
+        leaves the earlier checkpoint whole and no temporary file behind."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file), out=str(tmp_path)) == 0
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        src = os.path.dirname(os.path.dirname(selfrank.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", PARTIAL_WRITE_PROBE, str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=300, check=True,
+        )
+        assert proc.stdout.split() == [str(errno.EFBIG)]
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 class TestMain:

@@ -3,14 +3,16 @@ import re
 import tracemalloc
 import warnings
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from selfrank.data_io import (
     RatingsTable,
+    _encode,
     _rating_block,
     build_pair_tasks,
     parse_movielens,
@@ -203,6 +205,48 @@ class TestParseMovielens:
         finally:
             tracemalloc.stop()
         assert peak < 9.0 * 2**20
+
+    def test_ids_wider_than_the_ratings_match_the_mapping_table(self, tmp_path):
+        """Users 1 and 10**12 span more ids than the file has ratings (np.unique's
+        path), items 5 and 6 fewer (the presence table's)."""
+        path = tmp_path / "u.data"
+        path.write_text("1000000000000\t6\t4\t0\n1\t5\t3\t0\n1\t6\t2.5\t0\n")
+        ratings = {(1, 5): 3.0, (1, 6): 2.5, (10**12, 6): 4.0}
+        _assert_same_table(parse_movielens(path), RatingsTable({1, 10**12}, {5, 6}, ratings))
+
+
+@st.composite
+def id_columns(draw):
+    """int64 id columns of n rows whose span is n, n + 1, at most n, or wider, placed
+    anywhere in the int64 range: at 0, negative, near +-2**62 and at both ends."""
+    n = draw(st.integers(0, 30))
+    span = draw(st.sampled_from([n, n + 1]) | st.integers(1, max(n, 1)) | st.integers(n + 2, 2**64))
+    if n == 0:
+        return np.array([], dtype=np.int64)
+    offsets = draw(st.lists(st.integers(0, span - 1), min_size=n, max_size=n))
+    offsets[0], offsets[-1] = 0, span - 1
+    anchor = draw(st.sampled_from([0, -40, -2**62, 2**62, -2**63, 2**63 - 1]))
+    lo = min(anchor, 2**63 - span)
+    return np.array(draw(st.permutations([lo + k for k in offsets])), dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(id_columns())
+@example(np.array([], dtype=np.int64))
+@example(np.array([-7, -7, -7], dtype=np.int64))  # one distinct id
+@example(np.array([-2**62 + 2, -2**62, -2**62 + 2], dtype=np.int64))  # span n
+@example(np.array([2**62 + 3, 2**62, 2**62 + 3], dtype=np.int64))  # span n + 1
+@example(np.array([2**63 - 1, -2**63], dtype=np.int64))  # the whole int64 range
+def test_id_coding_matches_np_unique(ids):
+    """Both coding paths give np.unique's sorted ids, as Python ints, and its codes;
+    np.unique is called only for an empty column or one spanning more ids than rows."""
+    want, want_codes = np.unique(ids, return_inverse=True)
+    with mock.patch.object(np, "unique", wraps=np.unique) as unique:
+        got, codes = _encode(ids)
+    wide = ids.size == 0 or int(ids.max()) - int(ids.min()) + 1 > ids.size
+    assert unique.called == wide
+    assert got == want.tolist() and all(type(v) is int for v in got)
+    _assert_same_array(codes, want_codes)
 
 
 class TestParseCsv:
