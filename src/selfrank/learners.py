@@ -19,8 +19,8 @@ Two regularization routes for the least-squares surrogate problem:
 Every factor trainer (fit_lowrank, fit_lowrank_mtl and the pair-task
 ranking.fit_rank_lowrank) is an update and an objective handed to one loop,
 descend, which owns the divergence guard, the stop rule (halt) and the
-iteration count; halving_search judges each step-search probe by the reason
-descend gives for its end.
+iteration count. A step-search probe is an ordinary fit at tol 0, and
+halving_search judges it by its trace alone.
 """
 
 from __future__ import annotations
@@ -77,7 +77,7 @@ class FactorPair:
     M: np.ndarray
     N: np.ndarray
     iters_run: int
-    stop_reason: str  # "tol", "rise" (a step-search probe) or "max_iters"
+    stop_reason: str  # "tol" or "max_iters"
     objective_trace: list[float] = field(default_factory=list)
 
 
@@ -178,35 +178,33 @@ def init_factors(n: int, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
     return M, scale * rng.standard_normal((n, cfg.rank))
 
 
-def halt(prev: float, curr: float, tol: float, on_rise: bool) -> str | None:
-    """Why a descent ends at the iterate prev -> curr: "rise" (on_rise and the
-    objective rose), "tol" (the relative change fell under tol), or None when it
-    goes on."""
-    if on_rise and curr > prev:
-        return "rise"
+def halt(prev: float, curr: float, tol: float) -> str | None:
+    """Why a descent ends at the iterate prev -> curr: "tol" when the relative
+    change fell under tol, or None when it goes on."""
     return "tol" if abs(curr - prev) / max(prev, 1e-12) < tol else None
 
 
-def descend(state, update, objective, cfg: TrainConfig, trace=None, stop_on_rise: bool = False):
+def descend(state, update, objective, cfg: TrainConfig, trace=None):
     """The descent loop of every factor trainer: (end state, trace, stop reason).
 
     Each iteration is state = update(state), and the trace records
     objective(state) at the start and after every update. The loop ends when
-    halt gives a reason ("rise" only with stop_on_rise, or "tol" under cfg.tol)
-    or after cfg.max_iters updates ("max_iters"), and raises DivergenceError(k)
-    at the first non-finite objective, k = 0 for the start. A trace passed in
-    is that of the descent up to `state`, its last iterate: the descent resumes
-    there without evaluating the objective again, as if it had never stopped.
+    halt gives "tol" under cfg.tol or after cfg.max_iters updates
+    ("max_iters"), and raises DivergenceError(k) at the first non-finite
+    objective, k = 0 for the start, with numpy's overflow warnings silenced
+    from the start on. A trace passed in is that of the descent up to
+    `state`, its last iterate: the descent resumes there without evaluating
+    the objective again, as if it had never stopped.
     """
-    if trace is None:
-        trace = [objective(state)]
-        if not np.isfinite(trace[0]):
-            raise DivergenceError(0)
-    else:
-        trace = list(trace)
-    iters = len(trace) - 1
-    stop = halt(trace[-2], trace[-1], cfg.tol, stop_on_rise) if iters > 0 else None
     with np.errstate(over="ignore", invalid="ignore"):  # the guard reports divergence instead
+        if trace is None:
+            trace = [objective(state)]
+            if not np.isfinite(trace[0]):
+                raise DivergenceError(0)
+        else:
+            trace = list(trace)
+        iters = len(trace) - 1
+        stop = halt(trace[-2], trace[-1], cfg.tol) if iters > 0 else None
         while stop is None and iters < cfg.max_iters:
             state = update(state)
             obj = objective(state)
@@ -214,7 +212,7 @@ def descend(state, update, objective, cfg: TrainConfig, trace=None, stop_on_rise
             if not np.isfinite(obj):
                 raise DivergenceError(iters)
             trace.append(obj)
-            stop = halt(trace[-2], obj, cfg.tol, stop_on_rise)
+            stop = halt(trace[-2], obj, cfg.tol)
     return state, trace, stop or "max_iters"
 
 
@@ -223,15 +221,14 @@ def fit_lowrank(
     K_Y: np.ndarray,
     cfg: TrainConfig,
     init: tuple[np.ndarray, np.ndarray] | None = None,
-    stop_on_rise: bool = False,
 ) -> FactorPair:
     """Gradient descent on the factorized objective in kernel form, from `init`
     (n x r factors M, N) or from init_factors.
 
-    descend runs it: until max_iters, until the relative objective change
-    drops below cfg.tol or, with stop_on_rise, until the objective rises; the
-    trace records the objective at the initial point and after every update.
-    Raises DivergenceError on the first non-finite objective.
+    descend runs it until max_iters or until the relative objective change
+    drops below cfg.tol; the trace records the objective at the initial point
+    and after every update. Raises DivergenceError on the first non-finite
+    objective.
     """
     K_X = np.asarray(K_X, dtype=float)
     K_Y = np.asarray(K_Y, dtype=float)
@@ -242,22 +239,22 @@ def fit_lowrank(
         init if init is not None else init_factors(n, cfg),
         lambda MN: lowrank_step(*MN, K_X, K_Y, cfg.lam, cfg.step),
         lambda MN: factorized_objective(*MN, K_X, K_Y, cfg.lam),
-        cfg, stop_on_rise=stop_on_rise,
+        cfg,
     )
     return FactorPair(M=M, N=N, iters_run=len(trace) - 1, stop_reason=stop, objective_trace=trace)
 
 
 def halving_search(fit, cfg: TrainConfig, start: float, probe_iters: int | None) -> float:
-    """Halve the step from `start` until fit(probe, stop_on_rise=True) neither
-    diverges nor stops at a rise; a probe is cfg with the step, tol 0 and
-    probe_iters iterations (None: cfg.max_iters), for at most MAX_HALVINGS
-    probes. With tol 0 only a rise or max_iters ends a probe, so a step is
-    accepted exactly when its whole probe descends monotonically."""
+    """Halve the step from `start` until fit(probe) neither diverges nor rises
+    (np.diff of its objective trace <= 0), for at most MAX_HALVINGS probes. A
+    probe is cfg with the step, tol 0 and probe_iters iterations (None:
+    cfg.max_iters): an ordinary fit, which at tol 0 runs all of them, so a step
+    is accepted exactly when its whole probe descends monotonically."""
     step = start
     probe = replace(cfg, tol=0.0, max_iters=probe_iters if probe_iters is not None else cfg.max_iters)
     for _ in range(MAX_HALVINGS):
         try:
-            if fit(replace(probe, step=step), stop_on_rise=True).stop_reason != "rise":
+            if np.all(np.diff(fit(replace(probe, step=step)).objective_trace) <= 0):
                 return step
         except DivergenceError:
             pass
@@ -304,8 +301,12 @@ def fit_lowrank_mtl(
         N_t <- (1 - nu lam) N_t - (nu / n_t) (N_t P_t^T P_t - P_t),  P_t = K_t M
         M   <- (1 - nu lam) M - nu * stack_t[ (K_t M N_t^T K_Yt N_t - K_Yt N_t) / (T n_t) ]
 
-    The recorded objective is sum_t tr((I - K_t M N_t^T) K_Yt (...)^T)/(T n_t)
-    plus lam (tr(M^T K M) + sum_t tr(N_t^T K_Yt N_t)).
+    The recorded objective is the one these updates descend:
+    sum_t tr((I - K_t M N_t^T) K_Yt (...)^T)/(T n_t) plus
+    lam (tr(M^T K M) + sum_t tr(N_t^T K_Yt N_t) / T). In explicit coordinates
+    the M update steps by nu/2 along its negative gradient, and each N_t update,
+    which follows its own task's data term, by T nu/2 along its block of it:
+    hence the 1/T on the N_t penalty.
     """
     T = len(cross_blocks)
     if T == 0 or len(output_grams) != T:
@@ -328,7 +329,7 @@ def fit_lowrank_mtl(
         for (s, n_t, K_t, KY_t), N_t in zip(tasks, N_blocks):
             P_t, Q_t = K_t @ M, KY_t @ N_t
             data += _residual(P_t, Q_t, N_t, KY_t) / (T * n_t)
-            pen += float(np.sum(N_t * Q_t)) + float(np.sum(M[s] * P_t))
+            pen += float(np.sum(N_t * Q_t)) / T + float(np.sum(M[s] * P_t))
         return data + cfg.lam * pen
 
     def update(state):

@@ -97,27 +97,31 @@ def explicit_gd_multitask(
 ) -> list[tuple[np.ndarray, list[np.ndarray]]]:
     """Masked-gradient descent with per-task datasets in explicit coordinates.
 
-    Task t contributes (1/(T n_t)) ||X_t A B_t^T - Y_t||^2 to the data term;
-    the shared factor A and the per-task rows B_t are updated simultaneously
-    from the full gradient (including the residual's -Y_t part).
+    Task t contributes (1/(T n_t)) ||X_t A B_t^T - Y_t||^2 to the data term,
+    and the penalty is lam (||A||^2 + sum_t ||B_t||^2 / T). The shared factor
+    A and the per-task rows B_t are updated simultaneously, factors 2 omitted
+    as in explicit_gd: A by the gradient of the whole objective, each B_t by
+    its own task's gradient (1/n_t) E_t^T X_t A + lam B_t, which is T times
+    the objective's gradient in B_t, so a block-scaled step.
     """
     T = len(X_blocks)
     A = np.asarray(A0, dtype=float).copy()
     Bs = [np.asarray(B, dtype=float).copy() for B in B0_blocks]
     trajectory = [(A.copy(), [B.copy() for B in Bs])]
-    for k in range(1, iters + 1):
-        grad_A = lam * A
-        new_Bs = []
-        for X_t, Y_t, B_t in zip(X_blocks, Y_blocks, Bs):
-            n_t = X_t.shape[0]
-            E_t = X_t @ A @ B_t.T - Y_t
-            grad_A = grad_A + X_t.T @ E_t @ B_t / (T * n_t)
-            new_Bs.append(B_t - step * (E_t.T @ (X_t @ A) / n_t + lam * B_t))
-        A = A - step * grad_A
-        Bs = new_Bs
-        if not np.isfinite(A).all() or any(not np.isfinite(B).all() for B in Bs):
-            raise DivergenceError(k)
-        trajectory.append((A.copy(), [B.copy() for B in Bs]))
+    with np.errstate(over="ignore", invalid="ignore"):  # guard reports divergence instead
+        for k in range(1, iters + 1):
+            grad_A = lam * A
+            new_Bs = []
+            for X_t, Y_t, B_t in zip(X_blocks, Y_blocks, Bs):
+                n_t = X_t.shape[0]
+                E_t = X_t @ A @ B_t.T - Y_t
+                grad_A = grad_A + X_t.T @ E_t @ B_t / (T * n_t)
+                new_Bs.append(B_t - step * (E_t.T @ (X_t @ A) / n_t + lam * B_t))
+            A = A - step * grad_A
+            Bs = new_Bs
+            if not np.isfinite(A).all() or any(not np.isfinite(B).all() for B in Bs):
+                raise DivergenceError(k)
+            trajectory.append((A.copy(), [B.copy() for B in Bs]))
     return trajectory
 
 

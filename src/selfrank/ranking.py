@@ -20,7 +20,8 @@ P = S K_u A and the per-row error e_i = P_i . w_t(i) - z_i:
     A   <- (1 - lam nu) A - nu S^T [ e_i w_t(i) / (T n_t(i)) ]
     w_t <- (1 - lam nu) w_t - (nu / n_t) sum_{i in t} e_i P_i
 
-and the penalty is <A, K_u A> + ||W||^2. K_u A is the one product with the
+and the penalty is <A, K_u A> + ||W||^2 / T, the one these updates descend
+(fit_lowrank_mtl's N_t penalty over T). K_u A is the one product with the
 user Gram. Under the linear kernel K_u = U U^T for the u x d user features U,
 so it is U (U^T A) and no u x u Gram is built: an iteration costs
 O(u d r + n r) for n stacked rows. Other kernels stream the cached K_u once
@@ -188,22 +189,21 @@ class PairTaskData:
             t0 = t1
         return blocks
 
-    def end_state(self, cfg: TrainConfig, stop_on_rise: bool = False):
+    def end_state(self, cfg: TrainConfig):
         """The end state ((A, W, K_u A, e), trace) of the last low-rank fit, or None.
 
         It is returned only when a fit by cfg passes through it: the same
-        (rank, seed, lam, step), cfg.max_iters at least its
-        iteration count and no stop before its last iterate (under cfg.tol,
-        or at a rise when stop_on_rise). The updates are deterministic, so
-        that fit would recompute it bit for bit and may continue from it
-        instead.
+        (rank, seed, lam, step), cfg.max_iters at least its iteration count
+        and no stop under cfg.tol before its last iterate. The updates are
+        deterministic, so that fit would recompute it bit for bit and may
+        continue from it instead.
         """
         if self._end is None:
             return None
         key, state, trace = self._end
         if key != _fit_key(cfg) or len(trace) - 1 > cfg.max_iters:
             return None
-        if any(halt(prev, curr, cfg.tol, stop_on_rise) for prev, curr in zip(trace[:-2], trace[1:-1])):
+        if any(halt(prev, curr, cfg.tol) for prev, curr in zip(trace[:-2], trace[1:-1])):
             return None
         return state, trace
 
@@ -282,7 +282,7 @@ class LowRankRankModel:
         return self.W @ self.data.kernel_product(self.A.T, queries)
 
 
-def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool = False) -> LowRankRankModel:
+def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
     """Multitask factorized descent specialized to pair tasks, on the state (A, W).
 
     The iterates are the projections A = S^T M and w_t = N_t^T z_t of those of
@@ -294,6 +294,8 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
         A   <- (1 - lam nu) A - nu S^T [ e_i w_t(i) / (T n_t(i)) ]
         w_t <- (1 - lam nu) w_t - (nu / n_t) sum_{i in t} e_i P_i
 
+    and records the objective they descend,
+    sum_t sum_{i in t} e_i^2 / (T n_t) + lam (<A, K_u A> + ||W||^2 / T).
     Both corrections are products of one sparse users x tasks matrix holding e,
     so an iteration is the product K_u A, the n x r row gathers of
     PairTaskData.forward in cache-sized blocks of PAIR_BLOCK_ROWS stacked rows,
@@ -306,15 +308,12 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     cell's shorter sibling), and from initial_state otherwise; either way the
     iterates, trace, iters_run and stop_reason are those of a fit from the
     initial state. It leaves its own end state on data, read-only; the model
-    holds copies.
-
-    learners.descend runs the iterations; with stop_on_rise (the step
-    search's probes) it also ends them at the first rise, stop_reason "rise".
+    holds copies. learners.descend runs the iterations.
     """
     from scipy.sparse import csc_array  # imported here: eval and decode never need scipy.sparse
 
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
-    state, trace = data.end_state(cfg, stop_on_rise) or (data.initial_state(cfg), None)
+    state, trace = data.end_state(cfg) or (data.initial_state(cfg), None)
     # Column-compressed, so the stored values are the stacked rows in order;
     # E.T holds the same structure, so one transpose serves the whole fit.
     E = csc_array((state[3], data.row_user, np.append(data.starts, n)), shape=(u, T))
@@ -326,7 +325,7 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
     def objective(state):
         A, W, KA, e = state
         data_term = float(np.sum(np.add.reduceat(e * e, data.starts) * inv_nt) / T)
-        pen = float(np.sum(A * KA)) + float(np.sum(W * W))
+        pen = float(np.sum(A * KA)) + float(np.sum(W * W)) / T
         return data_term + cfg.lam * pen
 
     def update(state):
@@ -336,7 +335,7 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig, *, stop_on_rise: bool
         W = shrink * W - cfg.step * (inv_nt[:, None] * (E_T @ KA))
         return (A, W, *data.forward(A, W))
 
-    state, trace, stop = descend(state, update, objective, cfg, trace, stop_on_rise)
+    state, trace, stop = descend(state, update, objective, cfg, trace)
     for array in state:
         array.flags.writeable = False
     data._end = _fit_key(cfg), state, tuple(trace)

@@ -8,6 +8,9 @@ threshold. The CLI `verify` command runs this and fails on any violation.
 
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import partial
+
 import numpy as np
 
 from .data_io import RatingsTable, build_pair_tasks
@@ -36,6 +39,7 @@ from .oracles import (
 )
 from .ranking import (
     PAIR_BLOCK_ROWS, HsRankModel, LowRankRankModel, PairTaskData, build_pair_task_data, fit_rank_hs, fit_rank_lowrank,
+    halving_step_search_rank,
 )
 
 
@@ -321,6 +325,70 @@ def check_pairtask_reduced_state(rng) -> dict:
     return _check("pairtask_reduced_state_equivalence", dev, 1e-10)
 
 
+def check_pairtask_long_descent(rng) -> dict:
+    """At T > 1 a 1,000-iteration fit_rank_lowrank at the step its 10-iteration
+    search accepts must never rise by more than 1e-12 x its first objective, on
+    12 problems at lam 0.01, 0.1 and 0.3, rank 2."""
+    worst = 0.0
+    for lam in (0.01, 0.1, 0.3):
+        for _ in range(4):
+            data = _random_pair_task_data(rng)
+            base = TrainConfig(lam=lam, rank=2, step=1.0, max_iters=1000, seed=int(rng.integers(1000)), tol=0.0)
+            trace = fit_rank_lowrank(data, replace(base, step=halving_step_search_rank(data, base))).objective_trace
+            worst = max(worst, float(np.max(np.diff(trace), initial=0.0)) / trace[0])
+    return _check("pairtask_long_run_max_rise", worst, 1e-12)
+
+
+def _pairtask_explicit_objective(data: PairTaskData, lam: float, V: np.ndarray, W: np.ndarray) -> float:
+    """The pair-task objective in explicit coordinates under the linear kernel,
+    V = U^T A (d x r) and W: sum_t sum_{i in t} e_i^2 / (T n_t) + lam (||V||^2 + ||W||^2 / T),
+    e_i = U_u(i) V w_t(i) - z_i."""
+    T = data.n_tasks
+    row_task = np.repeat(np.arange(T), data.task_sizes)
+    e = np.sum((data.U[data.row_user] @ V) * W[row_task], axis=1) - data.z
+    return float(np.sum(e * e / (T * data.task_sizes[row_task]))) + lam * (float(np.sum(V * V)) + float(np.sum(W * W)) / T)
+
+
+def _central_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
+    """The gradient of f at x by central differences of step h in each entry."""
+    grad = np.empty_like(x)
+    for k in np.ndindex(x.shape):
+        up, down = x.copy(), x.copy()
+        up[k] += h
+        down[k] -= h
+        grad[k] = (f(up) - f(down)) / (2 * h)
+    return grad
+
+
+def check_pairtask_gradient_step(rng) -> dict:
+    """At T > 1, under the linear kernel, one fit_rank_lowrank update in explicit
+    coordinates (V = U^T A, W) must be a block-scaled gradient step on the
+    explicit objective, by central differences: V - (nu/2) grad_V and
+    W - (T nu/2) grad_W. The recorded trace must be that objective at each of
+    the iterates compared (relative deviations)."""
+    worst = 0.0
+    for lam, rank in ((0.1, 2), (0.3, 3)):
+        data = _random_pair_task_data(rng)
+        cfg = TrainConfig(lam=lam, rank=rank, step=0.05, max_iters=1, seed=int(rng.integers(1000)), tol=0.0)
+        states = [data.initial_state(cfg)[:2]]
+        for iters in range(1, 22):  # each fit continues the last one
+            model = fit_rank_lowrank(data, replace(cfg, max_iters=iters))
+            states.append((model.A, model.W))
+        F = partial(_pairtask_explicit_objective, data, lam)
+        explicit = [(data.U.T @ A, W) for A, W in states]
+        for k in (0, 5, 20):
+            (V, W), (V1, W1) = explicit[k], explicit[k + 1]
+            g_V = _central_gradient(lambda x: F(x, W), V)
+            g_W = _central_gradient(lambda x: F(V, x), W)
+            worst = max(
+                worst,
+                float(np.linalg.norm(V1 - (V - cfg.step / 2 * g_V)) / np.linalg.norm(V1)),
+                float(np.linalg.norm(W1 - (W - data.n_tasks * cfg.step / 2 * g_W)) / np.linalg.norm(W1)),
+            )
+        worst = max(worst, max(abs(t - F(V, W)) / t for t, (V, W) in zip(model.objective_trace, explicit)))
+    return _check("pairtask_update_gradient_step", worst, 1e-6)
+
+
 def check_pairtask_hs(rng) -> dict:
     """fit_rank_hs's weights C k_U(x) must match z_t^T alpha_t(x), the ridge solve
     on each task's materialized block K_t (linear kernel: k_t(x) = U_t x)."""
@@ -463,4 +531,6 @@ def run_verification(seed: int = 0) -> dict:
     checks.append(check_pairtask_hs(rng))
     checks.append(check_factored_gram_product(rng))
     checks.append(check_streamed_initial_state(rng))
+    checks.append(check_pairtask_long_descent(rng))
+    checks.append(check_pairtask_gradient_step(rng))
     return {"checks": checks, "passed": all(c["pass"] for c in checks)}

@@ -816,6 +816,8 @@ class TestCommands:
             ("pairtask_hs_equivalence", 1e-08),
             ("factored_gram_product", 1e-12),
             ("streamed_initial_state", 0.0),
+            ("pairtask_long_run_max_rise", 1e-12),
+            ("pairtask_update_gradient_step", 1e-06),
         ]
         assert all(c["pass"] for c in report["checks"])
 

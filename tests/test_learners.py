@@ -236,20 +236,6 @@ class TestFitLowrank:
             assert np.all(np.diff(fp.objective_trace) <= 0)
 
 
-    def test_rejected_probe_ends_at_its_first_rise(self):
-        rng = np.random.default_rng(10)
-        X, Y = random_problem(rng, n_max=20)
-        K, KY = X @ X.T, Y @ Y.T
-        cfg = TrainConfig(lam=0.2, rank=2, step=0.028, max_iters=10, seed=0, tol=0.0)
-        full = fit_lowrank(K, KY, cfg)
-        rises = np.flatnonzero(np.diff(full.objective_trace) > 0)
-        assert rises.size and full.stop_reason == "max_iters"
-        first = int(rises[0]) + 1
-        probe = fit_lowrank(K, KY, cfg, stop_on_rise=True)
-        assert (probe.iters_run, probe.stop_reason) == (first, "rise")
-        assert probe.objective_trace == full.objective_trace[: first + 1]
-
-
 def _kernel_problem(seed, scale=1.0):
     X, Y = random_problem(np.random.default_rng(seed), n_max=20)
     return scale * (X @ X.T), scale * (Y @ Y.T)
@@ -294,7 +280,7 @@ class TestDescend:
         with pytest.raises(DivergenceError) as again:
             fit(replace(cfg, max_iters=k))
         assert again.value.iterate == k
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as start:
+        with pytest.raises(DivergenceError) as start:
             fit(cfg, scale=1e200)  # the start's objective overflows
         assert start.value.iterate == 0
 
@@ -309,39 +295,51 @@ class TestDescend:
         trace = stopped.objective_trace
         assert stopped.stop_reason == "tol" and 1 < stopped.iters_run < 30
         assert trace == capped.objective_trace[: len(trace)]
-        assert [halt(p, c, tol, False) for p, c in zip(trace[:-1], trace[1:])] == [None] * (len(trace) - 2) + ["tol"]
+        assert [halt(p, c, tol) for p, c in zip(trace[:-1], trace[1:])] == [None] * (len(trace) - 2) + ["tol"]
 
 
 class TestHalvingSearch:
-    """learners.halving_search halves past a probe that diverges, and gives up
-    after MAX_HALVINGS probes."""
+    """learners.halving_search halves past a probe that diverges or rises, and
+    gives up after MAX_HALVINGS probes."""
 
     def test_diverging_probe_is_halved_past(self):
         probes = []
 
-        def fit(cfg, stop_on_rise):
-            probes.append((cfg.step, cfg.max_iters, cfg.tol, stop_on_rise))
+        def fit(cfg):
+            probes.append((cfg.step, cfg.max_iters, cfg.tol))
             if cfg.step > 0.03:
                 raise DivergenceError(2)
             return FactorPair(M=ONE, N=ONE, iters_run=cfg.max_iters, stop_reason="max_iters")
 
         cfg = TrainConfig(lam=0.1, rank=1, step=1.0, max_iters=500, seed=0)
         assert halving_search(fit, cfg, 0.1, PROBE_ITERS) == 0.025
-        assert probes == [(step, PROBE_ITERS, 0.0, True) for step in (0.1, 0.05, 0.025)]
+        assert probes == [(step, PROBE_ITERS, 0.0) for step in (0.1, 0.05, 0.025)]
+
+    def test_rising_probe_is_halved_past(self):
+        """A probe that does not diverge is rejected for any rise in its trace,
+        and accepted when its trace never rises (flat steps included)."""
+        probes = []
+
+        def fit(cfg):
+            probes.append(cfg.step)
+            trace = [3.0, 2.0, 2.5, 1.0] if cfg.step > 0.03 else [3.0, 2.0, 2.0, 1.0]
+            return FactorPair(M=ONE, N=ONE, iters_run=3, stop_reason="max_iters", objective_trace=trace)
+
+        cfg = TrainConfig(lam=0.1, rank=1, step=1.0, max_iters=500, seed=0)
+        assert halving_search(fit, cfg, 0.1, PROBE_ITERS) == 0.025
+        assert probes == [0.1, 0.05, 0.025]
 
     def test_every_probe_diverging_raises_numerical_error(self, monkeypatch):
         data = _pair_problem(22, scale=1e200)  # every probe's start objective overflows
         probes = []
 
-        def counted_fit(data, cfg, stop_on_rise=False):
+        def counted_fit(data, cfg):
             probes.append(cfg.step)
-            return fit_rank_lowrank(data, cfg, stop_on_rise=stop_on_rise)
+            return fit_rank_lowrank(data, cfg)
 
         monkeypatch.setattr(ranking, "fit_rank_lowrank", counted_fit)
         cfg = TrainConfig(lam=0.1, rank=2, step=1.0, max_iters=100, seed=3)
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
-            NumericalError, match=f"^no descending step found after {MAX_HALVINGS} halvings$"
-        ):
+        with pytest.raises(NumericalError, match=f"^no descending step found after {MAX_HALVINGS} halvings$"):
             halving_step_search_rank(data, cfg)
         assert probes == [STEP_START / 2**k for k in range(MAX_HALVINGS)]
 

@@ -6,6 +6,7 @@ from selfrank.oracles import (
     ExplicitProblem,
     explicit_descending_step,
     explicit_gd,
+    explicit_gd_multitask,
     prox_nuclear,
     svt,
 )
@@ -47,6 +48,20 @@ class TestExplicitGd:
     def test_non_finite_problem_rejected(self):
         with pytest.raises(InvalidInputError):
             ExplicitProblem(np.array([[np.inf]]), ONE)
+
+
+class TestExplicitGdMultitask:
+    def test_divergence_raises_without_a_warning(self):
+        """A diverging run raises DivergenceError at its first non-finite iterate;
+        its overflows warn nothing (the suite turns a RuntimeWarning into an error)."""
+        rng = np.random.default_rng(0)
+        X = [rng.standard_normal((m, 3)) for m in (4, 6)]
+        Y = [rng.standard_normal((m, 2)) for m in (4, 6)]
+        A0, B0 = rng.standard_normal((3, 2)), [rng.standard_normal((2, 2)) for _ in Y]
+        with pytest.raises(DivergenceError) as err:
+            explicit_gd_multitask(X, Y, A0, B0, 0.0, 100.0, 200)
+        assert err.value.iterate >= 1
+        assert len(explicit_gd_multitask(X, Y, A0, B0, 0.0, 100.0, err.value.iterate - 1)) == err.value.iterate
 
 
 class TestSvt:

@@ -217,7 +217,7 @@ def unblocked_fit(data, cfg, product=factored_product):
     def objective(A, W, KA, pw):
         e = np.subtract(pw, z, out=E.data)
         data_term = float(np.sum(seg(e * e) * inv_nt) / T)
-        return data_term + cfg.lam * (float(np.sum(A * KA)) + float(np.sum(W * W)))
+        return data_term + cfg.lam * (float(np.sum(A * KA)) + float(np.sum(W * W)) / T)
 
     A, W = data.initial_state(cfg)[:2]
     KA, pw = forward(A, W)
@@ -229,7 +229,7 @@ def unblocked_fit(data, cfg, product=factored_product):
         KA, pw = forward(A, W)
         trace.append(objective(A, W, KA, pw))
         iters += 1
-        stopped = halt(trace[-2], trace[-1], cfg.tol, False) is not None
+        stopped = halt(trace[-2], trace[-1], cfg.tol) is not None
     return A, W, trace, iters, "tol" if stopped else "max_iters"
 
 
@@ -295,6 +295,46 @@ def assert_same_fit(model, reference):
     assert model.objective_trace == reference.objective_trace
     assert model.iters_run == reference.iters_run
     assert model.stop_reason == reference.stop_reason
+
+
+class TestRecordedObjective:
+    """At T > 1 the trace records the objective the updates descend."""
+
+    @pytest.mark.parametrize("lam", [0.01, 0.1, 0.3])
+    def test_long_run_at_the_searched_step_never_rises(self, small_problem, lam):
+        tasks, feats, _ = small_problem
+        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        base = TrainConfig(lam=lam, rank=2, step=1.0, max_iters=1000, seed=1, tol=0.0)
+        trace = fit_rank_lowrank(data, replace(base, step=halving_step_search_rank(data, base))).objective_trace
+        assert data.n_tasks > 1 and np.max(np.diff(trace)) <= 1e-12 * trace[0]
+
+    @pytest.mark.parametrize("lam", [0.1, 1.0])
+    def test_update_is_a_block_scaled_gradient_step(self, small_problem, lam):
+        """In explicit coordinates V = U^T A, one update is V - (nu/2) grad_V F and
+        W - (T nu/2) grad_W F for F = sum_t sum_i e_i^2/(T n_t) + lam (||V||^2 + ||W||^2/T),
+        and the trace is F."""
+        tasks, feats, _ = small_problem
+        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        T, nu = data.n_tasks, 0.05
+        rows, c = data.U[data.row_user], 1.0 / (T * np.repeat(data.task_sizes, data.task_sizes))
+        row_task = np.repeat(np.arange(T), data.task_sizes)
+
+        def objective_and_gradients(V, W):
+            P = rows @ V
+            e = np.sum(P * W[row_task], axis=1) - data.z
+            F = float(np.sum(c * e * e)) + lam * (float(np.sum(V * V)) + float(np.sum(W * W)) / T)
+            g_V = 2 * (rows.T @ ((c * e)[:, None] * W[row_task]) + lam * V)
+            g_W = 2 * (np.add.reduceat((c * e)[:, None] * P, data.starts) + lam * W / T)
+            return F, g_V, g_W
+
+        cfg = TrainConfig(lam=lam, rank=3, step=nu, max_iters=8, seed=2, tol=0.0)
+        first = fit_rank_lowrank(data, replace(cfg, max_iters=7))
+        last = fit_rank_lowrank(data, cfg)
+        F, g_V, g_W = objective_and_gradients(data.U.T @ first.A, first.W)
+        np.testing.assert_allclose(data.U.T @ last.A, data.U.T @ first.A - nu / 2 * g_V, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(last.W, first.W - T * nu / 2 * g_W, rtol=1e-12, atol=1e-14)
+        assert last.objective_trace[7] == pytest.approx(F, rel=1e-13)
+        assert last.objective_trace[8] == pytest.approx(objective_and_gradients(data.U.T @ last.A, last.W)[0], rel=1e-13)
 
 
 class TestResumedFit:
@@ -474,7 +514,8 @@ def full_probe_search(fit, cfg, start, probe_iters=10, max_halvings=60):
 
 
 class TestProbeStopsAtFirstRise:
-    """A step-search probe ends at its first rise; the search and fits stay the same."""
+    """A step-search probe is an ordinary fit, judged by its whole trace; the search
+    chooses the step full_probe_search chooses, and the fits stay the same."""
 
     @pytest.mark.parametrize(
         "rank, lam, start", [(1, 0.1, 100.0), (2, 1.0, 1.0), (3, 0.01, 10.0), (5, 0.1, 0.5), (3, 1.0, 0.4)]
@@ -518,51 +559,30 @@ class TestProbeStopsAtFirstRise:
         want = full_probe_search(lambda probe: fit_rank_lowrank(full, probe), base, 0.1, 10)
         assert halving_step_search_rank(new_data(), base) == want
 
-    @pytest.mark.parametrize("rank, lam, step", [(2, 0.1, 0.78), (3, 0.1, 0.2), (5, 1.0, 0.1), (2, 1.0, 0.78)])
-    def test_rejected_probe_ends_at_its_first_rise(self, small_problem, rank, lam, step):
-        tasks, feats, _ = small_problem
-        new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
-        cfg = TrainConfig(lam=lam, rank=rank, step=step, max_iters=10, seed=1, tol=0.0)
-        full = fit_rank_lowrank(new_data(), cfg)
-        rises = np.flatnonzero(np.diff(full.objective_trace) > 0)
-        assert rises.size and full.stop_reason == "max_iters"
-        first = int(rises[0]) + 1
-        probe = fit_rank_lowrank(new_data(), cfg, stop_on_rise=True)
-        assert (probe.iters_run, probe.stop_reason) == (first, "rise")
-        assert probe.objective_trace == full.objective_trace[: first + 1]
-        # a probe does not continue past its rise from a longer fit's end state
-        data = new_data()
-        fit_rank_lowrank(data, cfg)
-        again = fit_rank_lowrank(data, cfg, stop_on_rise=True)
-        assert (again.iters_run, again.objective_trace) == (first, probe.objective_trace)
-        # and a fit continues from a probe's end state to its own end
-        data = new_data()
-        fit_rank_lowrank(data, cfg, stop_on_rise=True)
-        assert_same_fit(fit_rank_lowrank(data, cfg), full)
-
     def test_search_probes_stop_at_first_rise(self, small_problem, monkeypatch):
+        """A probe is an ordinary fit at tol 0: it runs all its iterations unless it
+        diverges, and the search rejects it for a rise anywhere in its trace."""
         tasks, feats, _ = small_problem
         data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
         probes = []
 
-        def counted_fit(data, cfg, **kwargs):
+        def counted_fit(data, cfg):
             try:
-                model = fit_rank_lowrank(data, cfg, **kwargs)
+                model = fit_rank_lowrank(data, cfg)
             except DivergenceError:
-                probes.append((cfg.step, "diverged"))
+                probes.append((cfg.step, None, None))
                 raise
-            probes.append((cfg.step, model.stop_reason, model.iters_run, model.objective_trace))
+            probes.append((cfg.step, model.iters_run, np.diff(model.objective_trace)))
             return model
 
         monkeypatch.setattr(ranking, "fit_rank_lowrank", counted_fit)
-        base = TrainConfig(lam=1.0, rank=2, step=1.0, max_iters=60, seed=1, tol=0.0)
+        base = TrainConfig(lam=0.1, rank=2, step=1.0, max_iters=60, seed=1, tol=0.0)
         step = search_rank(data, base, 100.0)
-        assert probes[-1][:3] == (step, "max_iters", 10)
-        rejected = [p for p in probes[:-1] if p[1] != "diverged"]
-        assert rejected
-        for _, reason, iters, trace in rejected:  # descending up to one last rise
-            assert reason == "rise" and iters == len(trace) - 1 <= 10
-            assert np.all(np.diff(trace[:-1]) <= 0) and trace[-1] > trace[-2]
+        *rejected, (accepted, iters, steps) = probes
+        assert (accepted, iters) == (step, 10) and np.all(steps <= 0)
+        for _, iters, steps in rejected:  # diverged, or ran all 10 iterations and rose
+            assert iters is None or (iters == 10 and np.any(steps > 0))
+        assert {iters for _, iters, _ in rejected} == {None, 10}  # both kinds are rejected here
 
 
 def small_model(small_problem, kernel, learner):
