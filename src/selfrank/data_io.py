@@ -263,6 +263,8 @@ def parse_user_features_csv(path) -> dict:
     if not header or header[0].strip().lower() != "user":
         raise RatingsParseError(1, f"expected header starting with `user`, got {header!r}")
     dim = len(header) - 1
+    if not dim:
+        raise RatingsParseError(1, "expected at least one feature column after `user`")
     for line_no, row in rows:
         if len(row) != dim + 1:
             raise RatingsParseError(line_no, f"expected {dim + 1} fields, got {len(row)}")

@@ -43,6 +43,10 @@ class KernelSpec:
             object.__setattr__(self, "bandwidth", None)  # they ignore it, so to_config records none
         elif isinstance(bw, bool) or not isinstance(bw, Real) or not 0 < bw < np.inf:
             raise InvalidInputError(f"bandwidth must be a finite number > 0 for the {self.kind} kernel, got {bw!r}")
+        elif self.kind == "gaussian" and not 0 < _twice_squared(bw) < np.inf:
+            raise InvalidInputError(
+                f"bandwidth must be a number whose 2 * bandwidth**2 is finite and > 0 for the gaussian kernel, got {bw!r}"
+            )
 
     def to_config(self) -> dict:
         cfg = {"kernel.kind": self.kind}
@@ -90,6 +94,15 @@ def _as_point(x, dim: int) -> np.ndarray:
     if v.ndim != 1 or v.shape[0] != dim:
         raise InvalidInputError(f"point has dimension {v.shape}, expected ({dim},)")
     return v
+
+
+def _twice_squared(bandwidth) -> float:
+    """2 s^2, the gaussian kernel's divisor as _rows computes it; inf where that overflows."""
+    try:
+        with np.errstate(over="ignore"):
+            return 2.0 * bandwidth**2
+    except OverflowError:  # a Python float too large to square, or an int too large for a float
+        return np.inf
 
 
 def _rows(spec: KernelSpec, pts: np.ndarray, x: np.ndarray) -> np.ndarray:

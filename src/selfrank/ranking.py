@@ -33,13 +33,13 @@ PairTaskData keeps what its trainers share:
 - the user Gram K_u, built on first use by the kernel oracle kernels.gram;
   HS reads its blocks under every kernel, the low-rank trainer only under
   non-linear kernels;
-- the projected initial state (A0, W0) and its first pass (K_u A0, e0) per
-  (rank, seed), so step-search probes, grid cells and the fit of
-  one rank draw and pass it once. The n x r factors behind (A0, W0) are drawn
-  and projected a block of stacked rows at a time and never held whole;
+- the task of each stacked row, row_task;
 - the end state of its last low-rank fit, so a fit whose way passes through
   it (the fit after its accepted step-search probe, a 2000-iteration grid
   cell after its 500-iteration sibling) continues from there.
+A fit that does not continue draws its start (initial_state); the n x r
+factors behind it are drawn and projected a block of stacked rows at a time
+and never held whole.
 """
 
 from __future__ import annotations
@@ -70,11 +70,10 @@ class PairTaskData:
     It caches what trainers share, each built on a trainer's first use: the
     user Gram K_u (kernels.gram; built by fit_rank_hs, and by the
     low-rank trainer under non-linear kernels only), the task of each stacked row
-    (row_task), per (rank, seed) the low-rank initial state and its first
-    pass (initial_state), and the end state of the last low-rank fit with
-    its (rank, seed, lam, step) (end_state). A new
-    instance computes them anew. Both models predict through kernel_product,
-    which under the linear kernel builds no users x queries matrix.
+    (row_task), and the end state of the last low-rank fit with its
+    (rank, seed, lam, step) (end_state). A new instance computes them anew.
+    Both models predict through kernel_product, which under the linear kernel
+    builds no users x queries matrix.
     """
 
     users: list
@@ -84,7 +83,6 @@ class PairTaskData:
     starts: np.ndarray  # first stacked row of each task
     task_sizes: np.ndarray
     z: np.ndarray  # stacked signed rating differences
-    _initial: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _end: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -130,34 +128,19 @@ class PairTaskData:
         return KA, np.subtract(e, self.z, out=e)
 
     def initial_state(self, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
-        """The low-rank trainer's start (A0, W0, K_u A0, e0).
+        """The low-rank trainer's start (A0, W0, K_u A0, e0), drawn anew per call.
 
         (A0, W0) = (S^T M, rows N_t^T z_t) for the n x r factors M and N that
         learners.init_factors(n, cfg) draws, and (K_u A0, e0) = forward(A0, W0).
-        The draw is streamed (projected_draw): no n x r array outlives one
-        block of stacked rows, and the result is bit-equal to projecting the
-        whole draw. The state depends on (rank, seed) alone, so each such key
-        is drawn, projected and passed forward once and kept, read-only, for
-        the step-search probes and the fit.
-        """
-        key = (cfg.rank, cfg.seed)
-        if key not in self._initial:
-            A, W = self.projected_draw(cfg)
-            state = (A, W, *self.forward(A, W))
-            for array in state:
-                array.flags.writeable = False
-            self._initial[key] = state
-        return self._initial[key]
-
-    def projected_draw(self, cfg: TrainConfig) -> tuple[np.ndarray, np.ndarray]:
-        """(S^T M, rows N_t^T z_t) for init_factors' M and N, drawn block by block.
-
         One default_rng(cfg.seed) draws M and then N in blocks of about
         PAIR_BLOCK_ROWS stacked rows, the stream of its two whole draws, and
         each block is projected as it is drawn: an M block is added into A in
         stacked-row order (the adds of the csc product S^T M, in its order),
         and an N block ends at a task start, so each task's sum of
         z_i N_i is one segment sum inside one block, as over the whole array.
+        No n x r array outlives one block, and the result is bit-equal to
+        projecting the whole draw. The state depends on (rank, seed) alone;
+        the fit that draws it owns it.
         """
         r = cfg.rank
         scale = init_scale(self.n_rows, r)
@@ -176,7 +159,7 @@ class PairTaskData:
             N *= scale
             N *= self.z[lo:hi, None]
             W[tasks] = np.add.reduceat(N, self.starts[tasks] - lo, axis=0)
-        return A, W
+        return (A, W, *self.forward(A, W))
 
     def _task_blocks(self) -> list[tuple[int, int, slice]]:
         """Stacked-row ranges [lo, hi) cut at task starts, with their tasks: each
@@ -245,6 +228,8 @@ def build_pair_task_data(
     if missing:
         raise InvalidInputError(f"no features for users {missing[:5]!r}")
     U = np.vstack([np.asarray(features[u], dtype=float) for u in users])
+    if not U.shape[1]:
+        raise InvalidInputError("features have no columns")
     finite = np.isfinite(U).all(axis=1)
     if not finite.all():
         raise InvalidInputError(f"non-finite features for user {users[int(np.argmin(finite))]!r}")
@@ -287,8 +272,8 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
 
     The iterates are the projections A = S^T M and w_t = N_t^T z_t of those of
     learners.fit_lowrank_mtl on the materialized blocks (K_t = rows of S K_u S^T,
-    output Gram z_t z_t^T); M and N are drawn as there and projected, once per
-    data and (rank, seed) by PairTaskData.initial_state. With
+    output Gram z_t z_t^T); M and N are drawn as there and projected by
+    PairTaskData.initial_state. With
     P = S K_u A and e_i = P_i . w_t(i) - z_i for stacked row i of task t(i):
 
         A   <- (1 - lam nu) A - nu S^T [ e_i w_t(i) / (T n_t(i)) ]
@@ -305,10 +290,10 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
 
     The fit continues from PairTaskData.end_state, the last fit's end state,
     when it lies on this fit's way (an accepted step-search probe, or a grid
-    cell's shorter sibling), and from initial_state otherwise; either way the
-    iterates, trace, iters_run and stop_reason are those of a fit from the
-    initial state. It leaves its own end state on data, read-only; the model
-    holds copies. learners.descend runs the iterations.
+    cell's shorter sibling), and from a start drawn by initial_state otherwise;
+    either way the iterates, trace, iters_run and stop_reason are those of a
+    fit from the initial state. It leaves its own end state on data,
+    read-only; the model holds copies. learners.descend runs the iterations.
     """
     from scipy.sparse import csc_array  # imported here: eval and decode never need scipy.sparse
 

@@ -181,6 +181,8 @@ class TestConfig:
             (["kernel.kind=gaussian", "kernel.bandwidth=-1"], "kernel.bandwidth"),
             (["kernel.kind=abel"], "kernel.bandwidth"),
             (["synth.rank=6", "synth.d=8", "synth.tasks=5"], "synth.rank"),
+            (["kernel.kind=gaussian", "kernel.bandwidth=1e200"], "kernel.bandwidth"),
+            (["kernel.kind=gaussian", "kernel.bandwidth=1e-200", "learner=hs"], "kernel.bandwidth"),
         ],
     )
     def test_malformed_numeric_value_exits_2(self, tmp_path, ratings_file, capsys, overrides, key):
@@ -317,6 +319,13 @@ class TestCommands:
         overrides = base_overrides(ratings_file, [f"data.features={path}"])
         assert run("train", overrides=overrides, out=str(tmp_path / "out")) == 2
         assert "input error: line 3: duplicate features for user '1'" in capsys.readouterr().err
+
+    def test_features_without_feature_columns_exits_2(self, tmp_path, ratings_file, capsys):
+        path = tmp_path / "f.csv"
+        path.write_text("user\n1\n2\n")
+        overrides = base_overrides(ratings_file, [f"data.features={path}"])
+        assert run("train", overrides=overrides, out=str(tmp_path / "out")) == 2
+        assert "input error: line 1: expected at least one feature column after `user`" in capsys.readouterr().err
 
     def test_features_missing_a_user_is_an_input_error(self, tmp_path, ratings_file, capsys):
         """A features file that parses but lacks a user of the ratings file is a

@@ -328,6 +328,12 @@ class TestParseCsv:
         with pytest.raises(RatingsParseError, match="^line 1: expected header starting with `user`, got \\[\\]$"):
             parse_user_features_csv(path)
 
+    def test_features_csv_without_feature_columns_reports_line(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("user\n1\n2\n")
+        with pytest.raises(RatingsParseError, match="^line 1: expected at least one feature column after `user`$"):
+            parse_user_features_csv(path)
+
     def test_features_csv_resolves_integer_table_ids(self):
         table = _table({(1, "a"): 4.0, (1, "b"): 2.0})
         feats = user_feature_map(table, ["a", "b"], {"1": np.array([7.0, 8.0])})

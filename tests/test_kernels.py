@@ -62,7 +62,18 @@ class TestKernelEval:
         with pytest.raises(InvalidInputError, match=f"^bandwidth must be a finite number > 0 for the {kind} kernel"):
             KernelSpec(kind, bandwidth)
 
-    @pytest.mark.parametrize("bandwidth", [np.float64(0.5), np.float32(0.5), 1])
+    @pytest.mark.parametrize(
+        "bandwidth",
+        [1e200, 1e160, 1e-200, np.float32(1e20), np.float32(1e-30), 10**200],
+        ids=["1e200", "1e160", "1e-200", "f32-1e20", "f32-1e-30", "int-10**200"],
+    )
+    def test_gaussian_bandwidth_whose_square_overflows_or_underflows_rejected(self, bandwidth):
+        """_rows divides by 2 s^2; it must be finite and > 0, or the Gram is NaN or the division raises."""
+        with pytest.raises(InvalidInputError, match="^bandwidth must be a number whose 2 \\* bandwidth\\*\\*2 is finite"):
+            KernelSpec("gaussian", bandwidth)
+        assert KernelSpec("abel", bandwidth).bandwidth == bandwidth
+
+    @pytest.mark.parametrize("bandwidth", [np.float64(0.5), np.float32(0.5), 1, 1e-160, 1e150])
     def test_real_bandwidth_accepted(self, bandwidth):
         assert KernelSpec("gaussian", bandwidth).bandwidth == bandwidth
 

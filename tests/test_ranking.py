@@ -120,70 +120,41 @@ class TestStructuredTrainerEquivalence:
 
 
 class TestSharedInitialState:
-    def test_step_search_and_fit_draw_once_per_rank_and_seed(self, small_problem, monkeypatch):
-        tasks, feats, _ = small_problem
-        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
-        draws, probes = [], []
-        projected_draw = PairTaskData.projected_draw
+    """Fits on one shared PairTaskData equal fits on a fresh one, bit for bit."""
 
-        def counted_draw(self, cfg):
-            draws.append((cfg.rank, cfg.seed))
-            return projected_draw(self, cfg)
-
-        def counted_fit(data, cfg, **kwargs):
-            probes.append(cfg.step)
-            return fit_rank_lowrank(data, cfg, **kwargs)
-
-        monkeypatch.setattr(PairTaskData, "projected_draw", counted_draw)
-        monkeypatch.setattr("selfrank.ranking.fit_rank_lowrank", counted_fit)
-        base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1, tol=0.0)
-        step = search_rank(data, base, 100.0)
-        model = fit_rank_lowrank(data, replace(base, step=step))
-        assert len(probes) > 1 and draws == [(3, 1)]
-        for other in (replace(base, rank=2), replace(base, seed=2)):
-            fit_rank_lowrank(data, replace(other, step=step))
-        assert draws == [(3, 1), (2, 1), (3, 2)]
-        fresh = fit_rank_lowrank(build_pair_task_data(tasks, feats, KernelSpec("linear")), replace(base, step=step))
-        assert draws[-1] == (3, 1)  # a new PairTaskData draws anew
-        assert fresh.A.tobytes() == model.A.tobytes()
-        assert fresh.W.tobytes() == model.W.tobytes()
-        assert fresh.objective_trace == model.objective_trace
-
-    def test_cached_state_is_read_only(self, small_problem):
-        tasks, feats, _ = small_problem
-        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
-        A0, W0, KA0, e0 = data.initial_state(TrainConfig(lam=0.1, rank=2, step=0.1, max_iters=5, seed=4))
-        again = data.initial_state(TrainConfig(lam=0.5, rank=2, step=0.01, max_iters=9, seed=4))
-        assert all(a is b for a, b in zip(again, (A0, W0, KA0, e0)))
-        for array in (A0, W0, KA0, e0):
-            with pytest.raises(ValueError):
-                array[0] = 1.0
-
-    def test_initial_pass_once_per_draw(self, small_problem, monkeypatch):
-        """K_u A0 is computed once per (rank, seed) over searches, fits and grid cells."""
+    def test_step_search_and_fit_draw_once_per_rank_and_seed(self, small_problem):
         tasks, feats, _ = small_problem
         new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
         data = new_data()
-        passed = []
-        forward = PairTaskData.forward
-
-        def counted(self, A, W):
-            passed.append(A)
-            return forward(self, A, W)
-
-        monkeypatch.setattr(PairTaskData, "forward", counted)
         base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1, tol=0.0)
-        keys = (base, replace(base, rank=2), replace(base, seed=2))
+        step = search_rank(data, base, 100.0)
+        for cfg in (base, replace(base, rank=2), replace(base, seed=2), base):
+            cfg = replace(cfg, step=step)
+            assert_same_fit(fit_rank_lowrank(data, cfg), fit_rank_lowrank(new_data(), cfg))
+
+    def test_initial_pass_once_per_draw(self, small_problem):
+        """Searches, fits and grid cells of several (rank, seed) on one PairTaskData."""
+        tasks, feats, _ = small_problem
+        new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        data = new_data()
+        base = TrainConfig(lam=0.1, rank=3, step=1.0, max_iters=60, seed=1, tol=0.0)
         cells = []
-        for key in keys:
+        for key in (base, replace(base, rank=2), replace(base, seed=2)):
             step = search_rank(data, key, 100.0)
-            for lam in (0.1, 0.01):  # the second cell starts from the kept initial pass
+            for lam in (0.1, 0.01):
                 cfg = replace(key, lam=lam, step=step)
                 cells.append((cfg, fit_rank_lowrank(data, cfg)))
-        initial = [data.initial_state(key)[0] for key in keys]
-        assert [sum(A is A0 for A in passed) for A0 in initial] == [1, 1, 1]
         for cfg, model in cells:
             assert_same_fit(model, fit_rank_lowrank(new_data(), cfg))
+
+    def test_each_call_draws_the_same_start_anew(self, small_problem):
+        """Two initial_state calls for one (rank, seed) give equal bits in distinct arrays."""
+        tasks, feats, _ = small_problem
+        data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
+        first = data.initial_state(TrainConfig(lam=0.1, rank=2, step=0.1, max_iters=5, seed=4))
+        again = data.initial_state(TrainConfig(lam=0.5, rank=2, step=0.01, max_iters=9, seed=4))
+        for a, b in zip(first, again, strict=True):
+            assert a.tobytes() == b.tobytes() and not np.shares_memory(a, b)
 
 
 def factored_product(data, A):
@@ -513,7 +484,7 @@ def full_probe_search(fit, cfg, start, probe_iters=10, max_halvings=60):
     raise NumericalError(f"no descending step found after {max_halvings} halvings")
 
 
-class TestProbeStopsAtFirstRise:
+class TestFullProbeSearchStep:
     """A step-search probe is an ordinary fit, judged by its whole trace; the search
     chooses the step full_probe_search chooses, and the fits stay the same."""
 
@@ -559,7 +530,7 @@ class TestProbeStopsAtFirstRise:
         want = full_probe_search(lambda probe: fit_rank_lowrank(full, probe), base, 0.1, 10)
         assert halving_step_search_rank(new_data(), base) == want
 
-    def test_search_probes_stop_at_first_rise(self, small_problem, monkeypatch):
+    def test_rejected_probes_diverged_or_rose(self, small_problem, monkeypatch):
         """A probe is an ordinary fit at tol 0: it runs all its iterations unless it
         diverges, and the search rejects it for a rise anywhere in its trace."""
         tasks, feats, _ = small_problem
@@ -687,6 +658,11 @@ class TestPairTaskData:
         broken = {**feats, user: np.array([0.5, bad, 1.0, 2.0])}
         with pytest.raises(InvalidInputError, match=rf"^non-finite features for user {user!r}$"):
             build_pair_task_data(tasks, broken, KernelSpec("linear"))
+
+    def test_features_without_columns_rejected(self, small_problem):
+        tasks, feats, _ = small_problem
+        with pytest.raises(InvalidInputError, match="^features have no columns$"):
+            build_pair_task_data(tasks, {user: np.empty(0) for user in feats}, KernelSpec("linear"))
 
     def test_stacking_consistent(self, small_problem):
         tasks, _, data = small_problem
