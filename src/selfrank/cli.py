@@ -75,7 +75,8 @@ def _is_int(v) -> bool:
 
 
 def _is_number(v) -> bool:
-    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    """A finite float, or an integer within the float range."""
+    return isinstance(v, float) and math.isfinite(v) or _is_int(v) and abs(v) <= sys.float_info.max
 
 
 def _list_of(check):
@@ -160,7 +161,7 @@ def load_config(config_path: str | None, overrides: list[str], out: str | None, 
             raise ConfigError(f"unknown config key {key!r}")
         try:
             cfg[key] = json.loads(raw)
-        except json.JSONDecodeError:
+        except ValueError:  # not JSON, or an integer over CPython's digit limit: kept as text
             cfg[key] = raw
     if out is not None:
         cfg["out"] = out
@@ -227,8 +228,8 @@ class InputDataError(InvalidInputError):
 
 
 def _load_ranking_problem(cfg: dict):
-    """The configured (split, pair tasks, user features, PairTaskData); the
-    ranked items are `tasks.items`."""
+    """The configured (split, user features, PairTaskData); the pair tasks
+    are `data.tasks` and the ranked items `data.tasks.items`."""
     if cfg["data.ratings"] is None:
         raise ConfigError("data.ratings is required for this command")
     kernel = KernelSpec.from_config(cfg)
@@ -245,13 +246,13 @@ def _load_ranking_problem(cfg: dict):
         data = build_pair_task_data(tasks, features, kernel)
     except InvalidInputError as exc:  # the config's values passed their checks
         raise InputDataError(str(exc)) from exc
-    return split, tasks, features, data
+    return split, features, data
 
 
 def cmd_train(cfg: dict) -> int:
     if cfg["learner"] == "hs" and cfg["train.lambda"] == 0:
         raise ConfigError(f"train.lambda must be > 0 for the hs learner, got {cfg['train.lambda']!r}")
-    _, tasks, _, data = _load_ranking_problem(cfg)
+    data = _load_ranking_problem(cfg)[-1]
     lam, seed = float(cfg["train.lambda"]), int(cfg["seed"])
     checkpoint = {
         "schema_version": CHECKPOINT_SCHEMA,
@@ -259,7 +260,7 @@ def cmd_train(cfg: dict) -> int:
         "learner": cfg["learner"],
         "lambda": lam,
         "seed": seed,
-        **_data_fields(tasks, data),
+        **_data_fields(data),
     }
     if cfg["learner"] == "hs":
         checkpoint["beta"] = fit_rank_hs(data, lam).beta.tolist()
@@ -279,14 +280,15 @@ def cmd_train(cfg: dict) -> int:
     return 0
 
 
-def _data_fields(tasks, data) -> dict:
+def _data_fields(data) -> dict:
     """The kernel and data a checkpoint is bound to, in the checkpoint's JSON form."""
+    tasks = data.tasks
     return {
         "kernel": data.kernel.to_config(),
         "items": tasks.items,
         "pairs": [[tasks.items[a], tasks.items[b]] for a, b in zip(tasks.a.tolist(), tasks.b.tolist())],
-        "users": data.users,
-        "task_sizes": data.task_sizes.tolist(),
+        "users": tasks.users,
+        "task_sizes": tasks.sizes.tolist(),
     }
 
 
@@ -306,11 +308,11 @@ def _number_array(values, size: int) -> np.ndarray | None:
 
 
 def _checkpoint_problem(cfg: dict, command: str):
-    """The configured (split, pair tasks, user features) and the model the
-    schema-2 checkpoint holds, built from its arrays alone."""
+    """The configured (split, user features) and the model the schema-2
+    checkpoint holds, built from its arrays alone, on `model.data.tasks`."""
     if cfg["checkpoint"] is None:
         raise ConfigError(f"{command} requires a checkpoint path")
-    split, tasks, features, data = _load_ranking_problem(cfg)
+    split, features, data = _load_ranking_problem(cfg)
     ck = _json_object(cfg["checkpoint"], "checkpoint")
     schema = ck.get("schema_version")
     if type(schema) is not int:
@@ -319,7 +321,7 @@ def _checkpoint_problem(cfg: dict, command: str):
         raise ConfigError(
             f"unsupported checkpoint schema {schema}; retrain to write a schema {CHECKPOINT_SCHEMA} checkpoint"
         )
-    for field, value in _data_fields(tasks, data).items():
+    for field, value in _data_fields(data).items():
         if ck.get(field) != value:
             raise ConfigError(
                 f"checkpoint field {field!r} differs from the configured data; "
@@ -350,19 +352,19 @@ def _checkpoint_problem(cfg: dict, command: str):
                 )
             factors[field] = values.reshape(rows, r)
         model = LowRankRankModel(data=data, **factors, iters_run=ck["iters_run"], objective_trace=[])
-    return split, tasks, features, model
+    return split, features, model
 
 
 def cmd_eval(cfg: dict) -> int:
-    split, tasks, features, model = _checkpoint_problem(cfg, "eval")
-    report = evaluate_ranking(model, split, tasks, features, on="test", config=cfg)
+    split, features, model = _checkpoint_problem(cfg, "eval")
+    report = evaluate_ranking(model, split, model.data.tasks, features, on="test", config=cfg)
     path = _write_json(cfg, "eval_report.json", report.to_dict())
     print(f"wrote {path} (mean={report.mean:.4f}, n={report.n_queries}, skipped={report.skipped})")
     return 0
 
 
 def cmd_grid(cfg: dict) -> int:
-    split, tasks, features, data = _load_ranking_problem(cfg)
+    split, features, data = _load_ranking_problem(cfg)
     cells = grid_cells(
         data,
         cfg["learner"],
@@ -372,7 +374,7 @@ def cmd_grid(cfg: dict) -> int:
         iters=cfg["grid.iters"],
         seed=int(cfg["seed"]),
     )
-    best, report, table = grid_search(cells, data, split, tasks, features)
+    best, report, table = grid_search(cells, data, split, features)
     _write_json(cfg, "grid_table.json", {"config": cfg, "cells": table})
     path = _write_json(
         cfg,
@@ -384,11 +386,11 @@ def cmd_grid(cfg: dict) -> int:
 
 
 def cmd_decode(cfg: dict) -> int:
-    _, tasks, features, model = _checkpoint_problem(cfg, "decode")
-    items = tasks.items
+    _, features, model = _checkpoint_problem(cfg, "decode")
+    items = model.data.tasks.items
     users = list(features)  # every user: the split tables keep the full user list
     X = np.vstack([np.asarray(features[u], dtype=float) for u in users])
-    decoded = decode_queries(tasks, model.tournament_weights(X), decode=fas_greedy)
+    decoded = decode_queries(model.data.tasks, model.tournament_weights(X), decode=fas_greedy)
     orderings = {
         str(user): [items[j] for j in ordering.docs_by_rank().tolist()]
         for user, ordering in zip(users, decoded)

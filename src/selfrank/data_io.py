@@ -11,9 +11,9 @@ file it rejects.
 
 A PairTaskSet holds the co-rated item pairs of an item subset as columns
 too: per task the document pair (a, b) and its row count, and per stacked
-row a user code (a position in the table's sorted users) and the rating
-difference z, with rows sorted by task, then by user. build_pair_tasks
-reads them off one pairs x users co-rating mask.
+row a co-rater code (a position among the table's users with two or more
+rated subset items) and the rating difference z, with rows sorted by task,
+then by user. build_pair_tasks reads them off one pairs x co-raters mask.
 """
 
 from __future__ import annotations
@@ -365,8 +365,8 @@ class PairTaskSet:
 
     Task t is the document pair (a[t], b[t]), positions in `items` with
     a[t] < b[t], and owns sizes[t] consecutive stacked rows. Stacked row i is
-    the co-rating of user `users[user[i]]` (`users` is the rating table's
-    sorted user list) with z[i] = rating(item a) - rating(item b). Tasks are
+    the co-rating of user `users[user[i]]` (`users` lists the co-raters in
+    the table's order) with z[i] = rating(item a) - rating(item b). Tasks are
     in (a, b) order and each task's rows in user order, so the result does not
     depend on source order. The columns are read-only.
     """
@@ -413,7 +413,8 @@ def build_pair_tasks(table: RatingsTable, item_subset) -> PairTaskSet:
     """One task per unordered item pair with at least one co-rating.
 
     Document indices follow the order of item_subset; z is oriented as
-    rating(first item) - rating(second item). Queries are listed in sorted
+    rating(first item) - rating(second item). Users who rated fewer than two subset
+    items are dropped before the co-rating mask; the rest keep the table's sorted
     order, so the result does not depend on source iteration order.
     """
     items = list(item_subset)
@@ -426,8 +427,10 @@ def build_pair_tasks(table: RatingsTable, item_subset) -> PairTaskSet:
     if len(set(items)) != len(items):
         raise InvalidInputError("item subset contains duplicates")
     R, rated = _rating_block(table, items)
+    co = np.flatnonzero(np.count_nonzero(rated, axis=1) >= 2)  # the co-raters, in table order
+    R, rated = R[co], rated[co]
     a, b = np.triu_indices(len(items), k=1)
-    # pairs x users co-rating mask; its nonzeros come sorted by pair, then user
+    # pairs x co-raters mask; its nonzeros come sorted by pair, then user
     rated_T = np.ascontiguousarray(rated.T)
     mask = rated_T[a]
     mask &= rated_T[b]
@@ -436,7 +439,8 @@ def build_pair_tasks(table: RatingsTable, item_subset) -> PairTaskSet:
     sizes = np.bincount(task, minlength=a.size)
     kept = sizes > 0
     return PairTaskSet(
-        items=items, users=table.users, a=a[kept], b=b[kept], sizes=sizes[kept], user=user, z=z,
+        items=items, users=[table.users[k] for k in co.tolist()], a=a[kept], b=b[kept], sizes=sizes[kept],
+        user=user, z=z,
     )
 
 

@@ -145,7 +145,6 @@ def grid_search(
     cells: list[dict],
     data: PairTaskData,
     split: SplitTable,
-    pair_tasks: PairTaskSet,
     features: dict,
 ):
     """Fit every cell on data and score it on the validation table, decoding by fas_greedy.
@@ -165,7 +164,7 @@ def grid_search(
         except (DivergenceError, NumericalError) as exc:
             table.append({"config": cell, "status": f"failed: {exc}"})
             continue
-        report = evaluate_ranking(model, split, pair_tasks, features, on="val", config=cell)
+        report = evaluate_ranking(model, split, data.tasks, features, on="val", config=cell)
         row = report.to_dict()
         del row["per_query"]
         row["status"] = "ok"

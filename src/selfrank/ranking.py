@@ -1,7 +1,7 @@
 """Pair-task ranking models: low-rank multitask and per-task ridge.
 
 Both models predict as coefficients . k_U(x), k_U(x) the kernel vector of a
-query against the distinct training users: W A^T (kept factored) for low rank,
+query against the training co-raters: W A^T (kept factored) for low rank,
 the scattered per-task ridge solutions C for HS. PairTaskData.kernel_product
 is the one place where coefficients meet k_U. Under the linear kernel
 k_U(x) = U x, so the weights of q queries are (C U) X^T, m u d + m d q flops
@@ -29,15 +29,12 @@ O(u d r + n r) for n stacked rows. Other kernels stream the cached K_u once
 the n x r row gathers run in blocks of PAIR_BLOCK_ROWS stacked rows that stay
 in cache, bit-equal to whole-array gathers.
 
-PairTaskData keeps what its trainers share:
-- the user Gram K_u, built on first use by the kernel oracle kernels.gram;
-  HS reads its blocks under every kernel, the low-rank trainer only under
-  non-linear kernels;
-- the task of each stacked row, row_task;
-- the end state of its last low-rank fit, so a fit whose way passes through
-  it (the fit after its accepted step-search probe, a 2000-iteration grid
-  cell after its 500-iteration sibling) continues from there.
-A fit that does not continue draws its start (initial_state); the n x r
+PairTaskData holds its PairTaskSet, the one stacked-row table, whose user
+codes index the rows of U, K_u and A, and caches what its trainers share
+(K_u, row_task, starts), with the end state of its last low-rank fit: a fit
+whose way passes through it (the fit after its accepted step-search probe, a
+2000-iteration grid cell after its 500-iteration sibling) continues from
+there. A fit that does not continue draws its start (initial_state); the n x r
 factors behind it are drawn and projected a block of stacked rows at a time
 and never held whole.
 """
@@ -65,33 +62,37 @@ PAIR_BLOCK_ROWS = 4096
 
 @dataclass
 class PairTaskData:
-    """Stacked view of a PairTaskSet against a fixed user feature map.
+    """A PairTaskSet against a fixed user feature map; tasks.user indexes U's rows.
 
-    It caches what trainers share, each built on a trainer's first use: the
-    user Gram K_u (kernels.gram; built by fit_rank_hs, and by the
-    low-rank trainer under non-linear kernels only), the task of each stacked row
-    (row_task), and the end state of the last low-rank fit with its
-    (rank, seed, lam, step) (end_state). A new instance computes them anew.
-    Both models predict through kernel_product, which under the linear kernel
-    builds no users x queries matrix.
+    It caches what trainers share, each built on first use: each task's first
+    stacked row (starts), the user Gram K_u (kernels.gram; built by
+    fit_rank_hs, and by the low-rank trainer under non-linear kernels only),
+    the task of each stacked row (row_task), and the end state of the last
+    low-rank fit with its (rank, seed, lam, step) (end_state); a new
+    instance starts with none. Both models predict through kernel_product.
     """
 
-    users: list
-    U: np.ndarray  # distinct user features, one row per user
+    tasks: PairTaskSet
+    U: np.ndarray  # features of tasks.users, one row per user
     kernel: KernelSpec
-    row_user: np.ndarray  # user index per stacked row
-    starts: np.ndarray  # first stacked row of each task
-    task_sizes: np.ndarray
-    z: np.ndarray  # stacked signed rating differences
     _end: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
+    def users(self) -> list:
+        return self.tasks.users
+
+    @property
     def n_rows(self) -> int:
-        return self.z.shape[0]
+        return len(self.tasks.z)
 
     @property
     def n_tasks(self) -> int:
-        return len(self.task_sizes)
+        return self.tasks.n_tasks
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """First stacked row of each task, built on first use and kept."""
+        return np.cumsum(self.tasks.sizes) - self.tasks.sizes
 
     @cached_property
     def K_u(self) -> np.ndarray:
@@ -101,7 +102,7 @@ class PairTaskData:
     @cached_property
     def row_task(self) -> np.ndarray:
         """Task index per stacked row, built on first use and kept."""
-        return np.repeat(np.arange(self.n_tasks), self.task_sizes)
+        return np.repeat(np.arange(self.n_tasks), self.tasks.sizes)
 
     def forward(self, A: np.ndarray, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K_u A, and the residuals e_i = (K_u A)[u_i] . W[t_i] - z_i per stacked row.
@@ -123,9 +124,9 @@ class PairTaskData:
         for lo in range(0, self.n_rows, PAIR_BLOCK_ROWS):
             rows = slice(lo, lo + PAIR_BLOCK_ROWS)
             # np.take gathers faster than fancy indexing, and than take(out=...)
-            P = np.take(KA, self.row_user[rows], axis=0)
+            P = np.take(KA, self.tasks.user[rows], axis=0)
             np.einsum("ij,ij->i", P, np.take(W, self.row_task[rows], axis=0), out=e[rows])
-        return KA, np.subtract(e, self.z, out=e)
+        return KA, np.subtract(e, self.tasks.z, out=e)
 
     def initial_state(self, cfg: TrainConfig) -> tuple[np.ndarray, ...]:
         """The low-rank trainer's start (A0, W0, K_u A0, e0), drawn anew per call.
@@ -152,12 +153,12 @@ class PairTaskData:
             M *= scale
             # Entry by entry into the flat A: 1-D np.add.at takes numpy's fast
             # path, about three times faster than adding rows into the 2-D A.
-            np.add.at(A.reshape(-1), (r * self.row_user[lo:hi, None] + np.arange(r)).ravel(), M.ravel())
+            np.add.at(A.reshape(-1), (r * self.tasks.user[lo:hi, None] + np.arange(r)).ravel(), M.ravel())
         W = np.empty((self.n_tasks, r))
         for lo, hi, tasks in blocks:
             N = rng.standard_normal((hi - lo, r))
             N *= scale
-            N *= self.z[lo:hi, None]
+            N *= self.tasks.z[lo:hi, None]
             W[tasks] = np.add.reduceat(N, self.starts[tasks] - lo, axis=0)
         return (A, W, *self.forward(A, W))
 
@@ -215,34 +216,20 @@ class PairTaskData:
 def build_pair_task_data(
     tasks: PairTaskSet, features: dict, kernel: KernelSpec
 ) -> PairTaskData:
-    """Stack the task samples over the distinct users; the user Gram waits for a trainer.
-
-    The distinct users are the co-raters in the table's sorted user order, so
-    row_user renumbers the task set's user codes to positions among them.
-    """
+    """The task set against one feature row per user of it, in its order; the
+    user Gram waits for a trainer."""
     if not tasks.n_tasks:
         raise InvalidInputError("pair task set has no tasks")
-    present = np.bincount(tasks.user, minlength=len(tasks.users)) > 0
-    users = [tasks.users[k] for k in np.flatnonzero(present).tolist()]
-    missing = [u for u in users if u not in features]
+    missing = [u for u in tasks.users if u not in features]
     if missing:
         raise InvalidInputError(f"no features for users {missing[:5]!r}")
-    U = np.vstack([np.asarray(features[u], dtype=float) for u in users])
+    U = np.vstack([np.asarray(features[u], dtype=float) for u in tasks.users])
     if not U.shape[1]:
         raise InvalidInputError("features have no columns")
     finite = np.isfinite(U).all(axis=1)
     if not finite.all():
-        raise InvalidInputError(f"non-finite features for user {users[int(np.argmin(finite))]!r}")
-    starts = np.cumsum(tasks.sizes) - tasks.sizes
-    return PairTaskData(
-        users=users,
-        U=U,
-        kernel=kernel,
-        row_user=(np.cumsum(present) - 1)[tasks.user],
-        starts=starts,
-        task_sizes=tasks.sizes,
-        z=tasks.z,
-    )
+        raise InvalidInputError(f"non-finite features for user {tasks.users[int(np.argmin(finite))]!r}")
+    return PairTaskData(tasks=tasks, U=U, kernel=kernel)
 
 
 @dataclass
@@ -301,9 +288,9 @@ def fit_rank_lowrank(data: PairTaskData, cfg: TrainConfig) -> LowRankRankModel:
     state, trace = data.end_state(cfg) or (data.initial_state(cfg), None)
     # Column-compressed, so the stored values are the stacked rows in order;
     # E.T holds the same structure, so one transpose serves the whole fit.
-    E = csc_array((state[3], data.row_user, np.append(data.starts, n)), shape=(u, T))
+    E = csc_array((state[3], data.tasks.user, np.append(data.starts, n)), shape=(u, T))
     E_T = E.T
-    inv_nt = 1.0 / data.task_sizes.astype(float)
+    inv_nt = 1.0 / data.tasks.sizes.astype(float)
     inv_Tnt = (inv_nt / T)[:, None]
     shrink = 1.0 - cfg.lam * cfg.step
 
@@ -359,7 +346,7 @@ class HsRankModel:
         from scipy.sparse import csr_array
 
         d = self.data
-        self.C = csr_array((self.beta, d.row_user, np.append(d.starts, d.n_rows)), shape=(d.n_tasks, len(d.users)))
+        self.C = csr_array((self.beta, d.tasks.user, np.append(d.starts, d.n_rows)), shape=(d.n_tasks, len(d.users)))
 
     def tournament_weights(self, queries: np.ndarray) -> np.ndarray:
         return self.data.kernel_product(self.C, queries)
@@ -368,11 +355,11 @@ class HsRankModel:
 def fit_rank_hs(data: PairTaskData, lam: float) -> HsRankModel:
     """Closed-form per-task coefficients: beta_t = (K_t + n_t lam I)^-1 z_t, lam > 0."""
     beta = np.empty(data.n_rows)
-    for t, b in enumerate(_row_slices(data.task_sizes)):
-        rows = data.row_user[b]
+    for t, b in enumerate(_row_slices(data.tasks.sizes)):
+        rows = data.tasks.user[b]
         try:
             factor = ridge_cho_factor(data.K_u[np.ix_(rows, rows)], lam)
         except NumericalError as exc:
             raise NumericalError(f"task {t}: {exc}") from exc
-        beta[b] = ridge_cho_solve(factor, data.z[b])
+        beta[b] = ridge_cho_solve(factor, data.tasks.z[b])
     return HsRankModel(data=data, beta=beta)

@@ -13,7 +13,7 @@ from functools import partial
 
 import numpy as np
 
-from .data_io import RatingsTable, build_pair_tasks
+from .data_io import PairTaskSet, RatingsTable, build_pair_tasks
 from .decoding import Tournament, backward_weight, decode_finite, fas_exact, fas_greedy
 from .kernels import KernelSpec, cross_vector, gram
 from .learners import (
@@ -70,7 +70,10 @@ def check_hand_updates() -> dict:
 
 
 def check_factor_equivalence(rng) -> list[dict]:
-    """Kernel factors must track the explicit factors: A_k = X^T M_k, B_k = Y^T N_k."""
+    """Kernel factors must track the explicit factors: A_k = X^T M_k, B_k = Y^T N_k.
+
+    The thresholds, set at seed 0, fail at seed 1 (2.23e-5, 4.38e-4): its 5th problem
+    (n=8, d=9, T=8, r=2, step 0.025) agrees to 7e-15 at iterate 60 but 2.2e-5 at 100."""
     iters = 100
     dev_factors = 0.0
     dev_weights = 0.0
@@ -156,7 +159,11 @@ def check_gram_balance(rng) -> dict:
 
 
 def check_variational_consistency(rng) -> dict:
-    """Factorized descent at full rank must reach the proximal solver's objective."""
+    """Factorized descent at full rank must reach the proximal solver's objective.
+
+    The threshold, set at seed 0, fails at seed 4099 (3.26e-2): in rep 0 (n=10, d=13, T=12,
+    r=12) descent at the probed step 3.09e-3 settles at 2.83438, against the proximal 2.74484,
+    and returns there after a 1e-2 perturbation; a quarter of that step reaches 2.74484."""
     worst = 0.0
     for _ in range(2):
         n = int(rng.integers(10, 25))
@@ -310,12 +317,13 @@ def check_pairtask_reduced_state(rng) -> dict:
     data = _random_pair_task_data(rng)
     cfg = TrainConfig(lam=0.3, rank=2, step=0.02, max_iters=40, seed=4, tol=0.0)
     model = fit_rank_lowrank(data, cfg)
-    K_rows = data.K_u[data.row_user][:, data.row_user]
-    blocks = _row_slices(data.task_sizes)
-    ms = fit_lowrank_mtl([K_rows[b] for b in blocks], [np.outer(data.z[b], data.z[b]) for b in blocks], cfg)
+    user, z = data.tasks.user, data.tasks.z
+    K_rows = data.K_u[user][:, user]
+    blocks = _row_slices(data.tasks.sizes)
+    ms = fit_lowrank_mtl([K_rows[b] for b in blocks], [np.outer(z[b], z[b]) for b in blocks], cfg)
     A = np.zeros_like(model.A)
-    np.add.at(A, data.row_user, ms.M)
-    W = np.array([data.z[b] @ N_t for b, N_t in zip(blocks, ms.N_per_task)])
+    np.add.at(A, user, ms.M)
+    W = np.array([z[b] @ N_t for b, N_t in zip(blocks, ms.N_per_task)])
     t = np.asarray(ms.objective_trace)
     dev = max(
         np.linalg.norm(model.A - A) / np.linalg.norm(A),
@@ -328,7 +336,9 @@ def check_pairtask_reduced_state(rng) -> dict:
 def check_pairtask_long_descent(rng) -> dict:
     """At T > 1 a 1,000-iteration fit_rank_lowrank at the step its 10-iteration
     search accepts must never rise by more than 1e-12 x its first objective, on
-    12 problems at lam 0.01, 0.1 and 0.3, rank 2."""
+    12 problems at lam 0.01, 0.1 and 0.3, rank 2. The search sees only 10 iterations, and
+    the threshold was set at seed 0: at default_rng(4) (0.241) the 2nd lam-0.01 problem at
+    step 0.1 rises from 1.38 to 4.22 over iterates 239-243, while half that step descends."""
     worst = 0.0
     for lam in (0.01, 0.1, 0.3):
         for _ in range(4):
@@ -343,10 +353,10 @@ def _pairtask_explicit_objective(data: PairTaskData, lam: float, V: np.ndarray, 
     """The pair-task objective in explicit coordinates under the linear kernel,
     V = U^T A (d x r) and W: sum_t sum_{i in t} e_i^2 / (T n_t) + lam (||V||^2 + ||W||^2 / T),
     e_i = U_u(i) V w_t(i) - z_i."""
-    T = data.n_tasks
-    row_task = np.repeat(np.arange(T), data.task_sizes)
-    e = np.sum((data.U[data.row_user] @ V) * W[row_task], axis=1) - data.z
-    return float(np.sum(e * e / (T * data.task_sizes[row_task]))) + lam * (float(np.sum(V * V)) + float(np.sum(W * W)) / T)
+    T, tasks = data.n_tasks, data.tasks
+    row_task = np.repeat(np.arange(T), tasks.sizes)
+    e = np.sum((data.U[tasks.user] @ V) * W[row_task], axis=1) - tasks.z
+    return float(np.sum(e * e / (T * tasks.sizes[row_task]))) + lam * (float(np.sum(V * V)) + float(np.sum(W * W)) / T)
 
 
 def _central_gradient(f, x: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -397,10 +407,10 @@ def check_pairtask_hs(rng) -> dict:
     X = rng.standard_normal((5, data.U.shape[1]))
     got = fit_rank_hs(data, lam).tournament_weights(X)
     expected = np.empty_like(got)
-    for t, b in enumerate(_row_slices(data.task_sizes)):
-        rows = data.row_user[b]
+    for t, b in enumerate(_row_slices(data.tasks.sizes)):
+        rows = data.tasks.user[b]
         factor = ridge_cho_factor(data.K_u[np.ix_(rows, rows)], lam)
-        expected[t] = data.z[b] @ ridge_cho_solve(factor, data.U[rows] @ X.T)
+        expected[t] = data.tasks.z[b] @ ridge_cho_solve(factor, data.U[rows] @ X.T)
     return _check("pairtask_hs_equivalence", np.linalg.norm(got - expected) / np.linalg.norm(expected), 1e-8)
 
 
@@ -453,19 +463,16 @@ def _rank_models(data: PairTaskData, A: np.ndarray, W: np.ndarray, beta: np.ndar
 
 
 def stacked_pair_task_data(rng, sizes, users=40, width=5) -> PairTaskData:
-    """Linear-kernel PairTaskData over tasks of the given sizes: each stacked row
-    a random one of `users` users with `width` features, and a random z."""
+    """Linear-kernel PairTaskData over pairs (0, t + 1) of the given sizes: each stacked row a random
+    one of `users` users with `width` features, and a random z; U, row users and z drawn in order."""
     sizes = np.asarray(sizes)
-    n = int(sizes.sum())
-    return PairTaskData(
-        users=list(range(users)),
-        U=rng.standard_normal((users, width)),
-        kernel=KernelSpec("linear"),
-        row_user=rng.integers(0, users, n),
-        starts=np.cumsum(sizes) - sizes,
-        task_sizes=sizes,
-        z=rng.standard_normal(n),
+    n, T = int(sizes.sum()), len(sizes)
+    U = rng.standard_normal((users, width))
+    tasks = PairTaskSet(
+        items=list(range(T + 1)), users=list(range(users)), a=np.zeros(T, dtype=np.intp), b=np.arange(1, T + 1),
+        sizes=sizes, user=rng.integers(0, users, n), z=rng.standard_normal(n),
     )
+    return PairTaskData(tasks=tasks, U=U, kernel=KernelSpec("linear"))
 
 
 def check_streamed_initial_state(rng) -> dict:
@@ -487,11 +494,11 @@ def check_streamed_initial_state(rng) -> dict:
     for sizes in cases:
         data = stacked_pair_task_data(rng, sizes)
         n = data.n_rows
-        S_T = csc_array((np.ones(n), data.row_user, np.arange(n + 1)), shape=(len(data.users), n))
+        S_T = csc_array((np.ones(n), data.tasks.user, np.arange(n + 1)), shape=(len(data.users), n))
         for r in (1, 5, 20):
             cfg = TrainConfig(lam=0.1, rank=r, step=0.1, max_iters=1, seed=int(rng.integers(1000)))
             M, N = init_factors(n, cfg)
-            want = (S_T @ M, np.add.reduceat(data.z[:, None] * N, data.starts, axis=0))
+            want = (S_T @ M, np.add.reduceat(data.tasks.z[:, None] * N, data.starts, axis=0))
             for got, ref in zip(data.initial_state(cfg)[:2], want):
                 worst = max(worst, float(np.max(np.abs(got - ref))) if got.shape == ref.shape else np.inf)
     return _check("streamed_initial_state", worst, 0.0)

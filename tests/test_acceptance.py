@@ -279,8 +279,8 @@ def test_c08_ranking_directional():
         tasks = build_pair_tasks(split.train, items)
         feats = user_feature_map(split.train, items)
         data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
-        best_tn, _, _ = grid_search(grid_cells(data, "lowrank", seed=0), data, split, tasks, feats)
-        best_hs, _, _ = grid_search(grid_cells(data, "hs"), data, split, tasks, feats)
+        best_tn, _, _ = grid_search(grid_cells(data, "lowrank", seed=0), data, split, feats)
+        best_hs, _, _ = grid_search(grid_cells(data, "hs"), data, split, feats)
         test_tn = evaluate_ranking(fit_cell(data, best_tn), split, tasks, feats, on="test")
         test_hs = evaluate_ranking(fit_cell(data, best_hs), split, tasks, feats, on="test")
     elapsed = time.time() - t0

@@ -19,6 +19,8 @@ from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 # JSON values a checkpoint's number arrays must reject: a string, null, NaN, a
 # bool and an integer past the float range
 BAD_NUMBERS = ("x", None, float("nan"), True, 10**400)
+# a config value that is an integer past the float range
+HUGE = 10**400
 
 # Runs low-rank train, eval and decode, then hs train, in one fresh interpreter
 # and prints after each whether scipy.linalg has been imported.
@@ -183,6 +185,15 @@ class TestConfig:
             (["synth.rank=6", "synth.d=8", "synth.tasks=5"], "synth.rank"),
             (["kernel.kind=gaussian", "kernel.bandwidth=1e200"], "kernel.bandwidth"),
             (["kernel.kind=gaussian", "kernel.bandwidth=1e-200", "learner=hs"], "kernel.bandwidth"),
+            # integers past the float range, and one past CPython's 4,300-digit parse limit
+            ([f"train.lambda={HUGE}"], "train.lambda"),
+            ([f"train.step={HUGE}"], "train.step"),
+            (["kernel.kind=gaussian", f"kernel.bandwidth={HUGE}"], "kernel.bandwidth"),
+            ([f"grid.lambdas=[0.1, {HUGE}]"], "grid.lambdas"),
+            ([f"grid.steps=[{HUGE}]"], "grid.steps"),
+            ([f"synth.noise={HUGE}"], "synth.noise"),
+            ([f"synth.lambdas=[{HUGE}]"], "synth.lambdas"),
+            ([f"train.lambda=1{'0' * 4300}"], "train.lambda"),
         ],
     )
     def test_malformed_numeric_value_exits_2(self, tmp_path, ratings_file, capsys, overrides, key):
@@ -554,9 +565,9 @@ class TestCommands:
         cfg = load_config(None, base_overrides(ratings_file, ["learner=hs"]), out, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            split, tasks, features, data = _load_ranking_problem(cfg)
+            split, features, data = _load_ranking_problem(cfg)
         model = fit_rank_hs(data, cfg["train.lambda"])
-        report = evaluate_ranking(model, split, tasks, features, on="test")
+        report = evaluate_ranking(model, split, data.tasks, features, on="test")
         assert json.load(open(f"{out}/eval_report.json"))["per_query"] == report.per_query
 
     def test_only_hs_loads_scipy_linalg(self, tmp_path, ratings_file):
@@ -579,10 +590,10 @@ class TestCommands:
             warnings.simplefilter("ignore")
             data = _load_ranking_problem(cfg)[-1]
         lam, want, lo = cfg["train.lambda"], [], 0
-        for n in data.task_sizes.tolist():
-            rows = data.row_user[lo:lo + n]
+        for n in data.tasks.sizes.tolist():
+            rows = data.tasks.user[lo:lo + n]
             system = data.K_u[np.ix_(rows, rows)] + n * lam * np.eye(n)
-            want += cho_solve(cho_factor(system), data.z[lo:lo + n]).tolist()
+            want += cho_solve(cho_factor(system), data.tasks.z[lo:lo + n]).tolist()
             lo += n
         ck = json.loads((tmp_path / "hs" / "checkpoint.json").read_text())
         assert ck["beta"] == want
@@ -713,11 +724,11 @@ class TestCommands:
             warnings.simplefilter("ignore")
             assert run("grid", overrides=overrides, out=out, seed=0) == 0
             cfg = load_config(None, overrides, out, 0)
-            split, tasks, features, data = _load_ranking_problem(cfg)
+            _, features, data = _load_ranking_problem(cfg)
         reasons = {}
         for row in json.load(open(f"{out}/grid_table.json"))["cells"]:
             cell = row["config"]
-            fresh = fit_cell(build_pair_task_data(tasks, features, data.kernel), cell)
+            fresh = fit_cell(build_pair_task_data(data.tasks, features, data.kernel), cell)
             assert (row["iters_run"], row["stop_reason"]) == (fresh.iters_run, fresh.stop_reason)
             reasons[cell["lambda"], cell["iters"]] = row["stop_reason"]
         assert reasons == {

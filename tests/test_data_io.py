@@ -27,7 +27,7 @@ from selfrank.data_io import (
 )
 from selfrank.errors import DuplicateRatingError, InvalidInputError, RatingsParseError
 from selfrank.kernels import KernelSpec
-from selfrank.ranking import PairTaskData, build_pair_task_data
+from selfrank.ranking import build_pair_task_data
 
 
 class TestParseMovielens:
@@ -569,8 +569,9 @@ def split_per_user_loop_reference(table, seed, fractions=(0.5, 0.2, 0.3)):
     return [table._rows(bucket == b) for b in range(3)], warned
 
 
-def build_pair_task_data_reference(tasks, features, kernel):
-    """The set, dict and per-row generator loop that build_pair_task_data replaced, over PairTasks."""
+def build_pair_task_data_reference(tasks, features):
+    """The set, dict and per-row generator loop that stacked PairTasks over their
+    distinct users: the users and, by name, U and the stacked-row columns."""
     users = sorted({q for t in tasks for q in t.query_ids})
     index = {u: k for k, u in enumerate(users)}
     U = np.vstack([np.asarray(features[u], dtype=float) for u in users])
@@ -581,10 +582,10 @@ def build_pair_task_data_reference(tasks, features, kernel):
         z_parts.append(t.z)
     sizes = np.asarray(sizes, dtype=int)
     starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    return PairTaskData(
-        users=users, U=U, kernel=kernel, row_user=np.asarray(row_user, dtype=int),
-        starts=starts, task_sizes=sizes, z=np.concatenate(z_parts).astype(float),
-    )
+    return users, {
+        "U": U, "user": np.asarray(row_user, dtype=int), "starts": starts, "sizes": sizes,
+        "z": np.concatenate(z_parts).astype(float),
+    }
 
 
 def _assert_same_array(got, want):
@@ -599,10 +600,12 @@ def _assert_same_table(got, want):
 
 
 def _assert_same_pair_task_data(got, want):
-    assert got.users == want.users
-    assert [type(u) for u in got.users] == [type(u) for u in want.users]
-    for name in ("U", "row_user", "starts", "task_sizes", "z"):
-        _assert_same_array(getattr(got, name), getattr(want, name))
+    users, columns = want
+    assert got.users == users and got.tasks.users is got.users
+    assert [type(u) for u in got.users] == [type(u) for u in users]
+    got_columns = {"U": got.U, "user": got.tasks.user, "starts": got.starts, "sizes": got.tasks.sizes, "z": got.tasks.z}
+    for name, column in columns.items():
+        _assert_same_array(got_columns[name], column)
 
 
 def _split_cases(tmp_path):
@@ -632,7 +635,7 @@ def test_split_and_pair_task_data_match_loop_references(tmp_path):
             features = user_feature_map(split.train, subset)
             _assert_same_pair_task_data(
                 build_pair_task_data(tasks, features, kernel),
-                build_pair_task_data_reference(want_tasks, features, kernel),
+                build_pair_task_data_reference(want_tasks, features),
             )
 
 

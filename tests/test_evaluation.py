@@ -144,37 +144,37 @@ def _grid_problem(seed=3):
     table, split = make_split(rng, n_users=20)
     tasks = build_pair_tasks(split.train, table.items)
     features = user_feature_map(split.train, table.items)
-    return split, tasks, features, build_pair_task_data(tasks, features, KernelSpec("linear"))
+    return split, features, build_pair_task_data(tasks, features, KernelSpec("linear"))
 
 
 class TestGridSearch:
     def test_single_cell_returned(self):
-        split, tasks, features, data = _grid_problem()
+        split, features, data = _grid_problem()
         cells = grid_cells(data, "lowrank", lambdas=(0.1,), ranks=(2,), steps=(1e-3,), iters=(50,))
-        best, report, table = grid_search(cells, data, split, tasks, features)
+        best, report, table = grid_search(cells, data, split, features)
         assert best["lambda"] == 0.1 and best["rank"] == 2
         assert len(table) == 1 and table[0]["status"] == "ok"
 
     def test_diverging_cell_contained(self):
-        split, tasks, features, data = _grid_problem()
+        split, features, data = _grid_problem()
         cells = grid_cells(data, "lowrank", lambdas=(0.1,), ranks=(2,), steps=(1e3, 1e-3), iters=(50,))
-        best, report, table = grid_search(cells, data, split, tasks, features)
+        best, report, table = grid_search(cells, data, split, features)
         statuses = [row["status"] for row in table]
         assert any(s.startswith("failed") for s in statuses)
         assert best["step"] == 1e-3
 
     def test_best_has_minimal_validation_mean(self):
-        split, tasks, features, data = _grid_problem()
+        split, features, data = _grid_problem()
         cells = grid_cells(data, "lowrank", lambdas=(1e-3, 1e-1, 10.0), ranks=(2,), steps=(1e-3,), iters=(60,))
-        best, report, table = grid_search(cells, data, split, tasks, features)
+        best, report, table = grid_search(cells, data, split, features)
         means = [row["mean"] for row in table if row["status"] == "ok"]
         assert report.mean == min(means)
 
     def test_ties_break_to_earlier_grid_cell(self):
-        split, tasks, features, data = _grid_problem()
+        split, features, data = _grid_problem()
         # duplicated lambda -> identical validation means; first cell must win
         cells = grid_cells(data, "hs", lambdas=(0.05, 0.05))
-        best, report, table = grid_search(cells, data, split, tasks, features)
+        best, report, table = grid_search(cells, data, split, features)
         assert table[0]["mean"] == table[1]["mean"]
         assert best is table[0]["config"]
 
@@ -182,22 +182,22 @@ class TestGridSearch:
         "learner, fit_stop", [("hs", {}), ("lowrank", {"iters_run": 50, "stop_reason": "max_iters"})]
     )
     def test_row_is_the_report_without_per_query(self, learner, fit_stop):
-        split, tasks, features, data = _grid_problem()
+        split, features, data = _grid_problem()
         cells = grid_cells(data, learner, lambdas=(0.1,), ranks=(2,), steps=(1e-3,), iters=(50,))
-        best, report, table = grid_search(cells, data, split, tasks, features)
+        best, report, table = grid_search(cells, data, split, features)
         want = report.to_dict()
         del want["per_query"]
         assert table == [{**want, "status": "ok", **fit_stop}]
 
     def test_hs_grid(self):
-        split, tasks, features, data = _grid_problem()
+        split, features, data = _grid_problem()
         cells = grid_cells(data, "hs", lambdas=(1e-3, 1e-1))
-        best, report, table = grid_search(cells, data, split, tasks, features)
+        best, report, table = grid_search(cells, data, split, features)
         assert best["learner"] == "hs"
         assert len(table) == 2
 
     def test_unknown_learner_rejected(self):
-        _, _, _, data = _grid_problem()
+        _, _, data = _grid_problem()
         with pytest.raises(InvalidInputError, match="learner must be lowrank or hs"):
             grid_cells(data, "boost", lambdas=(0.1,), ranks=(2,), steps=(1e-3,), iters=(10,))
 
@@ -210,7 +210,7 @@ GRID_LISTS = [("lowrank", "lambdas"), ("lowrank", "ranks"), ("lowrank", "steps")
 
 class TestGridCells:
     def test_nesting_order_with_explicit_steps(self):
-        _, _, _, data = _grid_problem()
+        _, _, data = _grid_problem()
         cells = grid_cells(data, "lowrank", lambdas=(0.1, 0.01), ranks=(3, 2), steps=(1e-3, 1e-2),
                            iters=(20, 10), seed=4)
         assert [(c["lambda"], c["rank"], c["step"], c["iters"]) for c in cells] == [
@@ -222,18 +222,18 @@ class TestGridCells:
         assert all(type(c["rank"]) is int and type(c["step"]) is float for c in cells)
 
     def test_one_searched_step_per_rank(self):
-        _, _, _, data = _grid_problem()
+        _, _, data = _grid_problem()
         cells = grid_cells(data, "lowrank", lambdas=(0.1, 0.01), ranks=(2, 4), iters=(30, 60), seed=0)
         assert [(c["lambda"], c["rank"], c["iters"]) for c in cells] == [
             (lam, rank, it) for lam in (0.1, 0.01) for rank in (2, 4) for it in (30, 60)
         ]
         for rank in (2, 4):
             probe = TrainConfig(lam=0.01, rank=rank, step=1.0, max_iters=10, seed=0)
-            want = halving_step_search_rank(_grid_problem()[3], probe)  # on a fresh problem
+            want = halving_step_search_rank(_grid_problem()[2], probe)  # on a fresh problem
             assert {c["step"] for c in cells if c["rank"] == rank} == {want}
 
     def test_duplicate_ranks(self, monkeypatch):
-        _, _, _, data = _grid_problem()
+        _, _, data = _grid_problem()
         searched = []
 
         def search(data, cfg):
@@ -246,20 +246,20 @@ class TestGridCells:
         assert [(c["rank"], c["step"]) for c in cells] == [(2, 0.02), (3, 0.03), (2, 0.02)]
 
     def test_hs_ignores_ranks_steps_and_iters(self, monkeypatch):
-        _, _, _, data = _grid_problem()
+        _, _, data = _grid_problem()
         monkeypatch.setattr("selfrank.evaluation.halving_step_search_rank", None)  # never searched
         cells = grid_cells(data, "hs", lambdas=(1e-3, 1e-1), ranks=(), steps=None, iters=(0,))
         assert cells == [{"learner": "hs", "lambda": 1e-3}, {"learner": "hs", "lambda": 1e-1}]
 
     @pytest.mark.parametrize("learner, name", GRID_LISTS)
     def test_empty_list_rejected(self, learner, name):
-        _, _, _, data = _grid_problem()
+        _, _, data = _grid_problem()
         with pytest.raises(InvalidInputError, match=f"grid list {name} must be nonempty"):
             grid_cells(data, learner, **{**VALID_GRID, name: ()})
 
     @pytest.mark.parametrize("learner, name", GRID_LISTS)
     def test_nonpositive_rejected(self, learner, name):
-        _, _, _, data = _grid_problem()
+        _, _, data = _grid_problem()
         grid = {**VALID_GRID, name: (*VALID_GRID[name], 0)}
         with pytest.raises(InvalidInputError, match=f"grid list {name} must be positive"):
             grid_cells(data, learner, **grid)

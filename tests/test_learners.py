@@ -250,8 +250,7 @@ def _mtl_problem(seed, scale=1.0):
 
 def _pair_problem(seed, scale=1.0):
     data = stacked_pair_task_data(np.random.default_rng(seed), [4, 7, 2, 9], users=12)
-    data.z *= scale
-    return data
+    return replace(data, tasks=replace(data.tasks, z=data.tasks.z * scale))
 
 
 # Each trainer on a fresh problem whose Grams (or pair outputs z) are scaled

@@ -52,13 +52,13 @@ def small_problem():
 
 def materialized_blocks(data):
     """The generic per-task kernel blocks the structured trainer must reproduce."""
-    K_stack = data.K_u[data.row_user][:, data.row_user]
+    K_stack = data.K_u[data.tasks.user][:, data.tasks.user]
     blocks, grams = [], []
     for t in range(data.n_tasks):
         s = data.starts[t]
-        m = data.task_sizes[t]
+        m = data.tasks.sizes[t]
         blocks.append(K_stack[s : s + m])
-        z_t = data.z[s : s + m]
+        z_t = data.tasks.z[s : s + m]
         grams.append(np.outer(z_t, z_t))
     return blocks, grams
 
@@ -72,10 +72,10 @@ class TestStructuredTrainerEquivalence:
         ms = fit_lowrank_mtl(blocks, grams, cfg)
         # the structured trainer carries A = S^T M and w_t = N_t^T z_t
         A = np.zeros_like(model.A)
-        np.add.at(A, data.row_user, ms.M)
+        np.add.at(A, data.tasks.user, ms.M)
         W = np.array(
             [
-                data.z[data.starts[t] : data.starts[t] + data.task_sizes[t]] @ N_t
+                data.tasks.z[data.starts[t] : data.starts[t] + data.tasks.sizes[t]] @ N_t
                 for t, N_t in enumerate(ms.N_per_task)
             ]
         )
@@ -93,11 +93,11 @@ class TestStructuredTrainerEquivalence:
         ms = fit_lowrank_mtl(blocks, grams, cfg)
         rng = np.random.default_rng(0)
         x = rng.standard_normal(4)
-        v = (data.U @ x)[data.row_user]
+        v = (data.U @ x)[data.tasks.user]
         alphas = [N_t @ (ms.M.T @ v) for N_t in ms.N_per_task]  # alpha_t = N_t M^T v
         expected = np.array(
             [
-                a @ data.z[data.starts[t] : data.starts[t] + data.task_sizes[t]]
+                a @ data.tasks.z[data.starts[t] : data.starts[t] + data.tasks.sizes[t]]
                 for t, a in enumerate(alphas)
             ]
         )
@@ -122,7 +122,7 @@ class TestStructuredTrainerEquivalence:
 class TestSharedInitialState:
     """Fits on one shared PairTaskData equal fits on a fresh one, bit for bit."""
 
-    def test_step_search_and_fit_draw_once_per_rank_and_seed(self, small_problem):
+    def test_search_and_fits_on_shared_data_equal_fresh_fits(self, small_problem):
         tasks, feats, _ = small_problem
         new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
         data = new_data()
@@ -132,7 +132,7 @@ class TestSharedInitialState:
             cfg = replace(cfg, step=step)
             assert_same_fit(fit_rank_lowrank(data, cfg), fit_rank_lowrank(new_data(), cfg))
 
-    def test_initial_pass_once_per_draw(self, small_problem):
+    def test_grid_cells_on_shared_data_equal_fresh_fits(self, small_problem):
         """Searches, fits and grid cells of several (rank, seed) on one PairTaskData."""
         tasks, feats, _ = small_problem
         new_data = lambda: build_pair_task_data(tasks, feats, KernelSpec("linear"))
@@ -172,17 +172,17 @@ def unblocked_fit(data, cfg, product=factored_product):
     per iteration and a transpose per iteration, as the trainer ran before row blocks;
     its K_u A comes from `product`."""
     n, T, u = data.n_rows, data.n_tasks, len(data.users)
-    z = data.z
-    row_task = np.repeat(np.arange(T), data.task_sizes)
-    E = csc_array((np.empty(n), data.row_user, np.append(data.starts, n)), shape=(u, T))
-    inv_nt = 1.0 / data.task_sizes.astype(float)
+    z = data.tasks.z
+    row_task = np.repeat(np.arange(T), data.tasks.sizes)
+    E = csc_array((np.empty(n), data.tasks.user, np.append(data.starts, n)), shape=(u, T))
+    inv_nt = 1.0 / data.tasks.sizes.astype(float)
     inv_Tnt = (inv_nt / T)[:, None]
     seg = lambda values: np.add.reduceat(values, data.starts, axis=0)
     shrink = 1.0 - cfg.lam * cfg.step
 
     def forward(A, W):
         KA = product(data, A)
-        P = np.take(KA, data.row_user, axis=0)
+        P = np.take(KA, data.tasks.user, axis=0)
         return KA, np.einsum("ij,ij->i", P, np.take(W, row_task, axis=0))
 
     def objective(A, W, KA, pw):
@@ -287,12 +287,12 @@ class TestRecordedObjective:
         tasks, feats, _ = small_problem
         data = build_pair_task_data(tasks, feats, KernelSpec("linear"))
         T, nu = data.n_tasks, 0.05
-        rows, c = data.U[data.row_user], 1.0 / (T * np.repeat(data.task_sizes, data.task_sizes))
-        row_task = np.repeat(np.arange(T), data.task_sizes)
+        rows, c = data.U[data.tasks.user], 1.0 / (T * np.repeat(data.tasks.sizes, data.tasks.sizes))
+        row_task = np.repeat(np.arange(T), data.tasks.sizes)
 
         def objective_and_gradients(V, W):
             P = rows @ V
-            e = np.sum(P * W[row_task], axis=1) - data.z
+            e = np.sum(P * W[row_task], axis=1) - data.tasks.z
             F = float(np.sum(c * e * e)) + lam * (float(np.sum(V * V)) + float(np.sum(W * W)) / T)
             g_V = 2 * (rows.T @ ((c * e)[:, None] * W[row_task]) + lam * V)
             g_W = 2 * (np.add.reduceat((c * e)[:, None] * P, data.starts) + lam * W / T)
@@ -420,8 +420,8 @@ def whole_draw_projection(data, cfg):
     the trainer projected it before the draw was streamed."""
     n = data.n_rows
     M, N = init_factors(n, cfg)
-    S_T = csc_array((np.ones(n), data.row_user, np.arange(n + 1)), shape=(len(data.users), n))
-    return S_T @ M, np.add.reduceat(data.z[:, None] * N, data.starts, axis=0)
+    S_T = csc_array((np.ones(n), data.tasks.user, np.arange(n + 1)), shape=(len(data.users), n))
+    return S_T @ M, np.add.reduceat(data.tasks.z[:, None] * N, data.starts, axis=0)
 
 
 class TestStreamedInitialState:
@@ -449,10 +449,10 @@ class TestStreamedInitialState:
         assert [lo for lo, _, _ in blocks[1:]] == [hi for _, hi, _ in blocks[:-1]]
         assert (blocks[0][0], blocks[-1][1]) == (0, data.n_rows)
         for lo, hi, tasks in blocks:
-            assert (lo, hi) == (data.starts[tasks.start], data.starts[tasks.start] + data.task_sizes[tasks].sum())
+            assert (lo, hi) == (data.starts[tasks.start], data.starts[tasks.start] + data.tasks.sizes[tasks].sum())
             # the most whole tasks within a block, or one longer task
             assert hi - lo <= block or tasks.stop - tasks.start == 1
-            assert tasks.stop == data.n_tasks or hi - lo + data.task_sizes[tasks.stop] > block
+            assert tasks.stop == data.n_tasks or hi - lo + data.tasks.sizes[tasks.stop] > block
 
     def test_transient_memory_stays_within_blocks(self):
         """At 100,000 stacked rows and rank 20 one whole n x r draw is 16 MB; the
@@ -609,12 +609,12 @@ class TestHsRankModel:
         got = model.tournament_weights(x[None])[:, 0]
         for t in range(data.n_tasks):
             s = data.starts[t]
-            rows = data.row_user[s : s + data.task_sizes[t]]
+            rows = data.tasks.user[s : s + data.tasks.sizes[t]]
             K_t = data.K_u[np.ix_(rows, rows)]
             n_t = rows.shape[0]
             v_t = data.U[rows] @ x
             alpha = np.linalg.solve(K_t + n_t * lam * np.eye(n_t), v_t)
-            expected = alpha @ data.z[s : s + data.task_sizes[t]]
+            expected = alpha @ data.tasks.z[s : s + data.tasks.sizes[t]]
             assert got[t] == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
     def test_lambda_positive_required(self, small_problem):
@@ -641,9 +641,21 @@ class TestPairTaskData:
     def test_task_set_without_tasks_rejected(self):
         table = RatingsTable(users=[1, 2], items=["a", "b"], ratings={(1, "a"): 4.0, (2, "b"): 2.0})
         tasks = build_pair_tasks(table, ["a", "b"])  # no user rated both items
-        assert tasks.n_tasks == 0
+        assert tasks.n_tasks == 0 and tasks.users == []
         with pytest.raises(InvalidInputError, match="^pair task set has no tasks$"):
             build_pair_task_data(tasks, {1: np.ones(2), 2: np.ones(2)}, KernelSpec("linear"))
+
+    def test_users_are_the_co_raters_coded_once(self):
+        """A user who rated one subset item and one who rated none are not listed;
+        every co-rater is, in table order, and the data keeps the set itself."""
+        ratings = {(5, "a"): 4.0, (5, "b"): 2.0, (3, "a"): 1.0, (3, "c"): 5.0, (4, "b"): 3.0,
+                   (2, "x"): 1.0, (1, "a"): 2.0, (1, "b"): 5.0, (1, "c"): 3.0}
+        table = RatingsTable(users=[5, 4, 3, 2, 1], items=["a", "b", "c", "x"], ratings=ratings)
+        tasks = build_pair_tasks(table, ["a", "b", "c"])
+        assert tasks.users == [1, 3, 5]  # 4 rated only b, 2 only x
+        assert np.unique(tasks.user).tolist() == [0, 1, 2]
+        data = build_pair_task_data(tasks, {u: np.ones(2) for u in tasks.users}, KernelSpec("linear"))
+        assert data.tasks is tasks and data.users is tasks.users
 
     def test_missing_features_rejected(self, small_problem):
         tasks, feats, _ = small_problem
@@ -669,5 +681,5 @@ class TestPairTaskData:
         assert data.n_rows == len(tasks.z)
         assert data.n_tasks == tasks.n_tasks
         np.testing.assert_array_equal(
-            np.diff(data.starts), data.task_sizes[:-1]
+            np.diff(data.starts), data.tasks.sizes[:-1]
         )
