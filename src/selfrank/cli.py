@@ -4,18 +4,20 @@ Every artifact is a JSON document embedding the resolved configuration that
 produced it, written with sorted keys so identical (command, config, seed)
 runs are byte-identical. It is one compact line (no indent, so CPython's C
 encoder writes it) and replaces an earlier artifact of its name only once
-written whole. Readers ignore whitespace, so indented schema-2 checkpoints
-of earlier versions still load. Exit codes: 0 success, 2 bad configuration or
-input data (among them a path key that names no file or a directory, a
-config or checkpoint file that is not a UTF-8 JSON object, and a ratings or
-features file that is not UTF-8 text), 3 divergence or another numerical
-failure (every grid cell failed, no descending step found), 4 verification
-failure.
+written whole. `train` writes a schema 3 checkpoint, whose float arrays (`A`,
+`W`, the hs `beta`) are each base64 text of their little-endian float64
+bytes, and `eval` and `decode` read schema 3 only. Exit codes: 0 success, 2
+bad configuration or input data (among them a path key that names no file or
+a directory, a config or checkpoint file that is not a UTF-8 JSON object, and
+a ratings or features file that is not UTF-8 text), 3 divergence or another
+numerical failure (every grid cell failed, no descending step found), 4
+verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import base64
 import contextlib
 import json
 import math
@@ -67,7 +69,7 @@ from .ranking import (
 from .verify import run_verification
 
 COMMANDS = ("train", "eval", "grid", "decode", "synth", "verify")
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 
 def _is_int(v) -> bool:
@@ -77,6 +79,11 @@ def _is_int(v) -> bool:
 def _is_number(v) -> bool:
     """A finite float, or an integer within the float range."""
     return isinstance(v, float) and math.isfinite(v) or _is_int(v) and abs(v) <= sys.float_info.max
+
+
+def _is_count(v) -> bool:
+    """An integer >= 1 within the float range, like the integers _is_number takes."""
+    return _is_int(v) and 1 <= v <= sys.float_info.max
 
 
 def _list_of(check):
@@ -100,8 +107,8 @@ def _is_out_dir(v) -> bool:
 
 _is_positive_list = _list_of(lambda x: _is_number(x) and x > 0)
 
-_COUNT = (lambda v: _is_int(v) and v >= 1, "an integer >= 1")
-_COUNTS = (_list_of(lambda x: _is_int(x) and x >= 1), "a non-empty list of integers >= 1")
+_COUNT = (_is_count, "an integer >= 1 within the float range")
+_COUNTS = (_list_of(_is_count), "a non-empty list of integers >= 1 within the float range")
 _NON_NEGATIVE = (lambda v: _is_number(v) and v >= 0, "a finite number >= 0")
 _POSITIVE_NUMBERS = (_is_positive_list, "a non-empty list of positive numbers")
 _OPTIONAL_NUMBER = (lambda v: v is None or _is_number(v), "null or a finite number")
@@ -263,7 +270,7 @@ def cmd_train(cfg: dict) -> int:
         **_data_fields(data),
     }
     if cfg["learner"] == "hs":
-        checkpoint["beta"] = fit_rank_hs(data, lam).beta.tolist()
+        checkpoint["beta"] = _float_text(fit_rank_hs(data, lam).beta)
     else:
         base = TrainConfig(
             lam=lam, rank=int(cfg["train.rank"]), step=1.0, max_iters=int(cfg["train.iters"]), seed=seed,
@@ -272,7 +279,7 @@ def cmd_train(cfg: dict) -> int:
         model = fit_rank_lowrank(data, replace(base, step=step))
         checkpoint.update(
             rank=base.rank, step=step, iters_run=model.iters_run,
-            A=model.A.ravel().tolist(), W=model.W.ravel().tolist(),
+            A=_float_text(model.A), W=_float_text(model.W),
         )
         _write_json(cfg, "objective_trace.json", {"config": cfg, "objective_trace": model.objective_trace})
     path = _write_json(cfg, "checkpoint.json", checkpoint)
@@ -292,23 +299,41 @@ def _data_fields(data) -> dict:
     }
 
 
-def _number_array(values, size: int) -> np.ndarray | None:
-    """A checkpoint list of `size` finite JSON numbers as floats; None for anything else.
+def _float_text(array: np.ndarray) -> str:
+    """A checkpoint float array: base64 text of its little-endian float64 bytes, in C order."""
+    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
 
-    JSON null, true/false and strings are not numbers, and NaN or an
-    overflowing integer is not finite.
-    """
-    if not isinstance(values, list) or len(values) != size or not set(map(type, values)) <= {int, float}:
-        return None
+
+def _float_field(ck: dict, field: str, size: int, what: str) -> np.ndarray:
+    """Checkpoint field `field` as the `size` floats _float_text wrote; a
+    ConfigError naming the field and the cause when it is missing, not a
+    string, not strict base64, not `size` x 8 bytes, or not finite throughout."""
+
+    def invalid(cause: str) -> ConfigError:
+        return ConfigError(
+            f"checkpoint field {field!r} must be base64 text of {what} = {size} finite "
+            f"little-endian float64 values; {cause}; retrain it"
+        )
+
+    value = ck.get(field)
+    if not isinstance(value, str):
+        raise invalid("it is missing" if field not in ck else f"got {'null' if value is None else type(value).__name__}")
     try:
-        array = np.asarray(values, dtype=float)
-    except OverflowError:
-        return None
-    return array if np.isfinite(array).all() else None
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or text that is not ASCII
+        raise invalid(f"it is not base64 ({exc})") from None
+    if len(raw) != 8 * size:
+        raise invalid(f"it decodes to {len(raw)} bytes, not {8 * size}")
+    array = np.frombuffer(raw, dtype="<f8")
+    finite = np.isfinite(array)
+    if not finite.all():
+        i = int(finite.argmin())
+        raise invalid(f"entry {i} is {array[i]}")
+    return array
 
 
 def _checkpoint_problem(cfg: dict, command: str):
-    """The configured (split, user features) and the model the schema-2
+    """The configured (split, user features) and the model the schema-3
     checkpoint holds, built from its arrays alone, on `model.data.tasks`."""
     if cfg["checkpoint"] is None:
         raise ConfigError(f"{command} requires a checkpoint path")
@@ -331,26 +356,17 @@ def _checkpoint_problem(cfg: dict, command: str):
     if learner not in ("lowrank", "hs"):
         raise ConfigError(f"checkpoint field 'learner' must be 'lowrank' or 'hs', got {learner!r}")
     if learner == "hs":
-        beta = _number_array(ck.get("beta"), data.n_rows)
-        if beta is None:
-            raise ConfigError(
-                f"HS checkpoint field 'beta' must hold sum(task_sizes) = {data.n_rows} finite numbers; retrain it"
-            )
-        model = HsRankModel(data=data, beta=beta)
+        model = HsRankModel(data=data, beta=_float_field(ck, "beta", data.n_rows, "sum(task_sizes)"))
     else:
         for field, least in (("rank", 1), ("iters_run", 0)):
             value = ck.get(field)
             if type(value) is not int or value < least:
                 raise ConfigError(f"low-rank checkpoint field {field!r} must be an integer >= {least}, got {value!r}")
         r = ck["rank"]
-        factors = {}
-        for field, rows in (("A", len(data.users)), ("W", data.n_tasks)):
-            values = _number_array(ck.get(field), rows * r)
-            if values is None:
-                raise ConfigError(
-                    f"low-rank checkpoint field {field!r} must hold {rows} x rank = {rows * r} finite numbers"
-                )
-            factors[field] = values.reshape(rows, r)
+        factors = {
+            field: _float_field(ck, field, rows * r, f"{what} x rank").reshape(rows, r)
+            for field, rows, what in (("A", len(data.users), "users"), ("W", data.n_tasks, "tasks"))
+        }
         model = LowRankRankModel(data=data, **factors, iters_run=ck["iters_run"], objective_trace=[])
     return split, features, model
 

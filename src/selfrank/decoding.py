@@ -56,12 +56,34 @@ class Tournament:
         w = np.asarray(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidInputError(f"tournament weights must be square, got {w.shape}")
-        if not np.isfinite(w).all():
-            j, k = np.argwhere(~np.isfinite(w))[0].tolist()
-            raise InvalidInputError(f"tournament weight [{j}, {k}] is {w[j, k]}, not finite")
-        upper = np.where(triangle(w.shape[0])[0].T, w, 0.0)  # np.triu(w, k=1)
-        self.weights = upper - upper.T
+        self.weights = antisymmetric(w[None])[0]
         self.size = w.shape[0]
+
+
+def antisymmetric(stack: np.ndarray) -> np.ndarray:
+    """The tournament weights of each n x n matrix of a (b, n, n) float stack.
+
+    Each is its strict upper triangle minus that triangle's transpose, as
+    Tournament keeps it. The first non-finite weight, in stack order, raises
+    InvalidInputError naming its place in its own matrix.
+    """
+    if not np.isfinite(stack).all():
+        q, j, k = np.argwhere(~np.isfinite(stack))[0].tolist()
+        raise InvalidInputError(f"tournament weight [{j}, {k}] is {stack[q, j, k]}, not finite")
+    upper = np.where(triangle(stack.shape[-1])[0].T, stack, 0.0)  # np.triu(w, k=1) per matrix
+    return upper - upper.transpose(0, 2, 1)
+
+
+def tournaments(stack: np.ndarray) -> list[Tournament]:
+    """Tournament(w) for each n x n matrix w of a (b, n, n) float stack, in
+    order: the same weights, bit for bit, checked and antisymmetrized as one
+    block. Each tournament's weights are a view into one new block."""
+    out = []
+    for w in antisymmetric(stack):
+        t = Tournament.__new__(Tournament)  # no __init__: w is checked and antisymmetric
+        t.weights, t.size = w, w.shape[0]
+        out.append(t)
+    return out
 
 
 def decode_finite(candidates, alpha, train_outputs, loss):

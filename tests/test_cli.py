@@ -1,3 +1,4 @@
+import base64
 import errno
 import json
 import os
@@ -10,17 +11,45 @@ import pytest
 
 import selfrank
 from selfrank import ranking
-from selfrank.cli import CONFIG_KEYS, _load_ranking_problem, load_config, main, run
+from selfrank.cli import _COUNT, _COUNTS, CONFIG_KEYS, _load_ranking_problem, load_config, main, run
 from selfrank.data_io import simulate_movielens_table, write_movielens
 from selfrank.errors import ConfigError, NumericalError
 from selfrank.evaluation import evaluate_ranking, fit_cell, grid_cells
 from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 
-# JSON values a checkpoint's number arrays must reject: a string, null, NaN, a
-# bool and an integer past the float range
-BAD_NUMBERS = ("x", None, float("nan"), True, 10**400)
+
+
+def floats(text: str) -> np.ndarray:
+    """The floats of a checkpoint array: base64 text of little-endian float64 bytes."""
+    return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
+
+
+def bad_encodings(text: str) -> list:
+    """(name, value) pairs that a checkpoint array `text` must not be replaced
+    by: its floats as a JSON list, null, text that is not base64 or not ASCII,
+    its bytes one short or one float long, and a NaN or an inf packed as <f8
+    in place of its first float."""
+    raw = base64.b64decode(text)
+    pack = lambda b: base64.b64encode(b).decode("ascii")
+    return [
+        ("list", floats(text).tolist()),
+        ("null", None),
+        ("not base64", "not base64!"),
+        ("not ascii", "\u00e9" + text[1:]),
+        ("one byte short", pack(raw[:-1])),
+        ("one float long", pack(raw + np.float64(0.0).tobytes())),
+        ("nan", pack(np.array([np.nan], dtype="<f8").tobytes() + raw[8:])),
+        ("inf", pack(np.array([np.inf], dtype="<f8").tobytes() + raw[8:])),
+    ]
+
+
 # a config value that is an integer past the float range
 HUGE = 10**400
+# the config keys whose values are counts: integers >= 1, or lists of them
+COUNT_KEYS = (
+    "train.rank", "train.iters", "synth.n", "synth.d", "synth.tasks", "synth.rank", "synth.seeds",
+    "synth.iters", "synth.ranks", "grid.ranks", "grid.iters",
+)
 
 # Runs low-rank train, eval and decode, then hs train, in one fresh interpreter
 # and prints after each whether scipy.linalg has been imported.
@@ -203,6 +232,18 @@ class TestConfig:
         assert rc == 2
         assert f"config error: {key} must be" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", COUNT_KEYS)
+    def test_count_past_the_float_range_is_rejected(self, ratings_file, key):
+        """A count key takes only integers within the float range, as the
+        number keys do: a huge count would fail deep inside a command."""
+        value = [HUGE] if isinstance(CONFIG_KEYS[key][0], list) else HUGE
+        with pytest.raises(ConfigError, match=f"^{key} must be .*within the float range, got "):
+            load_config(None, [f"data.ratings={ratings_file}", f"{key}={value}"], None, None)
+
+    def test_count_keys_are_the_keys_checked_as_counts(self):
+        checks = (_COUNT[0], _COUNTS[0])
+        assert {key for key, (_, check, *_) in CONFIG_KEYS.items() if check in checks} == set(COUNT_KEYS)
+
     @pytest.mark.parametrize("command, overrides, key", [
         ("verify", ["kernel.kind=gaussian", "kernel.bandwidth=-1"], "kernel.bandwidth"),
         ("synth", ["kernel.kind=abel"], "kernel.bandwidth"),
@@ -362,10 +403,10 @@ class TestCommands:
             warnings.simplefilter("ignore")
             assert run("train", overrides=base_overrides(ratings_file), out=out, seed=1) == 0
         ck = json.load(open(f"{out}/checkpoint.json"))
-        assert ck["schema_version"] == 2
+        assert ck["schema_version"] == 3
         assert ck["config"]["seed"] == 1
-        assert len(ck["A"]) == len(ck["users"]) * ck["rank"]
-        assert len(ck["W"]) == len(ck["pairs"]) * ck["rank"]
+        assert len(floats(ck["A"])) == len(ck["users"]) * ck["rank"]
+        assert len(floats(ck["W"])) == len(ck["pairs"]) * ck["rank"]
         trace = json.load(open(f"{out}/objective_trace.json"))
         assert len(trace["objective_trace"]) >= 2
 
@@ -471,16 +512,17 @@ class TestCommands:
             warnings.simplefilter("ignore")
             assert run("train", overrides=base_overrides(ratings_file), out=out, seed=1) == 0
         ck = json.load(open(f"{out}/checkpoint.json"))
-        cases = [("A", dict(ck, A=ck["A"][:-1])), ("W", dict(ck, W=ck["W"] + [0.0]))]
-        cases += [(key, {k: v for k, v in ck.items() if k != key}) for key in ("rank", "iters_run", "learner")]
-        cases += [(key, dict(ck, **{key: [bad] + ck[key][1:]})) for key in ("A", "W") for bad in BAD_NUMBERS]
-        for field, edited in cases:
+        cases = [(key, {k: v for k, v in ck.items() if k != key}, "") for key in ("rank", "iters_run", "learner")]
+        cases += [
+            (key, dict(ck, **{key: bad}), f"; {name}: ") for key in ("A", "W") for name, bad in bad_encodings(ck[key])
+        ]
+        for field, edited, case in cases:
             path = tmp_path / f"{field}.json"
             path.write_text(json.dumps(edited))
             for command in ("eval", "decode"):
                 rc = run(command, overrides=base_overrides(ratings_file, [f"checkpoint={path}"]), out=out, seed=1)
-                assert rc == 2
-                assert f"field {field!r}" in capsys.readouterr().err
+                assert rc == 2, f"{field}{case}{command}"
+                assert f"field {field!r}" in capsys.readouterr().err, f"{field}{case}{command}"
 
     @pytest.mark.parametrize("content, message", [
         (b"{not json", "is not UTF-8 JSON: Expecting property name"),
@@ -505,12 +547,29 @@ class TestCommands:
         err = capsys.readouterr().err
         assert "schema 1" in err and "retrain" in err
 
+    def test_schema_2_checkpoint_exits_2(self, tmp_path, ratings_file, capsys):
+        """A schema 2 checkpoint, whose A and W are lists of JSON numbers, asks
+        for a retrain, though it matches the data."""
+        out = str(tmp_path / "run")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert run("train", overrides=base_overrides(ratings_file), out=out) == 0
+        ck = json.load(open(f"{out}/checkpoint.json"))
+        path = tmp_path / "v2.json"
+        path.write_text(json.dumps(
+            dict(ck, schema_version=2, A=floats(ck["A"]).tolist(), W=floats(ck["W"]).tolist()), sort_keys=True,
+        ))
+        for command in ("eval", "decode"):
+            assert run(command, overrides=base_overrides(ratings_file, [f"checkpoint={path}"]), out=out) == 2
+            err = capsys.readouterr().err
+            assert "unsupported checkpoint schema 2; retrain to write a schema 3 checkpoint" in err
+
     @pytest.mark.parametrize("command", ["eval", "decode"])
     def test_missing_checkpoint_path_exits_2(self, tmp_path, ratings_file, capsys, command):
         assert run(command, overrides=base_overrides(ratings_file), out=str(tmp_path)) == 2
         assert f"config error: {command} requires a checkpoint path" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("schema", [1, 3])
+    @pytest.mark.parametrize("schema", [1, 2, 4])
     def test_unsupported_schema_exits_2(self, tmp_path, ratings_file, capsys, schema):
         """A checkpoint of any other schema, even one matching the data, asks for a retrain."""
         out = str(tmp_path / "run")
@@ -522,13 +581,13 @@ class TestCommands:
         for command in ("eval", "decode"):
             assert run(command, overrides=base_overrides(ratings_file, [f"checkpoint={path}"]), out=out) == 2
             assert (
-                f"config error: unsupported checkpoint schema {schema}; retrain to write a schema 2 checkpoint"
+                f"config error: unsupported checkpoint schema {schema}; retrain to write a schema 3 checkpoint"
                 in capsys.readouterr().err
             )
 
-    @pytest.mark.parametrize("schema", [True, 2.0, "2"], ids=["true", "2.0", "string"])
+    @pytest.mark.parametrize("schema", [True, 3.0, "3"], ids=["true", "3.0", "string"])
     def test_non_integer_schema_exits_2(self, tmp_path, ratings_file, capsys, schema):
-        """JSON true is not schema 1, and 2.0 or "2" is not schema 2, though == says so."""
+        """JSON true is not schema 1, and 3.0 or "3" is not schema 3, though == says so."""
         out = str(tmp_path / "run")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
@@ -560,7 +619,7 @@ class TestCommands:
             )
         assert rc == 0
         ck = json.load(open(f"{out}/checkpoint.json"))
-        assert len(ck["beta"]) == sum(ck["task_sizes"])
+        assert len(floats(ck["beta"])) == sum(ck["task_sizes"])
         # the checkpoint's beta reproduces the in-memory model's losses exactly
         cfg = load_config(None, base_overrides(ratings_file, ["learner=hs"]), out, 2)
         with warnings.catch_warnings():
@@ -596,7 +655,7 @@ class TestCommands:
             want += cho_solve(cho_factor(system), data.tasks.z[lo:lo + n]).tolist()
             lo += n
         ck = json.loads((tmp_path / "hs" / "checkpoint.json").read_text())
-        assert ck["beta"] == want
+        assert floats(ck["beta"]).tobytes() == np.array(want).tobytes()
 
     def test_cli_import_and_lowrank_eval_load_no_scipy_sparse(self, tmp_path, ratings_file):
         """Importing selfrank.cli loads neither scipy.sparse nor scipy.linalg, and
@@ -620,11 +679,10 @@ class TestCommands:
             assert run("train", overrides=hs, out=out, seed=2) == 0
         ck = json.load(open(f"{out}/checkpoint.json"))
         missing = {k: v for k, v in ck.items() if k != "beta"}
-        for name, edited, message in (
-            ("missing", missing, "field 'beta' must hold"),
-            ("short", dict(ck, beta=ck["beta"][:-1]), "field 'beta' must hold"),
-            ("long", dict(ck, beta=ck["beta"] + [0.0]), "field 'beta' must hold"),
-            *((f"entry {bad!r}", dict(ck, beta=[bad] + ck["beta"][1:]), "field 'beta' must hold") for bad in BAD_NUMBERS),
+        message = "field 'beta' must be base64 text of sum(task_sizes)"
+        for name, edited in (
+            ("missing", missing),
+            *((name, dict(ck, beta=bad)) for name, bad in bad_encodings(ck["beta"])),
         ):
             path = tmp_path / "edited.json"
             path.write_text(json.dumps(edited))
@@ -632,10 +690,9 @@ class TestCommands:
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore")
                     rc = run(command, overrides=hs + [f"checkpoint={path}"], out=out, seed=2)
-                assert rc == 2
+                assert rc == 2, name
                 err = capsys.readouterr().err
-                assert message in err
-                assert name != "missing" or "retrain" in err
+                assert message in err and "retrain" in err, name
 
     @pytest.mark.parametrize("learner", ["lowrank", "hs"])
     def test_eval_and_decode_build_no_gram(self, tmp_path, ratings_file, monkeypatch, learner):
@@ -752,8 +809,8 @@ class TestCommands:
                 ck = json.load(open(tmp_path / str(k) / "checkpoint.json"))
                 model = fit_cell(problem(), cell)
                 assert ck["iters_run"] == model.iters_run
-                assert np.asarray(ck["A"]).tobytes() == model.A.tobytes()
-                assert np.asarray(ck["W"]).tobytes() == model.W.tobytes()
+                assert floats(ck["A"]).tobytes() == model.A.tobytes()
+                assert floats(ck["W"]).tobytes() == model.W.tobytes()
                 reasons.append(model.stop_reason)
         assert reasons == ["max_iters", "max_iters", "max_iters", "tol"]
 
@@ -899,9 +956,8 @@ class TestCommands:
             assert text == json.dumps(json.loads(text), sort_keys=True) + "\n", name
 
     def test_indented_checkpoint_loads_as_the_compact_one(self, tmp_path, ratings_file):
-        """Readers ignore whitespace: an `indent=2` checkpoint, as earlier versions
-        wrote schema 2, gives eval and decode artifacts byte-identical to the
-        compact one's."""
+        """Readers ignore whitespace: an `indent=2` checkpoint gives eval and
+        decode artifacts byte-identical to the compact one's."""
         out, checkpoint = str(tmp_path), tmp_path / "checkpoint.json"
         overrides = base_overrides(ratings_file, [f"checkpoint={checkpoint}"])
         artifacts = {}

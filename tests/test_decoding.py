@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from selfrank.data_io import build_pair_tasks, simulate_movielens_table, split_per_user, top_items, user_feature_map
+from selfrank.data_io import (
+    PairTaskSet,
+    build_pair_tasks,
+    simulate_movielens_table,
+    split_per_user,
+    top_items,
+    user_feature_map,
+)
 from selfrank.decoding import (
     Ordering,
     Tournament,
@@ -15,7 +22,7 @@ from selfrank.decoding import (
     fas_greedy,
 )
 from selfrank.errors import CapacityError, InvalidInputError
-from selfrank.evaluation import decode_queries
+from selfrank.evaluation import DECODE_BLOCK_WEIGHTS, decode_queries
 from selfrank.kernels import KernelSpec
 from selfrank.learners import TrainConfig
 from selfrank.losses import zero_one
@@ -130,6 +137,50 @@ def test_fas_greedy_matches_loop_reference_on_fitted_top60_tournaments():
         np.testing.assert_array_equal(
             fas_greedy(t).positions, fas_greedy_reference(t).positions, err_msg=f"user {user}"
         )
+
+
+def all_pairs(n):
+    """A PairTaskSet with a task for every pair a < b of n documents and no stacked rows."""
+    a, b = np.triu_indices(n, k=1)
+    empty = np.zeros(0)
+    return PairTaskSet(list(range(n)), [], a, b, np.zeros(len(a), dtype=int), empty.astype(int), empty)
+
+
+def query_tournaments(n, W):
+    """Tournament(w) of each column of W over its own n x n matrix, built alone."""
+    for column in W.T:
+        w = np.zeros((n, n))
+        w[np.triu_indices(n, k=1)] = column
+        yield Tournament(w)
+
+
+@pytest.mark.parametrize("n", [6, 30])
+def test_decode_queries_across_block_boundaries(n):
+    """Each query gets the tournament and the ordering it gets alone, in query
+    order, whether it opens, closes or sits inside a block of the stack."""
+    B = max(1, DECODE_BLOCK_WEIGHTS // (n * n))  # queries per block
+    rng = np.random.default_rng(n)
+    tasks = all_pairs(n)
+    for n_queries in (0, 1, B - 1, B, B + 1, 2 * B + 3):
+        W = np.round(rng.standard_normal((tasks.n_tasks, n_queries)), 1)  # exact zeros, -0.0 among them
+        seen = []
+        got = decode_queries(tasks, W, decode=lambda t: seen.append(t) or fas_greedy(t))
+        want = list(query_tournaments(n, W))
+        assert len(got) == len(seen) == n_queries
+        for q, (t, alone, ordering) in enumerate(zip(seen, want, got)):
+            assert t.size == n and t.weights.tobytes() == alone.weights.tobytes(), (n_queries, q)
+            np.testing.assert_array_equal(ordering.positions, fas_greedy(alone).positions, err_msg=f"query {q}")
+
+
+@pytest.mark.parametrize("n", [6, 30])
+def test_decode_queries_names_a_nan_in_the_second_block(n):
+    B = max(1, DECODE_BLOCK_WEIGHTS // (n * n))
+    tasks = all_pairs(n)
+    W = np.ones((tasks.n_tasks, 2 * B + 3))
+    task = tasks.n_tasks - 2  # the pair (n-3, n-1)
+    W[task, 2 * B - 1] = np.nan  # the last query of the second block
+    with pytest.raises(InvalidInputError, match=rf"^tournament weight \[{n - 3}, {n - 1}\] is nan, not finite$"):
+        decode_queries(tasks, W, decode=fas_greedy)
 
 
 def test_fas_greedy_sweep_after_a_move():
