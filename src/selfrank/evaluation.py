@@ -95,7 +95,7 @@ def decode_queries(pair_tasks: PairTaskSet, W: np.ndarray, *, decode) -> list[Or
     """
     n_docs = len(pair_tasks.items)
     flat = pair_tasks.a * n_docs + pair_tasks.b  # (a, b) in a raveled n_docs x n_docs
-    per_block = max(1, DECODE_BLOCK_WEIGHTS // max(1, n_docs * n_docs))
+    per_block = max(1, DECODE_BLOCK_WEIGHTS // n_docs**2)
     orderings = []
     for lo in range(0, W.shape[1], per_block):
         columns = W[:, lo : lo + per_block]

@@ -18,7 +18,6 @@ from selfrank.evaluation import evaluate_ranking, fit_cell, grid_cells
 from selfrank.ranking import PairTaskData, build_pair_task_data, fit_rank_hs
 
 
-
 def floats(text: str) -> np.ndarray:
     """The floats of a checkpoint array: base64 text of little-endian float64 bytes."""
     return np.frombuffer(base64.b64decode(text, validate=True), dtype="<f8")
